@@ -3,8 +3,9 @@
 The sign representation of Z/2 with two factors produces four lines in the
 plane (the reflection arrangement of signed permutations of two letters).
 The minimal building set has five blocks, and exactly nine nonempty nested
-sets exist; the backtracking enumeration, checked antichain by antichain
-against subspace arithmetic, lists them all.
+sets exist.  They are the cliques of the block-compatibility graph, which
+the enumeration lists; `is_nested`, checked antichain by antichain against
+subspace arithmetic, is the definition they satisfy.
 
 Run from the repository root:  python demos/02_blocks_and_nested_sets.py
 """

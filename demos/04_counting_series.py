@@ -46,7 +46,7 @@ print("  order-2 label:", [str(h1.coeffs.get((l,), 0)) for l in range(1, 5)])
 print("  trivial label:", [str(e.coeffs.get((l,), 0)) for l in range(1, 5)])
 
 print("\nthree routes to the same counts:")
-print(f"{'group':10} {'n':>2} {'backtracking':>12} {'forests':>8} {'series':>7}")
+print(f"{'group':10} {'n':>2} {'cliques':>12} {'forests':>8} {'series':>7}")
 for factors, chars, name in (
     ([2], [[1]], "Z/2"),
     ([3], [[1]], "Z/3"),

@@ -55,8 +55,8 @@ class ProblemInstance:
         self.group = group
         self.rep = rep
         self.names = dict(names or {})
-        self.cap_lattice = cap_lattice or DEFAULT_CAP_LATTICE
-        self.cap_nested = cap_nested or DEFAULT_CAP_NESTED
+        self.cap_lattice = DEFAULT_CAP_LATTICE if cap_lattice is None else cap_lattice
+        self.cap_nested = DEFAULT_CAP_NESTED if cap_nested is None else cap_nested
         self._subgroups = None
         self._conj = None
         self._closed = None
@@ -93,7 +93,7 @@ class ProblemInstance:
         return self.names.get(H.elements, H.label())
 
     def meet(self, A, B):
-        """Cached subspace intersection (hot path of the nested checks)."""
+        """Cached subspace intersection (used by the `is_nested` oracle)."""
         key = (A.basis, B.basis) if A.basis <= B.basis else (B.basis, A.basis)
         got = self._meet_cache.get(key)
         if got is None:
@@ -297,23 +297,27 @@ def intersection_lattice(inst, cap=None):
     element of the closure is an intersection of raw subspaces, so it is
     enough to fold raw generators into the worklist one at a time.
     """
-    cap = cap or inst.cap_lattice
+    if cap is None:
+        cap = inst.cap_lattice
     raw = raw_arrangement(inst)
-    ambient = Subspace.full(inst.ambient_dim)
-    elems = {ambient.basis: ambient}
-    for s in raw:
+    elems = {}
+
+    def admit(s):
+        if len(elems) >= cap:
+            raise SizeBoundExceeded(
+                f"intersection lattice exceeded the cap of {cap} elements"
+            )
         elems[s.basis] = s
+
+    for s in (Subspace.full(inst.ambient_dim), *raw):
+        admit(s)
     worklist = list(elems.values())
     while worklist:
         current = worklist.pop()
         for gen in raw:
             meet = current.intersect(gen)
             if meet.basis not in elems:
-                if len(elems) >= cap:
-                    raise SizeBoundExceeded(
-                        f"intersection lattice exceeded the cap of {cap} elements"
-                    )
-                elems[meet.basis] = meet
+                admit(meet)
                 worklist.append(meet)
     ordered = sorted(elems.values(), key=lambda s: (-s.dim, s.basis))
     matrix = [
@@ -603,13 +607,12 @@ def pairwise_compatible(inst, blocks):
     return True
 
 
-def _antichain_violation(inst, blocks, leq, subspaces, required=None):
+def _antichain_violation(inst, blocks, leq, subspaces):
     """Search antichain subsets (of size >= 2) violating the nested condition.
 
     The violation is either a failure of codimension additivity (the
     annihilators are not in direct sum) or an intersection that is itself a
-    block subspace (the annihilator sum lies in the building set).  When
-    `required` is given, only antichains containing that index are checked.
+    block subspace (the annihilator sum lies in the building set).
     """
     m = len(blocks)
     ambient = inst.ambient_dim
@@ -618,7 +621,7 @@ def _antichain_violation(inst, blocks, leq, subspaces, required=None):
     ]
 
     def extend(chosen, meet, codim_sum, start):
-        if len(chosen) >= 2 and (required is None or required in chosen):
+        if len(chosen) >= 2:
             if meet.codim != codim_sum:
                 return True
             if is_block_subspace(inst, meet) is not None:
@@ -654,43 +657,53 @@ def is_nested(inst, blocks):
 def enumerate_nested_sets(inst, cap=None):
     """All nonempty nested sets, in depth-first lexicographic block order.
 
-    Supersets of non-nested sets are non-nested, so the backtracking prunes
-    on the first antichain violation involving the newly added block.
+    The nested sets are exactly the cliques of the compatibility graph (the
+    nested-set complex is a flag complex), so they are listed by a clique
+    search over one bitset of compatible blocks per block.
+
+    Proof that a pairwise-compatible set S is nested.  Take an antichain
+    B_1, ..., B_r of S with r >= 2, with index sets I_a and labels K_a.
+    Incomparable compatible blocks are index-disjoint, so the annihilator of
+    B_a lives in the dual factors indexed by I_a, and the annihilators are in
+    direct sum.  The intersection W constrains exactly the factors of
+    I = I_1 u ... u I_r, and its part tied over I is the product T_1 x ... x
+    T_r, T_a (of dimension dim Fix(K_a)) living on the factors of I_a.  Were
+    W a block, it would be one over I, whose tied part projects injectively
+    onto every factor of I.  Projecting onto a factor of I_a kills T_b for
+    b != a, so every T_b = 0, i.e. Fix(K_b) = 0 and (K_b being closed)
+    K_b = G for all b; two labels equal to G break compatibility.  Hence
+    the annihilator sum is not in the building set.  Conversely every nested
+    set is pairwise compatible: that is the fast rejection `is_nested` makes.
+
+    `is_nested` (the definition, over every antichain) stays the oracle
+    for this search in `selftest` and the tests.
     """
-    cap = cap or inst.cap_nested
+    if cap is None:
+        cap = inst.cap_nested
     blocks = building_blocks(inst)
     m = len(blocks)
-    leq = [[block_leq(inst, a, b) for b in blocks] for a in blocks]
-    compat = [
-        [blocks_compatible(inst, blocks[i], blocks[j]) for j in range(m)]
-        for i in range(m)
-    ]
-    subspaces = [block_subspace(inst, b) for b in blocks]
+    compat = [0] * m
+    for i in range(m):
+        for j in range(i + 1, m):
+            if blocks_compatible(inst, blocks[i], blocks[j]):
+                compat[i] |= 1 << j
+                compat[j] |= 1 << i
     out = []
 
-    def admissible(chosen, new):
-        sub = [*chosen, new]
-        sub_leq = [[leq[i][j] for j in sub] for i in sub]
-        sub_spaces = [subspaces[i] for i in sub]
-        sub_blocks = [blocks[i] for i in sub]
-        return not _antichain_violation(
-            inst, sub_blocks, sub_leq, sub_spaces, required=len(sub) - 1
-        )
-
-    def extend(chosen, candidates):
-        for pos, idx in enumerate(candidates):
-            if not admissible(chosen, idx):
-                continue
-            picked = chosen + [idx]
+    def extend(picked, cand):
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            idx = low.bit_length() - 1
             if len(out) >= cap:
                 raise SizeBoundExceeded(
                     f"nested-set enumeration exceeded the cap of {cap}"
                 )
-            out.append(NestedSet(tuple(blocks[i] for i in picked)))
-            remaining = [j for j in candidates[pos + 1 :] if compat[idx][j]]
-            extend(picked, remaining)
+            chosen = picked + (blocks[idx],)
+            out.append(NestedSet(chosen))
+            extend(chosen, cand & compat[idx])
 
-    extend([], list(range(m)))
+    extend((), (1 << m) - 1)
     return out
 
 

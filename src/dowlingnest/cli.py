@@ -178,6 +178,8 @@ def cmd_count(inst, args, out):
 
 def cmd_series(inst, args, out):
     degree = args.max_degree if args.max_degree is not None else inst.n
+    if degree < 0:
+        raise InstanceError("--max-degree must be nonnegative")
     payload = {
         "gamma_tilde": series_to_json(gamma_tilde(inst, degree)),
         "gamma_bar": series_to_json(gamma_bar(inst, degree)),

@@ -362,7 +362,8 @@ def _proper_partitions(items):
 
 def enumerate_forests(inst, cap=None):
     """Generate every valid forest directly from the labeling rules."""
-    cap = cap or inst.cap_nested
+    if cap is None:
+        cap = inst.cap_nested
     G = inst.group
     cs = closed_subgroups(inst)
     conj = inst.conj_classes()

@@ -113,8 +113,8 @@ def parse_instance(data, n_override=None, cap_lattice=None, cap_nested=None):
         group,
         rep,
         names=names,
-        cap_lattice=cap_lattice or bounds.get("cap_lattice"),
-        cap_nested=cap_nested or bounds.get("cap_nested"),
+        cap_lattice=bounds.get("cap_lattice") if cap_lattice is None else cap_lattice,
+        cap_nested=bounds.get("cap_nested") if cap_nested is None else cap_nested,
     )
 
 

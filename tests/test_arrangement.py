@@ -2,12 +2,19 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from dowlingnest import (
+    FiniteGroup,
+    InstanceError,
+    ProblemInstance,
+    Representation,
     Subgroup,
     Subspace,
     block_leq,
@@ -17,17 +24,19 @@ from dowlingnest import (
     closed_subgroups,
     closure_phi,
     conjugate_subgroup,
+    enumerate_forests,
     enumerate_nested_sets,
     intersection_lattice,
     is_block_subspace,
     is_nested,
     kernel,
+    nested_count_via_series,
     raw_arrangement,
 )
 from dowlingnest.arrangement import block_subspace_from, pairwise_compatible
 from dowlingnest.linalg import RMatrix
 
-from conftest import make_abelian_instance
+from conftest import make_abelian_instance, make_s3_instance
 
 
 # -- closure operator ------------------------------------------------------------
@@ -441,37 +450,66 @@ def test_fast_path_agrees_with_full_check(z2, z3, z4, klein):
             assert fast == full
 
 
-def test_pairwise_compatibility_characterizes_nestedness_at_n3():
-    """Documents that the pairwise fast path suffices on the n = 3 grid:
-    enumerating by the compatibility graph alone produces exactly the
-    nested sets, each passing the full antichain verification."""
+def test_enumerated_sets_pass_the_antichain_oracle_at_n3(s3):
+    """Every set the clique search lists passes `is_nested`, which checks
+    every antichain by subspace arithmetic, on the n = 3 grid and on s3."""
     specs = (
         ([2], [[1]]),
         ([3], [[1]]),
         ([4], [[1]]),
         ([2, 2], [[1, 0], [0, 1]]),
     )
-    for factors, chars in specs:
-        inst = make_abelian_instance(factors, chars, 3)
-        blocks = building_blocks(inst)
-        m = len(blocks)
-        compat = [
-            [blocks_compatible(inst, blocks[i], blocks[j]) for j in range(m)]
-            for i in range(m)
-        ]
-        pairwise_only = []
+    instances = [make_abelian_instance(f, c, 3) for f, c in specs] + [s3]
+    for inst in instances:
+        sets = enumerate_nested_sets(inst)
+        assert sets
+        for ns in sets:
+            assert is_nested(inst, ns.blocks), ns
 
-        def extend(chosen, candidates):
-            for pos, idx in enumerate(candidates):
-                picked = chosen + [idx]
-                pairwise_only.append(frozenset(blocks[i] for i in picked))
-                extend(
-                    picked, [j for j in candidates[pos + 1 :] if compat[idx][j]]
-                )
 
-        extend([], list(range(m)))
-        enumerated = {frozenset(ns.blocks) for ns in enumerate_nested_sets(inst)}
-        assert set(pairwise_only) == enumerated
+@pytest.mark.parametrize(
+    "make, count",
+    [
+        (lambda: make_abelian_instance([2], [[1]], 5), 25513),
+        (lambda: make_s3_instance(3), 10159),
+    ],
+    ids=["z2-n5", "s3-n3"],
+)
+def test_sampled_sets_pass_the_antichain_oracle(make, count):
+    inst = make()
+    sets = enumerate_nested_sets(inst)
+    assert len(sets) == count
+    for ns in random.Random(0).sample(sets, 200):
+        assert is_nested(inst, ns.blocks), ns
+
+
+@st.composite
+def small_abelian_instances(draw):
+    """One or two cyclic factors of order <= 4, one or two faithful
+    characters, n <= 3 (n <= 2 past order 8, where n = 3 runs to seconds)."""
+    factors = draw(st.lists(st.integers(2, 4), min_size=1, max_size=2))
+    character = st.tuples(*(st.integers(0, d - 1) for d in factors)).map(list)
+    characters = draw(st.lists(character, min_size=1, max_size=2))
+    G = FiniteGroup.from_abelian(factors)
+    n = draw(st.integers(1, 3 if G.order <= 8 else 2))
+    try:
+        rep = Representation.from_characters(G, characters)
+    except InstanceError:
+        assume(False)
+    return ProblemInstance(n, G, rep)
+
+
+@settings(max_examples=15, deadline=None)
+@given(small_abelian_instances(), st.randoms(use_true_random=False))
+def test_clique_count_agrees_with_forests_and_series(inst, rng):
+    """The clique search counts what the forest and series routes count, and
+    its sets pass `is_nested` (all of them, or 60 drawn when there are more,
+    since the definition check is the slow part at n = 3)."""
+    sets = enumerate_nested_sets(inst)
+    assert len(sets) == len(enumerate_forests(inst))
+    assert len(sets) == nested_count_via_series(inst, inst.n)
+    for ns in rng.sample(sets, min(len(sets), 60)):
+        assert is_nested(inst, ns.blocks), ns
 
 
 def test_nested_sets_are_downward_closed(klein):
@@ -499,6 +537,16 @@ def test_block_reconstruction_round_trip(z2, z3, klein, s3):
         for flat in intersection_lattice(inst).elements:
             recon = is_block_subspace(inst, flat)
             assert (recon is not None) == (flat.basis in block_keys)
+
+
+def test_enumeration_is_in_lexicographic_block_order(z3, klein, s3):
+    """Depth-first lexicographic order: a set comes right before its
+    extensions, so the block-index tuples are sorted as sequences."""
+    for inst in (z3, klein, s3):
+        position = {b: i for i, b in enumerate(building_blocks(inst))}
+        keys = [tuple(position[b] for b in ns) for ns in enumerate_nested_sets(inst)]
+        assert keys == sorted(keys)
+        assert len(set(keys)) == len(keys)
 
 
 def test_enumeration_is_deterministic(z3):

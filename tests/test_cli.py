@@ -118,6 +118,31 @@ def test_cap_exceeded_is_exit_3(capsys):
     assert "cap" in err
 
 
+def test_zero_caps_are_exit_3(capsys):
+    z2 = str(INSTANCES / "z2.json")
+    code, out, err = run_cli(capsys, "count", "--input", z2, "--cap-nested", "0")
+    assert code == 3
+    assert "count" not in out
+    assert "cap of 0" in err
+    code, _, err = run_cli(capsys, "lattice", "--input", z2, "--cap-lattice", "0")
+    assert code == 3
+    assert "cap of 0" in err
+
+
+def test_negative_max_degree_is_exit_2(capsys):
+    code, out, err = run_cli(
+        capsys,
+        "series",
+        "--input",
+        str(INSTANCES / "klein4.json"),
+        "--max-degree",
+        "-1",
+    )
+    assert code == 2
+    assert out == ""
+    assert "--max-degree" in err
+
+
 def test_series_output_and_determinism(capsys):
     args = (
         "series",

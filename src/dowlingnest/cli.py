@@ -115,7 +115,13 @@ def cmd_lattice(inst, args, out):
     return EXIT_OK
 
 
+def _check_limit(args):
+    if args.limit < 0:
+        raise InstanceError("--limit must be nonnegative")
+
+
 def cmd_nested(inst, args, out):
+    _check_limit(args)
     sets = enumerate_nested_sets(inst)
     out(f"{len(sets)} nested sets")
     for ns in sets[: args.limit]:
@@ -126,6 +132,7 @@ def cmd_nested(inst, args, out):
 
 
 def cmd_forests(inst, args, out):
+    _check_limit(args)
     forests = enumerate_forests(inst)
     out(f"{len(forests)} forests")
     for forest in forests[: args.limit]:

@@ -9,7 +9,6 @@ from .arrangement import (
     building_blocks,
     enumerate_nested_sets,
     intersection_lattice,
-    nested_sets_poset,
 )
 from .forests import (
     Leaf,
@@ -58,26 +57,43 @@ def _block_json(inst, blk):
     }
 
 
+def nested_covers(sets):
+    """Cover pairs (i, j) of the inclusion order on `sets`, sorted.
+
+    Every subset of a nested set is nested, so when S is strictly inside T
+    and T has a block b not in S, the set T minus b lies between them
+    unless it equals S: T covers exactly the sets T minus one block.  The
+    empty set is not listed, so a single block covers nothing.  On the full
+    enumeration the pairs equal `nested_sets_poset(sets).covers()`.
+    """
+    index = {frozenset(ns.blocks): j for j, ns in enumerate(sets)}
+    pairs = []
+    for above, j in index.items():
+        for b in above:
+            below = index.get(above - {b})
+            if below is not None:
+                pairs.append((below, j))
+    return sorted(pairs)
+
+
 def nested_json(inst, cap=None):
     sets = enumerate_nested_sets(inst, cap=cap)
-    poset = nested_sets_poset(sets)
     return {
         "count": len(sets),
         "nested_sets": [
             [_block_json(inst, b) for b in ns.blocks] for ns in sets
         ],
-        "covers": [list(c) for c in poset.covers()],
+        "covers": [list(c) for c in nested_covers(sets)],
     }
 
 
 def nested_dot(inst, cap=None):
     sets = enumerate_nested_sets(inst, cap=cap)
-    poset = nested_sets_poset(sets)
     lines = ["digraph nested {"]
     for i, ns in enumerate(sets):
         label = "; ".join(b.describe(inst) for b in ns.blocks)
         lines.append(f'  n{i} [label="{label}"];')
-    for lo, hi in poset.covers():
+    for lo, hi in nested_covers(sets):
         lines.append(f"  n{lo} -> n{hi};")
     lines.append("}")
     return "\n".join(lines) + "\n"

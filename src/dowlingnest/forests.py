@@ -29,14 +29,23 @@ block containing it and solves the edge cosets from coset mismatches.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product as iter_product
+from operator import attrgetter
 
 from .arrangement import Block, NestedSet, block_leq, closed_subgroups
 from .errors import MalformedForest, NotRealizable, SizeBoundExceeded
 from .groups import Subgroup, coset_rep
 
 _NO_LEAF = 10**9  # sort sentinel for unlabelled leaves
+_END = -1  # closes a vertex's list of children in a sort key
+
+# A sort key is a flat tuple of ints: a leaf is (0, label), a vertex is 1,
+# the size and elements of its subgroup, each child's coset representative
+# followed by the child's key, and _END.  The encoding is prefix-free and _END
+# sorts below every representative, so two keys compare exactly as the
+# nested tuples (1, subgroup.sort_key, ((rep, child key), ...)) would, but
+# in one flat pass instead of a recursion.
 
 
 @dataclass(frozen=True)
@@ -45,28 +54,47 @@ class Leaf:
 
     label: object = None
 
+    @property
+    def smallest(self):
+        return self.label if self.label is not None else _NO_LEAF
+
+    @property
+    def sort_key(self):
+        return (0, self.smallest)
+
 
 @dataclass(frozen=True)
 class Vertex:
-    """Internal vertex: a subgroup label and (coset representative, child) pairs."""
+    """Internal vertex: a subgroup label and (coset representative, child) pairs.
+
+    The smallest leaf below the vertex and its sort key are computed once,
+    here, from the children's stored values, so no subtree is walked again
+    to order trees.  Neither takes part in equality, hashing or repr.
+    """
 
     subgroup: Subgroup
     children: tuple
+    smallest: int = field(init=False, compare=False, repr=False)
+    sort_key: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        children = tuple(sorted(self.children, key=lambda e: e[1].smallest))
+        object.__setattr__(self, "children", children)
+        # an empty or unlabelled vertex is malformed; check_structure reports it
         object.__setattr__(
-            self,
-            "children",
-            tuple(sorted(self.children, key=lambda e: min_leaf(e[1]))),
+            self, "smallest", children[0][1].smallest if children else _NO_LEAF
         )
+        elements = getattr(self.subgroup, "elements", ())
+        key = [1, len(elements), *elements]
+        for rep, child in children:
+            key.append(rep)
+            key.extend(child.sort_key)
+        key.append(_END)
+        object.__setattr__(self, "sort_key", tuple(key))
 
 
 def min_leaf(node):
-    if isinstance(node, Leaf):
-        return node.label if node.label is not None else _NO_LEAF
-    if not node.children:  # malformed; caught by check_structure
-        return _NO_LEAF
-    return min(min_leaf(child) for _, child in node.children)
+    return node.smallest
 
 
 def leaves_below(node):
@@ -92,7 +120,7 @@ class LabelledForest:
 
     def __post_init__(self):
         object.__setattr__(
-            self, "trees", tuple(sorted(self.trees, key=min_leaf))
+            self, "trees", tuple(sorted(self.trees, key=attrgetter("smallest")))
         )
 
     @property
@@ -208,9 +236,9 @@ def forest_violation(inst, forest, variant="general"):
                         if not class_lt(P, Q):
                             return "rule (2): unary vertex without a strict class drop"
             # rule (5): the edge toward the smallest descendant leaf is trivial
-            smallest = min(min_leaf(c) for _, c in v.children)
+            smallest = v.smallest
             for rep, child in v.children:
-                if min_leaf(child) == smallest and rep != 0:
+                if child.smallest == smallest and rep != 0:
                     return "rule (5): smallest-leaf edge does not carry the trivial coset"
     if forest.internal_count() == 0:
         return "forest has no internal vertex"
@@ -476,17 +504,11 @@ def enumerate_forests(inst, cap=None):
 
 
 def _node_sort_key(node):
-    if isinstance(node, Leaf):
-        return (0, node.label if node.label is not None else _NO_LEAF)
-    return (
-        1,
-        node.subgroup.sort_key,
-        tuple((rep, _node_sort_key(child)) for rep, child in node.children),
-    )
+    return node.sort_key
 
 
 def _forest_sort_key(forest):
-    return tuple(_node_sort_key(t) for t in forest.trees)
+    return tuple(t.sort_key for t in forest.trees)
 
 
 # -- decomposition into subforests ---------------------------------------------------

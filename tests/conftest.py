@@ -19,6 +19,17 @@ def make_abelian_instance(factors, characters, n, names=None):
     return ProblemInstance(n, G, rep, names=names)
 
 
+def make_n3_grid():
+    """Z/2, Z/3, Z/4 and the Klein group, each faithful, at n = 3."""
+    specs = (
+        ([2], [[1]]),
+        ([3], [[1]]),
+        ([4], [[1]]),
+        ([2, 2], [[1, 0], [0, 1]]),
+    )
+    return [make_abelian_instance(f, c, 3) for f, c in specs]
+
+
 def s3_cayley_table():
     perms = sorted(permutations(range(3)))
     idx = {p: i for i, p in enumerate(perms)}

@@ -1,14 +1,15 @@
-"""Independent counting oracles shared by unit and acceptance tests.
+"""Independent counting and ordering oracles shared by unit and acceptance tests.
 
 These stay deliberately naive: exhaustive recursion straight from the
 defining combinatorics, no reuse of library internals beyond basic linear
-algebra for the hyperplane lattice.
+algebra for the hyperplane lattice and the leaf type of forests.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+from dowlingnest.forests import Leaf
 from dowlingnest.linalg import RMatrix, Subspace, kernel
 from dowlingnest.poset import Poset
 from dowlingnest.reps import companion_matrix, cyclotomic_polynomial
@@ -67,6 +68,50 @@ def _multi_child_trees(leaves, r):
                 ways *= _multi_child_trees(p, r)
         total += ways
     return total
+
+
+_NO_LEAF = 10**9
+
+
+def smallest_leaf(node):
+    """Smallest leaf label below a forest node, found by walking the subtree."""
+    if isinstance(node, Leaf):
+        return node.label if node.label is not None else _NO_LEAF
+    return min((smallest_leaf(c) for _, c in node.children), default=_NO_LEAF)
+
+
+def _children_in_leaf_order(node):
+    return sorted(node.children, key=lambda e: smallest_leaf(e[1]))
+
+
+def tree_order_key(node):
+    """The canonical order of forest trees as nested tuples, by recursion:
+    leaves first by label, then vertices by subgroup size and elements,
+    then by the (coset representative, child key) pairs in leaf order."""
+    if isinstance(node, Leaf):
+        return (0, smallest_leaf(node))
+    return (
+        1,
+        (len(node.subgroup.elements), node.subgroup.elements),
+        tuple((rep, tree_order_key(c)) for rep, c in _children_in_leaf_order(node)),
+    )
+
+
+def forest_order_key(forest):
+    return tuple(
+        tree_order_key(t) for t in sorted(forest.trees, key=smallest_leaf)
+    )
+
+
+def flat_tree_key(node):
+    """`tree_order_key` flattened into the tuple of ints a vertex stores:
+    1, subgroup size and elements, each (representative, child key), -1."""
+    if isinstance(node, Leaf):
+        return tree_order_key(node)
+    key = (1, len(node.subgroup.elements)) + node.subgroup.elements
+    for rep, child in _children_in_leaf_order(node):
+        key += (rep,) + flat_tree_key(child)
+    return key + (-1,)
 
 
 def dowling_hyperplane_lattice(r, n):

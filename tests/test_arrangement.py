@@ -33,10 +33,15 @@ from dowlingnest import (
     nested_count_via_series,
     raw_arrangement,
 )
-from dowlingnest.arrangement import block_subspace_from, pairwise_compatible
+from dowlingnest.arrangement import (
+    block_subspace_from,
+    nested_sets_poset,
+    pairwise_compatible,
+)
+from dowlingnest.export import nested_covers
 from dowlingnest.linalg import RMatrix
 
-from conftest import make_abelian_instance, make_s3_instance
+from conftest import make_abelian_instance, make_n3_grid, make_s3_instance
 
 
 # -- closure operator ------------------------------------------------------------
@@ -453,14 +458,7 @@ def test_fast_path_agrees_with_full_check(z2, z3, z4, klein):
 def test_enumerated_sets_pass_the_antichain_oracle_at_n3(s3):
     """Every set the clique search lists passes `is_nested`, which checks
     every antichain by subspace arithmetic, on the n = 3 grid and on s3."""
-    specs = (
-        ([2], [[1]]),
-        ([3], [[1]]),
-        ([4], [[1]]),
-        ([2, 2], [[1, 0], [0, 1]]),
-    )
-    instances = [make_abelian_instance(f, c, 3) for f, c in specs] + [s3]
-    for inst in instances:
+    for inst in make_n3_grid() + [s3]:
         sets = enumerate_nested_sets(inst)
         assert sets
         for ns in sets:
@@ -481,6 +479,15 @@ def test_sampled_sets_pass_the_antichain_oracle(make, count):
     assert len(sets) == count
     for ns in random.Random(0).sample(sets, 200):
         assert is_nested(inst, ns.blocks), ns
+
+
+def test_nested_covers_match_the_poset_oracle(z2, z3, z4, klein, z4_plane, s3):
+    """The export's covers, one block added at a time, equal the cover search
+    over the full inclusion order."""
+    z2_n3 = make_abelian_instance([2], [[1]], 3)
+    for inst in (z2, z3, z4, klein, z4_plane, s3, z2_n3):
+        sets = enumerate_nested_sets(inst)
+        assert tuple(nested_covers(sets)) == nested_sets_poset(sets).covers()
 
 
 @st.composite

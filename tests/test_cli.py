@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import pytest
+
 from dowlingnest.cli import main
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
@@ -141,6 +143,18 @@ def test_negative_max_degree_is_exit_2(capsys):
     assert code == 2
     assert out == ""
     assert "--max-degree" in err
+
+
+@pytest.mark.parametrize("command", ["nested", "forests"])
+def test_negative_limit_is_exit_2(capsys, command):
+    z2 = str(INSTANCES / "z2.json")
+    code, out, err = run_cli(capsys, command, "--input", z2, "--limit", "-1")
+    assert code == 2
+    assert out == ""
+    assert "--limit" in err
+    code, out, _ = run_cli(capsys, command, "--input", z2, "--limit", "0")
+    assert code == 0
+    assert out.splitlines()[1:] == ["  ... 9 more"]
 
 
 def test_series_output_and_determinism(capsys):

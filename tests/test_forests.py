@@ -24,9 +24,11 @@ from dowlingnest.forests import (
     forest_from_json,
     forest_to_json,
     forest_violation,
+    internal_vertices,
 )
 
-from conftest import make_abelian_instance
+from conftest import make_abelian_instance, make_n3_grid
+from oracles import flat_tree_key, forest_order_key, smallest_leaf, tree_order_key
 
 
 # -- the eight-leaf worked example -----------------------------------------------------
@@ -201,6 +203,61 @@ def test_bijection_round_trips(z2, z3, z4, klein, s3):
         for ns in nested:
             forest = nested_to_forest(inst, ns)
             assert forest_to_nested(inst, forest) == ns
+
+
+def _assert_stored_order_data(forest):
+    for tree in forest.trees:
+        for v in internal_vertices(tree):
+            assert v.smallest == smallest_leaf(v)
+            assert v.sort_key == flat_tree_key(v)
+
+
+def _reversed_children(data):
+    """Forest JSON with every list of trees and children in reverse."""
+    if "leaf" in data:
+        return data
+    if "trees" in data:
+        return dict(data, trees=[_reversed_children(t) for t in reversed(data["trees"])])
+    return dict(
+        data,
+        children=[
+            dict(edge, child=_reversed_children(edge["child"]))
+            for edge in reversed(data["children"])
+        ],
+    )
+
+
+def test_forest_order_matches_the_recursive_oracle(s3):
+    for inst in make_n3_grid() + [s3]:
+        forests = enumerate_forests(inst)
+        keys = [forest_order_key(f) for f in forests]
+        assert all(a < b for a, b in zip(keys, keys[1:]))
+        vertices = list(
+            {
+                id(v): v
+                for f in forests
+                for t in f.trees
+                for v in internal_vertices(t)
+            }.values()
+        )
+        by_stored = sorted(vertices, key=lambda v: v.sort_key)
+        by_oracle = sorted(vertices, key=tree_order_key)
+        assert [id(v) for v in by_stored] == [id(v) for v in by_oracle]
+
+
+def test_stored_order_data_survives_rebuilding(s3):
+    """Stored smallest leaves and keys match the oracle on enumerated forests
+    and on forests rebuilt from nested sets and from JSON, where children
+    arrive out of leaf order."""
+    for inst in make_n3_grid() + [s3]:
+        for forest in enumerate_forests(inst):
+            _assert_stored_order_data(forest)
+            rebuilt = nested_to_forest(inst, forest_to_nested(inst, forest))
+            _assert_stored_order_data(rebuilt)
+            assert rebuilt == forest
+            loaded = forest_from_json(_reversed_children(forest_to_json(forest)))
+            _assert_stored_order_data(loaded)
+            assert loaded == forest
 
 
 def test_full_group_blocks_in_one_nested_set_form_a_chain(klein):

@@ -18,6 +18,7 @@ from .arrangement import (
     is_nested,
     pairwise_compatible,
 )
+from .errors import SizeBoundExceeded
 from .forests import enumerate_forests, forest_to_nested, nested_to_forest
 from .series import nested_count_via_series
 
@@ -112,6 +113,15 @@ CHECKS = (
 
 
 def run_selftest(inst, emit=print):
+    """Run every check; for an abelian group, first refuse an instance whose
+    series count says its nested sets would pass the nested-set cap."""
+    if inst.group.is_abelian:
+        count = nested_count_via_series(inst, inst.n)
+        if count > inst.cap_nested:
+            raise SizeBoundExceeded(
+                f"{count} nested sets at n={inst.n} exceed the cap of "
+                f"{inst.cap_nested}; lower --n or raise --cap-nested"
+            )
     failures = 0
     for name, fn in CHECKS:
         ok, detail = fn(inst)

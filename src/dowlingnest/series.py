@@ -1,11 +1,13 @@
 """Truncated multivariate exponential generating series, exactly.
 
-A MultiSeries keeps a dict from exponent vectors to Fractions over an
-ordered variable tuple.  The variable 's' (component counter) is exempt
-from truncation; all other variables are t-type and their total degree is
+A MultiSeries is a polynomial over an ordered variable tuple with rational
+coefficients.  The variable 's' (component counter) is exempt from
+truncation; all other variables are t-type and their total degree is
 hard-capped by the truncation bound.  Coefficients are stored in
 EGF-normalized form: the rational multiplying the monomial, factorials
-folded in, so integer counts are recovered by multiplying back.
+folded in, so integer counts are recovered by multiplying back.  They are
+held as integer numerators over one common denominator, so the arithmetic
+is on Python ints and never on floats or tolerances.
 
 The tree series: lambda_bar(r, N) counts leaf-labelled rooted trees whose
 internal vertices all have at least two children, where a vertex with c
@@ -23,8 +25,12 @@ partition_oracle recursion pins that down independently.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
-from math import comb, factorial
+from functools import cache
+from itertools import chain
+from math import comb, factorial, gcd, lcm
+from operator import add
 
 from .arrangement import closed_subgroups
 from .errors import (
@@ -34,33 +40,104 @@ from .errors import (
 )
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
+
+
+def _graded(vars, trunc, nums):
+    """Split {exponents: numerator} by t-degree, dropping terms past trunc."""
+    s_index = vars.index("s") if "s" in vars else None
+    terms = [{} for _ in range(trunc + 1)]
+    for exps, c in nums.items():
+        degree = sum(exps) - (exps[s_index] if s_index is not None else 0)
+        if degree <= trunc:
+            terms[degree][exps] = c
+    return terms
+
+
+class _Coefficients(Mapping):
+    """Read-only view {exponents: Fraction} of a series' coefficients."""
+
+    __slots__ = ("_series",)
+
+    def __init__(self, series):
+        self._series = series
+
+    def __len__(self):
+        return self._series._len
+
+    def __iter__(self):
+        return chain.from_iterable(self._series._terms)
+
+    def __contains__(self, exps):
+        return any(exps in bucket for bucket in self._series._terms)
+
+    def __getitem__(self, exps):
+        for bucket in self._series._terms:
+            c = bucket.get(exps)
+            if c is not None:
+                return Fraction(c, self._series._den)
+        raise KeyError(exps)
+
+    def __repr__(self):
+        return repr(dict(self.items()))
 
 
 class MultiSeries:
-    """Immutable-by-convention truncated series with exact coefficients."""
+    """Immutable-by-convention truncated series with exact coefficients.
 
-    __slots__ = ("vars", "trunc", "coeffs", "_s_index")
+    ``_terms[d]`` maps each exponent vector of t-degree d (d <= trunc) to a
+    nonzero integer numerator, and ``_den`` is the positive denominator they
+    share.  The gcd of ``_den`` and all numerators is 1, so the form is
+    canonical: equal series have equal fields.  ``coeffs`` is the public read
+    API, a read-only mapping from exponent vectors to Fractions.
 
-    def __init__(self, vars, trunc, coeffs=None):
+    ``MultiSeries(vars, trunc, {exps: rational})`` builds a series from
+    rational coefficients; the operators pass ``_terms`` and ``_den`` instead.
+    Either way the result is reduced here, in the list it is given, which
+    the new series then owns.  The operators may share bucket dicts between
+    series, so no bucket dict is ever changed after it is built.
+    """
+
+    __slots__ = ("vars", "trunc", "_s_index", "_terms", "_den", "_len")
+
+    def __init__(self, vars, trunc, coeffs=None, *, _terms=None, _den=1):
         self.vars = tuple(vars)
         self.trunc = trunc
         self._s_index = self.vars.index("s") if "s" in self.vars else None
-        cleaned = {}
-        if coeffs:
-            for exps, c in coeffs.items():
-                c = Fraction(c)
-                if c == 0:
-                    continue
-                if self.t_degree(exps) > trunc:
-                    continue
-                cleaned[tuple(exps)] = c
-        self.coeffs = cleaned
+        if _terms is None:
+            fracs = {tuple(e): Fraction(c) for e, c in (coeffs or {}).items()}
+            _den = lcm(*(c.denominator for c in fracs.values()))
+            _terms = _graded(
+                self.vars,
+                trunc,
+                {e: c.numerator * (_den // c.denominator) for e, c in fracs.items()},
+            )
+        g = _den
+        for d, bucket in enumerate(_terms):
+            if 0 in bucket.values():
+                _terms[d] = bucket = {e: c for e, c in bucket.items() if c}
+            if g != 1 and bucket:
+                g = gcd(g, *bucket.values())
+        if g != 1:
+            _terms = [{e: c // g for e, c in bucket.items()} for bucket in _terms]
+            _den //= g
+        self._terms = _terms
+        self._den = _den
+        self._len = sum(map(len, _terms))
+
+    @property
+    def coeffs(self):
+        """Read-only mapping {exponents: Fraction}; values built on access."""
+        return _Coefficients(self)
 
     def t_degree(self, exps):
         if self._s_index is None:
             return sum(exps)
-        return sum(e for i, e in enumerate(exps) if i != self._s_index)
+        return sum(exps) - exps[self._s_index]
+
+    def _make(self, terms, den, vars=None):
+        if vars is None:
+            vars = self.vars
+        return MultiSeries(vars, self.trunc, _terms=terms, _den=den)
 
     # -- constructors ------------------------------------------------------
 
@@ -86,11 +163,13 @@ class MultiSeries:
             isinstance(other, MultiSeries)
             and self.vars == other.vars
             and self.trunc == other.trunc
-            and self.coeffs == other.coeffs
+            and self._den == other._den
+            and self._terms == other._terms
         )
 
     def __hash__(self):
-        return hash((self.vars, self.trunc, tuple(sorted(self.coeffs.items()))))
+        items = frozenset(chain.from_iterable(b.items() for b in self._terms))
+        return hash((self.vars, self.trunc, self._den, items))
 
     def coefficient(self, **named):
         exps = [0] * len(self.vars)
@@ -100,30 +179,56 @@ class MultiSeries:
 
     def add(self, other):
         self._same(other)
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            out[e] = out.get(e, ZERO) + c
-        return MultiSeries(self.vars, self.trunc, out)
+        da, db = self._den, other._den
+        g = gcd(da, db)
+        fa, fb = db // g, da // g
+        out = []
+        for a, b in zip(self._terms, other._terms):
+            if fa != 1:
+                a = {e: c * fa for e, c in a.items()}
+            if fb != 1:
+                b = {e: c * fb for e, c in b.items()}
+            if a and b:
+                merged = {**a, **b}
+                for e in a.keys() & b.keys():
+                    merged[e] = a[e] + b[e]
+                a = merged
+            out.append(a or b)
+        return self._make(out, da * fa)
 
     def sub(self, other):
         return self.add(other.scale(-1))
 
     def scale(self, value):
         value = Fraction(value)
-        return MultiSeries(
-            self.vars, self.trunc, {e: c * value for e, c in self.coeffs.items()}
-        )
+        p = value.numerator
+        if p == 1:  # scale(1/m) in exp and the operator loops: share the buckets
+            terms = list(self._terms)
+        else:
+            terms = [{e: c * p for e, c in b.items()} for b in self._terms]
+        return self._make(terms, self._den * value.denominator)
 
     def mul(self, other):
+        """Product; only pairs of t-degree buckets within trunc are formed."""
         self._same(other)
-        out = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                if self.t_degree(e) > self.trunc:
+        trunc = self.trunc
+        out = [{} for _ in range(trunc + 1)]
+        right = other._terms
+        for d1, b1 in enumerate(self._terms):
+            if not b1:
+                continue
+            for d2 in range(trunc - d1 + 1):
+                b2 = right[d2]
+                if not b2:
                     continue
-                out[e] = out.get(e, ZERO) + c1 * c2
-        return MultiSeries(self.vars, self.trunc, out)
+                acc = out[d1 + d2]
+                get = acc.get
+                pairs = b2.items()
+                for e1, c1 in b1.items():
+                    for e2, c2 in pairs:
+                        e = tuple(map(add, e1, e2))
+                        acc[e] = get(e, 0) + c1 * c2
+        return self._make(out, self._den * other._den)
 
     def pow(self, k):
         result = MultiSeries.constant(self.vars, self.trunc)
@@ -137,7 +242,7 @@ class MultiSeries:
 
     def exp(self):
         """exp(A) for A with no term of t-degree zero."""
-        if any(self.t_degree(e) == 0 for e in self.coeffs):
+        if self._terms[0]:
             raise NonInvertibleConstantTerm(
                 "series exponential needs a vanishing t-degree-zero part"
             )
@@ -153,16 +258,17 @@ class MultiSeries:
     def inverse(self):
         """1/A when the t-degree-zero part is a nonzero constant."""
         zero_exp = tuple(0 for _ in self.vars)
-        degree_zero = {e: c for e, c in self.coeffs.items() if self.t_degree(e) == 0}
-        if set(degree_zero) - {zero_exp} or degree_zero.get(zero_exp, ZERO) == 0:
+        degree_zero = self._terms[0]
+        c0 = degree_zero.get(zero_exp, 0)
+        if c0 == 0 or len(degree_zero) > 1:
             raise NonInvertibleConstantTerm(
                 "series inverse needs a nonzero rational constant term"
             )
-        c = degree_zero[zero_exp]
-        rest = MultiSeries(
-            self.vars,
-            self.trunc,
-            {e: -v / c for e, v in self.coeffs.items() if e != zero_exp},
+        # rest = 1 - A / c, with c = c0 / den the constant term
+        sign = -1 if c0 > 0 else 1
+        rest = self._make(
+            [{}] + [{e: sign * v for e, v in b.items()} for b in self._terms[1:]],
+            abs(c0),
         )
         result = MultiSeries.constant(self.vars, self.trunc)
         term = MultiSeries.constant(self.vars, self.trunc)
@@ -171,73 +277,95 @@ class MultiSeries:
             if not term.coeffs:
                 break
             result = result.add(term)
-        return result.scale(ONE / c)
+        return result.scale(Fraction(self._den, c0))
 
     def derive(self, var):
         idx = self.vars.index(var)
-        out = {}
-        for e, c in self.coeffs.items():
-            if e[idx] == 0:
-                continue
-            shifted = tuple(x - 1 if i == idx else x for i, x in enumerate(e))
-            out[shifted] = out.get(shifted, ZERO) + c * e[idx]
-        return MultiSeries(self.vars, self.trunc, out)
+        shifts = idx != self._s_index  # a t-variable lowers the t-degree
+        out = []
+        for b in self._terms[1:] if shifts else self._terms:
+            nb = {}
+            for e, c in b.items():
+                k = e[idx]
+                if k:
+                    nb[e[:idx] + (k - 1,) + e[idx + 1 :]] = c * k
+            out.append(nb)
+        if shifts:
+            out.append({})
+        return self._make(out, self._den)
 
     def integrate(self, var):
         idx = self.vars.index(var)
-        if any(self.t_degree(e) >= self.trunc for e in self.coeffs):
+        if self._terms[self.trunc]:
             raise TruncationUnderflow(
                 "integration would push a term past the truncation bound"
             )
-        out = {}
-        for e, c in self.coeffs.items():
-            shifted = tuple(x + 1 if i == idx else x for i, x in enumerate(e))
-            out[shifted] = c / shifted[idx]
-        return MultiSeries(self.vars, self.trunc, out)
+        m = lcm(*(e[idx] + 1 for b in self._terms for e in b))
+        out = []
+        for b in self._terms:
+            nb = {}
+            for e, c in b.items():
+                k = e[idx] + 1
+                nb[e[:idx] + (k,) + e[idx + 1 :]] = c * (m // k)
+            out.append(nb)
+        if idx != self._s_index:
+            out = [{}] + out[:-1]
+        return self._make(out, self._den * m)
 
     def eval_var(self, var, value):
         """Substitute a rational value for one variable."""
         idx = self.vars.index(var)
         value = Fraction(value)
+        p, q = value.numerator, value.denominator
         new_vars = tuple(v for v in self.vars if v != var)
+        top = max((e[idx] for b in self._terms for e in b), default=0)
         out = {}
-        for e, c in self.coeffs.items():
-            scaled = c * value ** e[idx]
-            reduced = tuple(x for i, x in enumerate(e) if i != idx)
-            out[reduced] = out.get(reduced, ZERO) + scaled
-        return MultiSeries(new_vars, self.trunc, out)
+        for b in self._terms:
+            for e, c in b.items():
+                k = e[idx]
+                reduced = e[:idx] + e[idx + 1 :]
+                out[reduced] = out.get(reduced, 0) + c * p**k * q ** (top - k)
+        return self._make(
+            _graded(new_vars, self.trunc, out), self._den * q**top, new_vars
+        )
 
     def merge_vars(self, sources, target):
         """Substitute target for every source variable (exponents add up)."""
-        t_idx = self.vars.index(target)
         src = {self.vars.index(v) for v in sources}
         new_vars = tuple(v for i, v in enumerate(self.vars) if i not in src)
+        t_idx = new_vars.index(target)
         out = {}
-        for e, c in self.coeffs.items():
-            moved = sum(x for i, x in enumerate(e) if i in src)
-            base = [x for i, x in enumerate(e) if i not in src]
-            base[new_vars.index(target)] += moved
-            key = tuple(base)
-            out[key] = out.get(key, ZERO) + c
-        return MultiSeries(new_vars, self.trunc, out)
+        for b in self._terms:
+            for e, c in b.items():
+                moved = sum(x for i, x in enumerate(e) if i in src)
+                base = [x for i, x in enumerate(e) if i not in src]
+                base[t_idx] += moved
+                key = tuple(base)
+                out[key] = out.get(key, 0) + c
+        return self._make(_graded(new_vars, self.trunc, out), self._den, new_vars)
 
     def embed(self, vars):
         """View the series inside a larger variable context."""
+        vars = tuple(vars)
         positions = [vars.index(v) for v in self.vars]
         out = {}
-        for e, c in self.coeffs.items():
-            exps = [0] * len(vars)
-            for p, x in zip(positions, e):
-                exps[p] = x
-            out[tuple(exps)] = c
-        return MultiSeries(vars, self.trunc, out)
+        for b in self._terms:
+            for e, c in b.items():
+                exps = [0] * len(vars)
+                for p, x in zip(positions, e):
+                    exps[p] = x
+                out[tuple(exps)] = c
+        return self._make(_graded(vars, self.trunc, out), self._den, vars)
 
     def terms(self):
         """Sorted (exponents, coefficient) pairs."""
-        return sorted(self.coeffs.items())
+        den = self._den
+        return sorted(
+            (e, Fraction(c, den)) for b in self._terms for e, c in b.items()
+        )
 
     def __repr__(self):
-        return f"MultiSeries(vars={self.vars}, trunc={self.trunc}, terms={len(self.coeffs)})"
+        return f"MultiSeries(vars={self.vars}, trunc={self.trunc}, terms={self._len})"
 
 
 # -- tree series --------------------------------------------------------------------
@@ -259,22 +387,22 @@ def lambda_bar(r, trunc):
     return lam
 
 
-def partition_oracle(n, k, r, _memo={}):
+def partition_oracle(n, k, r):
     """Number of partitions of an n-set into k blocks of size >= 2, each
     block of size i weighted by r^(i-1)."""
+    return _weighted_partitions(n, k, r)
+
+
+@cache
+def _weighted_partitions(n, k, r):
     if n == 0 and k == 0:
         return 1
     if n <= 0 or k <= 0:
         return 0
-    key = (n, k, r)
-    got = _memo.get(key)
-    if got is None:
-        got = sum(
-            comb(n - 1, j - 1) * r ** (j - 1) * partition_oracle(n - j, k - 1, r)
-            for j in range(2, n + 1)
-        )
-        _memo[key] = got
-    return got
+    return sum(
+        comb(n - 1, j - 1) * r ** (j - 1) * _weighted_partitions(n - j, k - 1, r)
+        for j in range(2, n + 1)
+    )
 
 
 def lambda_for_subgroup(inst, H, trunc):

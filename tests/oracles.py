@@ -158,3 +158,120 @@ def dowling_hyperplane_lattice(r, n):
     ordered = sorted(elems.values(), key=lambda s: (-s.dim, s.basis))
     matrix = [[a.contains(b) for b in ordered] for a in ordered]
     return Poset(ordered, matrix)
+
+
+class FractionSeries:
+    """Reference truncated series: a plain dict {exponents: Fraction}.
+
+    The dict-of-Fraction arithmetic `MultiSeries` used before it moved to
+    integer numerators over a common denominator, kept as the definition its
+    operators are checked against.  Every result is rebuilt through the
+    constructor, which drops zero coefficients and terms past the bound.
+    """
+
+    def __init__(self, vars, trunc, coeffs=None):
+        self.vars = tuple(vars)
+        self.trunc = trunc
+        self._s_index = self.vars.index("s") if "s" in self.vars else None
+        self.coeffs = {}
+        for exps, c in (coeffs or {}).items():
+            c = Fraction(c)
+            if c != 0 and self.t_degree(exps) <= trunc:
+                self.coeffs[tuple(exps)] = c
+
+    def t_degree(self, exps):
+        return sum(e for i, e in enumerate(exps) if i != self._s_index)
+
+    def _new(self, coeffs, vars=None):
+        return FractionSeries(self.vars if vars is None else vars, self.trunc, coeffs)
+
+    def _constant(self, value=1):
+        return self._new({tuple(0 for _ in self.vars): value})
+
+    def add(self, other):
+        out = dict(self.coeffs)
+        for e, c in other.coeffs.items():
+            out[e] = out.get(e, 0) + c
+        return self._new(out)
+
+    def scale(self, value):
+        value = Fraction(value)
+        return self._new({e: c * value for e, c in self.coeffs.items()})
+
+    def mul(self, other):
+        out = {}
+        for e1, c1 in self.coeffs.items():
+            for e2, c2 in other.coeffs.items():
+                e = tuple(a + b for a, b in zip(e1, e2))
+                if self.t_degree(e) <= self.trunc:
+                    out[e] = out.get(e, 0) + c1 * c2
+        return self._new(out)
+
+    def exp(self):
+        """exp(A) for A with no term of t-degree zero."""
+        assert all(self.t_degree(e) > 0 for e in self.coeffs)
+        result = term = self._constant()
+        for k in range(1, self.trunc + 1):
+            term = term.mul(self).scale(Fraction(1, k))
+            result = result.add(term)
+        return result
+
+    def inverse(self):
+        """1/A when the t-degree-zero part is a nonzero constant."""
+        zero = tuple(0 for _ in self.vars)
+        c = self.coeffs[zero]
+        assert all(self.t_degree(e) > 0 for e in self.coeffs if e != zero)
+        rest = self._new({e: -v / c for e, v in self.coeffs.items() if e != zero})
+        result = term = self._constant()
+        for _ in range(self.trunc):
+            term = term.mul(rest)
+            result = result.add(term)
+        return result.scale(1 / c)
+
+    def derive(self, var):
+        idx = self.vars.index(var)
+        out = {}
+        for e, c in self.coeffs.items():
+            if e[idx]:
+                shifted = tuple(x - 1 if i == idx else x for i, x in enumerate(e))
+                out[shifted] = out.get(shifted, 0) + c * e[idx]
+        return self._new(out)
+
+    def integrate(self, var):
+        idx = self.vars.index(var)
+        assert all(self.t_degree(e) < self.trunc for e in self.coeffs)
+        out = {}
+        for e, c in self.coeffs.items():
+            shifted = tuple(x + 1 if i == idx else x for i, x in enumerate(e))
+            out[shifted] = c / shifted[idx]
+        return self._new(out)
+
+    def eval_var(self, var, value):
+        idx = self.vars.index(var)
+        value = Fraction(value)
+        out = {}
+        for e, c in self.coeffs.items():
+            reduced = tuple(x for i, x in enumerate(e) if i != idx)
+            out[reduced] = out.get(reduced, 0) + c * value ** e[idx]
+        return self._new(out, tuple(v for v in self.vars if v != var))
+
+    def merge_vars(self, sources, target):
+        src = {self.vars.index(v) for v in sources}
+        new_vars = tuple(v for i, v in enumerate(self.vars) if i not in src)
+        out = {}
+        for e, c in self.coeffs.items():
+            base = [x for i, x in enumerate(e) if i not in src]
+            base[new_vars.index(target)] += sum(e[i] for i in src)
+            key = tuple(base)
+            out[key] = out.get(key, 0) + c
+        return self._new(out, new_vars)
+
+    def embed(self, vars):
+        positions = [vars.index(v) for v in self.vars]
+        out = {}
+        for e, c in self.coeffs.items():
+            exps = [0] * len(vars)
+            for p, x in zip(positions, e):
+                exps[p] = x
+            out[tuple(exps)] = c
+        return self._new(out, tuple(vars))

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -174,6 +176,28 @@ def test_series_output_and_determinism(capsys):
     assert first == second
 
 
+# sha256 of the whole `series` stdout; a change to the series arithmetic must
+# leave every coefficient, term order and number format as it is.
+SERIES_DIGESTS = {
+    ("z2.json", 3): "c8624226291a196534e9a975af2f39aea246366283c83fb3c78287c1e3f60b78",
+    ("z3.json", 3): "0f4609a69fcb1bba4a5c2fa3a711f02963dc6c94e5c6a74fb5fe0d4b038609e2",
+    ("z4.json", 3): "024ca46c905c40a0be150df07c7d1aeed272a6b04e6d7f792d0aac3a62d7a16b",
+    ("z4_plane.json", 3): "2930f6d381d34bbd6ec091c1de29e5b52c6463136c46bfa0d4091157f5610549",
+    ("klein4.json", 3): "3560610e331ba4fe8a66402fe79e1c460c4747a062a114b2ea725ac8188cef16",
+    ("z2x4_chains.json", 3): "272bddd26e4e88b70b2aae33e235432f81bad5f86327cb5d09f4e2a08c363fb5",
+    ("z2x4_chains.json", 4): "59557586f6e8a72442fd4190ba8fd3faffb66b29b089cdc96cd78ce19b3e4ff7",
+}
+
+
+@pytest.mark.parametrize("name, n", sorted(SERIES_DIGESTS))
+def test_series_stdout_is_byte_stable(capsys, name, n):
+    code, out, _ = run_cli(
+        capsys, "series", "--input", str(INSTANCES / name), "--n", str(n)
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == SERIES_DIGESTS[(name, n)]
+
+
 def test_series_hand_expansion_low_degree(capsys):
     """Degree <= 2 of the three-factor exponential product, by hand.
 
@@ -270,6 +294,34 @@ def test_selftest_passes_on_bundled_instances(capsys):
         )
         assert code == 0, out
         assert "FAIL" not in out
+
+
+def test_selftest_refuses_an_instance_past_the_nested_cap(capsys):
+    """The bundled series host at its file n=8 has 5.04e16 nested sets; the
+    series count stops it before any check enumerates them."""
+    chains = str(INSTANCES / "z2x4_chains.json")
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "selftest", "--input", chains)
+    assert code == 3
+    assert time.perf_counter() - start < 10
+    assert out == ""
+    assert "50409991967733247 nested sets" in err
+    assert "cap of 10000000" in err and "--n" in err and "--cap-nested" in err
+    code, _, err = run_cli(
+        capsys, "selftest", "--input", chains, "--n", "3", "--cap-nested", "123246"
+    )
+    assert code == 3
+    assert "123247 nested sets" in err
+
+
+def test_selftest_runs_the_series_host_at_small_n(capsys):
+    code, out, _ = run_cli(
+        capsys, "selftest", "--input", str(INSTANCES / "z2x4_chains.json"), "--n", "2"
+    )
+    assert code == 0, out
+    lines = out.splitlines()
+    assert len(lines) == 6
+    assert all(line.startswith("PASS ") for line in lines)
 
 
 def test_nested_and_forests_listings(capsys):

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import permutations
-from math import comb, factorial
+from math import comb, factorial, gcd
 
 import pytest
 from hypothesis import given, settings
@@ -37,7 +37,11 @@ from dowlingnest.series import (
 )
 
 from conftest import make_abelian_instance
-from oracles import count_arity2_trees, count_trees_with_unary_leaf_vertices
+from oracles import (
+    FractionSeries,
+    count_arity2_trees,
+    count_trees_with_unary_leaf_vertices,
+)
 
 
 # -- series arithmetic ----------------------------------------------------------------
@@ -118,6 +122,112 @@ def test_merge_and_eval():
     assert merged.coeffs == {(1, 3): Fraction(5)}
     at_one = merged.eval_var("s", 1)
     assert at_one.coeffs == {(3,): Fraction(5)}
+
+
+# -- integer numerators against the dict-of-Fraction reference --------------------
+
+VARS = ("s", "t", "tx")
+RATIONALS = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+
+
+@st.composite
+def series_context(draw):
+    vars = draw(st.permutations(VARS))[: draw(st.integers(min_value=1, max_value=3))]
+    return tuple(vars), draw(st.integers(min_value=0, max_value=5))
+
+
+def _coefficient_dicts(vars, trunc):
+    # exponents up to trunc + 1, so some terms fall past the bound
+    exps = st.tuples(*(st.integers(min_value=0, max_value=trunc + 1) for _ in vars))
+    return st.dictionaries(exps, RATIONALS, max_size=6)
+
+
+@st.composite
+def series_pairs(draw):
+    """(vars, trunc, x, y): y negates some of x's terms, so sums can cancel."""
+    vars, trunc = draw(series_context())
+    x = draw(_coefficient_dicts(vars, trunc))
+    y = draw(_coefficient_dicts(vars, trunc))
+    for e in draw(st.sets(st.sampled_from(sorted(x)))) if x else ():
+        y[e] = -x[e]
+    return vars, trunc, x, y
+
+
+def _both(vars, trunc, coeffs):
+    return MultiSeries(vars, trunc, coeffs), FractionSeries(vars, trunc, coeffs)
+
+
+def _assert_canonical(x):
+    numerators = [c for bucket in x._terms for c in bucket.values()]
+    assert x._den > 0
+    assert 0 not in numerators
+    assert gcd(x._den, *numerators) == 1
+    assert len(x._terms) == x.trunc + 1
+    for d, bucket in enumerate(x._terms):
+        assert all(x.t_degree(e) == d for e in bucket)
+    assert len(x.coeffs) == len(numerators)
+
+
+def _assert_matches(fast, slow):
+    assert (fast.vars, fast.trunc) == (slow.vars, slow.trunc)
+    assert fast.coeffs == slow.coeffs
+    _assert_canonical(fast)
+
+
+@settings(max_examples=80, deadline=None)
+@given(series_pairs(), RATIONALS, st.data())
+def test_operators_match_the_fraction_oracle(pair, value, data):
+    vars, trunc, x, y = pair
+    fx, sx = _both(vars, trunc, x)
+    fy, sy = _both(vars, trunc, y)
+    _assert_matches(fx, sx)
+    _assert_matches(fx.add(fy), sx.add(sy))
+    _assert_matches(fx.mul(fy), sx.mul(sy))
+    _assert_matches(fx.scale(value), sx.scale(value))
+    var = data.draw(st.sampled_from(vars))
+    _assert_matches(fx.derive(var), sx.derive(var))
+    if any(sx.t_degree(e) >= trunc for e in sx.coeffs):
+        with pytest.raises(TruncationUnderflow):
+            fx.integrate(var)
+    else:
+        _assert_matches(fx.integrate(var), sx.integrate(var))
+    _assert_matches(fx.eval_var(var, value), sx.eval_var(var, value))
+    others = [v for v in vars if v != var]
+    if others:
+        sources = data.draw(st.lists(st.sampled_from(others), min_size=1, unique=True))
+        _assert_matches(fx.merge_vars(sources, var), sx.merge_vars(sources, var))
+    wider = tuple(data.draw(st.permutations(VARS + ("ty",))))
+    _assert_matches(fx.embed(wider), sx.embed(wider))
+
+
+@settings(max_examples=60, deadline=None)
+@given(series_pairs(), RATIONALS.filter(bool))
+def test_exp_and_inverse_match_the_fraction_oracle(pair, constant):
+    vars, trunc, x, _ = pair
+    fx, sx = _both(vars, trunc, x)
+    if any(sx.t_degree(e) == 0 for e in sx.coeffs):
+        with pytest.raises(NonInvertibleConstantTerm):
+            fx.exp()
+        return
+    _assert_matches(fx.exp(), sx.exp())
+    zero = tuple(0 for _ in vars)
+    with_constant = dict(x)
+    with_constant[zero] = constant
+    fc, sc = _both(vars, trunc, with_constant)
+    _assert_matches(fc.inverse(), sc.inverse())
+
+
+@settings(max_examples=60, deadline=None)
+@given(series_pairs())
+def test_sum_then_difference_is_canonical(pair):
+    vars, trunc, x, y = pair
+    fx = MultiSeries(vars, trunc, x)
+    fy = MultiSeries(vars, trunc, y)
+    back = fx.add(fy).sub(fy)
+    assert back == fx
+    assert hash(back) == hash(fx)
+    _assert_canonical(back)
+    assert fx.sub(fx) == MultiSeries(vars, trunc, {})
 
 
 # -- tree series ---------------------------------------------------------------------

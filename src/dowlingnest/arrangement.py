@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import InstanceError, SizeBoundExceeded
 from .groups import (
@@ -35,7 +36,7 @@ from .groups import (
     enumerate_subgroups,
     subgroup_conj_classes,
 )
-from .linalg import Subspace
+from .linalg import RMatrix, Subspace, in_row_space, integer_echelon, kernel
 from .poset import Poset
 from .reps import Representation, pointwise_stabilizer
 
@@ -290,41 +291,78 @@ def raw_arrangement(inst):
     return sorted(seen.values(), key=lambda s: s.sort_key)
 
 
+def _constraint_rows(space):
+    """The `integer_echelon` of the annihilator of a subspace."""
+    rows = []
+    for row in space.perp().basis:
+        den = lcm(*(x.denominator for x in row))
+        rows.append([x.numerator * (den // x.denominator) for x in row])
+    return integer_echelon(rows)
+
+
 def intersection_lattice(inst, cap=None):
     """Closure of the raw arrangement under intersection, as a Poset.
 
     Ordered by reverse inclusion, with the ambient space as bottom.  Each
     element of the closure is an intersection of raw subspaces, so it is
-    enough to fold raw generators into the worklist one at a time.
+    enough to meet the flats found so far with the raw generators.
+
+    A flat A is held as its constraint rows, the `integer_echelon` of its
+    annihilator, and as mask(A), the set (a bitmask over `raw`) of the raw
+    subspaces that contain it.  Meeting A with a raw H stacks their rows;
+    when H is already in mask(A) the meet is A itself and is skipped.  A raw
+    subspace contains a flat exactly when its rows lie in the flat's row
+    space, and whatever contains A contains every meet below A, so a new
+    flat's mask is its parent's mask, plus H, plus the other raw subspaces
+    whose rows pass `in_row_space`.
+
+    The order needs no subspace comparison.  Write meet(M) for the
+    intersection of the raw subspaces in M (the ambient space when M is
+    empty).  A = meet(S) for some S, and S is a subset of mask(A), so
+    A <= meet(mask(A)) <= meet(S) = A: every flat is the meet of its mask.
+    Hence A contains B exactly when mask(A) is a subset of mask(B): if it
+    is, B = meet(mask(B)) <= meet(mask(A)) = A; conversely a raw subspace
+    containing A contains B, so it lies in mask(B).  Only at the end is
+    each flat turned into its rational Subspace, by one `kernel` of its
+    rows.
     """
     if cap is None:
         cap = inst.cap_lattice
     raw = raw_arrangement(inst)
-    elems = {}
+    gens = [_constraint_rows(s) for s in raw]
+    flats = {}  # constraint rows -> mask
 
-    def admit(s):
-        if len(elems) >= cap:
+    def admit(rows, mask):
+        if len(flats) >= cap:
             raise SizeBoundExceeded(
                 f"intersection lattice exceeded the cap of {cap} elements"
             )
-        elems[s.basis] = s
+        for k, gen in enumerate(gens):
+            if not mask >> k & 1 and all(in_row_space(rows, r) for r in gen):
+                mask |= 1 << k
+        flats[rows] = mask
+        return mask
 
-    for s in (Subspace.full(inst.ambient_dim), *raw):
-        admit(s)
-    worklist = list(elems.values())
+    for rows in ((), *gens):
+        admit(rows, 0)
+    worklist = list(flats.items())
     while worklist:
-        current = worklist.pop()
-        for gen in raw:
-            meet = current.intersect(gen)
-            if meet.basis not in elems:
-                admit(meet)
-                worklist.append(meet)
-    ordered = sorted(elems.values(), key=lambda s: (-s.dim, s.basis))
-    matrix = [
-        [a.contains(b) for b in ordered]
-        for a in ordered
+        rows, mask = worklist.pop()
+        for k, gen in enumerate(gens):
+            if mask >> k & 1:
+                continue
+            meet = integer_echelon(rows + gen)
+            if meet not in flats:
+                worklist.append((meet, admit(meet, mask | 1 << k)))
+    d = inst.ambient_dim
+    spaces = [
+        (kernel(RMatrix(rows)) if rows else Subspace.full(d), mask)
+        for rows, mask in flats.items()
     ]
-    return Poset(ordered, matrix)
+    spaces.sort(key=lambda sm: (-sm[0].dim, sm[0].basis))
+    masks = [m for _, m in spaces]
+    matrix = [[a & ~b == 0 for b in masks] for a in masks]
+    return Poset([s for s, _ in spaces], matrix)
 
 
 # -- blocks -------------------------------------------------------------------

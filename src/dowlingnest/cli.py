@@ -22,7 +22,13 @@ from .errors import AbelianOnly, DowlingNestError, InstanceError, SizeBoundExcee
 from .forests import enumerate_forests
 from .instancefile import load_instance
 from .selftest import run_selftest
-from .series import big_g, gamma_bar, gamma_tilde, nested_count_via_series, series_to_json
+from .series import (
+    _big_g_from,
+    _gamma_bar_from,
+    gamma_tilde,
+    nested_count_via_series,
+    series_to_json,
+)
 
 EXIT_OK = 0
 EXIT_DISAGREEMENT = 1
@@ -187,10 +193,11 @@ def cmd_series(inst, args, out):
     degree = args.max_degree if args.max_degree is not None else inst.n
     if degree < 0:
         raise InstanceError("--max-degree must be nonnegative")
+    tilde = gamma_tilde(inst, degree)
     payload = {
-        "gamma_tilde": series_to_json(gamma_tilde(inst, degree)),
-        "gamma_bar": series_to_json(gamma_bar(inst, degree)),
-        "g": series_to_json(big_g(inst, degree)),
+        "gamma_tilde": series_to_json(tilde),
+        "gamma_bar": series_to_json(_gamma_bar_from(tilde)),
+        "g": series_to_json(_big_g_from(tilde)),
     }
     out(json.dumps(payload, sort_keys=True, indent=2))
     return EXIT_OK

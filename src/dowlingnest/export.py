@@ -4,12 +4,7 @@ from __future__ import annotations
 
 import json
 
-from .arrangement import (
-    block_subspace,
-    building_blocks,
-    enumerate_nested_sets,
-    intersection_lattice,
-)
+from .arrangement import enumerate_nested_sets, intersection_lattice
 from .forests import (
     Leaf,
     enumerate_forests,
@@ -97,17 +92,6 @@ def nested_dot(inst, cap=None):
         lines.append(f"  n{lo} -> n{hi};")
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def blocks_json(inst):
-    blocks = building_blocks(inst)
-    return {
-        "count": len(blocks),
-        "blocks": [
-            dict(_block_json(inst, b), dim=block_subspace(inst, b).dim)
-            for b in blocks
-        ],
-    }
 
 
 def forests_json(inst, cap=None):

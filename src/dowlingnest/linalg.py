@@ -1,15 +1,20 @@
 """Exact rational matrices and subspaces in reduced row echelon form.
 
-Everything here is over Fraction; no floating point is used anywhere, so
-containment and equality of subspaces are genuine decisions.  A Subspace is
-canonically represented by the RREF basis of its row space, which makes
+Everything here is over Fraction or int; no floating point is used anywhere,
+so containment and equality of subspaces are genuine decisions.  A Subspace
+is canonically represented by the RREF basis of its row space, which makes
 set-equality of subspaces the same as equality of the dataclass fields.
+`integer_echelon` gives the same canonical form for integer rows, scaled to
+integers, for loops that would otherwise spend their time normalizing
+Fractions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress, count
+from math import gcd
 
 from .errors import AmbientMismatch, InstanceError
 
@@ -217,17 +222,64 @@ def kernel(M):
     return Subspace(ambient_dim=n, basis=canon)
 
 
-def subspace_sum(A, B):
-    return A.sum(B)
+def _lead(row):
+    """Index of the first nonzero entry, or None for a zero row."""
+    return next(compress(count(), row), None)
 
 
-def subspace_intersect(A, B):
-    return A.intersect(B)
+def _coprime(ints):
+    g = gcd(*ints)
+    return [x // g for x in ints] if g > 1 else ints
 
 
-def subspace_contains(A, B):
-    return A.contains(B)
+def integer_echelon(rows):
+    """Canonical integer basis of the row space of integer `rows`.
+
+    It is the RREF of `rref` with every row scaled to a primitive integer
+    vector whose pivot is positive.  Rows are inserted one at a time into a
+    basis keyed by pivot column, without division (each step is
+    p * row - a * pivot_row, then the common factor is removed): a new row
+    is cleared at every pivot, its first nonzero entry becomes a new pivot,
+    and that column is cleared from the older rows.  An older row is nonzero
+    there only when its own pivot lies further left, so every row keeps its
+    pivot as its first nonzero entry and stays 0 at the other pivots.  Such
+    a row is a multiple of the matching RREF row, which is the one vector of
+    the row space with a 1 at its pivot and 0 at the other pivots; the final
+    scaling picks one multiple, so equal row spaces give equal tuples.
+    Rows that are already in this form cost no arithmetic.
+    """
+    basis = {}  # pivot column -> row
+    for v in rows:
+        for c, row in basis.items():
+            a = v[c]
+            if a:
+                v = _coprime([row[c] * x - a * y for x, y in zip(v, row)])
+        c = _lead(v)
+        if c is None:
+            continue
+        p = v[c]
+        for c2, row in basis.items():
+            a = row[c]
+            if a:
+                basis[c2] = _coprime([p * x - a * y for x, y in zip(row, v)])
+        basis[c] = v
+    out = []
+    for c, row in sorted(basis.items()):
+        row = _coprime(row)
+        out.append(tuple(row) if row[c] > 0 else tuple(-x for x in row))
+    return tuple(out)
 
 
-def subspace_dim(A):
-    return A.dim
+def in_row_space(echelon, v):
+    """Whether the integer vector v lies in the row space of `echelon`.
+
+    `echelon` is an `integer_echelon` result; its rows are 0 at each other's
+    pivots, so clearing v at every pivot in turn leaves 0 exactly when v is
+    a combination of the rows.
+    """
+    for row in echelon:
+        c = _lead(row)
+        a = v[c]
+        if a:
+            v = [row[c] * x - a * y for x, y in zip(v, row)]
+    return not any(v)

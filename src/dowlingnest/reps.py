@@ -23,7 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import InstanceError
-from .groups import Subgroup
+from .groups import Subgroup, subgroup_closure
 from .linalg import RMatrix, Subspace, kernel
 
 
@@ -191,12 +191,25 @@ class Representation:
     # -- validation -----------------------------------------------------------
 
     def _validate(self):
+        """Reject matrices that are not a faithful homomorphism without a
+        trivial summand.
+
+        The homomorphism rule rho(a) rho(b) = rho(ab) is checked only for b
+        in a generating set S of G, which is equivalent to checking all
+        |G|^2 pairs.  S is nonempty and every b in G is a word s_1 ... s_k
+        with k >= 1 letters from S (G is finite, so even e = s^ord(s)).
+        Induct on k: k = 1 is the check itself, and for b = b's with b' of
+        length k - 1,
+            rho(a) rho(b) = rho(a) rho(b') rho(s)    (check at the pair b', s)
+                          = rho(ab') rho(s)          (induction)
+                          = rho(ab's) = rho(ab)      (check at the pair ab', s).
+        """
         G = self.group
         n = G.order
         if len(self.matrices) != n:
             raise InstanceError("need one matrix per group element")
-        for a in range(n):
-            for b in range(n):
+        for b in _generating_set(G):
+            for a in range(n):
                 if self.matrices[a].mul(self.matrices[b]) != self.matrices[G.mul(a, b)]:
                     raise InstanceError(
                         f"matrices are not a homomorphism at the pair ({a},{b})"
@@ -236,12 +249,24 @@ class Representation:
         return self.fix(H).dim // self.scalar_degree
 
 
+def _generating_set(G):
+    """A nonempty generating set of G, built greedily: each element not yet
+    in the subgroup generated so far is added (the trivial group gives {e})."""
+    gens = []
+    span = (G.identity,)
+    for a in range(G.order):
+        if a not in span:
+            gens.append(a)
+            span = subgroup_closure(G, gens).elements
+    return gens or [G.identity]
+
+
 def fix_subspace(rep, elems):
     """Subspace of vectors fixed by every listed element.
 
     For character representations the fixed space is a union of coordinate
     blocks, read off from integer character exponents; otherwise it is the
-    intersection of the kernels of rho(g) - I.
+    kernel of the matrices rho(g) - I stacked into one.
     """
     elems = tuple(elems)
     dim = rep.matrix_dim
@@ -255,17 +280,19 @@ def fix_subspace(rep, elems):
                 v[j * deg + l] = Fraction(1)
                 basis.append(tuple(v))
         return Subspace(ambient_dim=dim, basis=tuple(basis))
-    space = Subspace.full(dim)
     ident = RMatrix.identity(dim)
-    for g in elems:
-        if g == rep.group.identity:
-            continue
-        space = space.intersect(kernel(rep.matrix(g).sub(ident)))
-    return space
+    rows = tuple(
+        row
+        for g in elems
+        if g != rep.group.identity
+        for row in rep.matrix(g).sub(ident).entries
+    )
+    return kernel(RMatrix(rows)) if rows else Subspace.full(dim)
 
 
 def fix_subspace_via_kernels(rep, elems):
-    """Matrix-kernel route, ignoring any character shortcut (cross-check path)."""
+    """Intersection of the kernels of rho(g) - I, one meet at a time,
+    ignoring any character shortcut (cross-check path)."""
     dim = rep.matrix_dim
     space = Subspace.full(dim)
     ident = RMatrix.identity(dim)

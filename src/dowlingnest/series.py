@@ -523,8 +523,11 @@ def _single_exp(vars, var, power):
 
 def gamma_bar(inst, trunc, order=None):
     """Fallen leaves allowed: e^(s t) times (gamma_tilde - 1)."""
-    tilde = gamma_tilde(inst, trunc, order=order)
-    vars = tilde.vars
+    return _gamma_bar_from(gamma_tilde(inst, trunc, order=order))
+
+
+def _gamma_bar_from(tilde):
+    vars, trunc = tilde.vars, tilde.trunc
     st = MultiSeries.monomial(vars, trunc, "s").mul(
         MultiSeries.monomial(vars, trunc, "t")
     )
@@ -540,7 +543,11 @@ def big_g(inst, trunc):
     (a chain of full-group vertices with arbitrary hanging forests), and a
     forest has at most one such tree.
     """
-    tilde = gamma_tilde(inst, trunc)
+    return _big_g_from(gamma_tilde(inst, trunc))
+
+
+def _big_g_from(tilde):
+    trunc = tilde.trunc
     t_vars = [v for v in tilde.vars if v not in ("s", "t")]
     tilde_t = tilde.merge_vars(t_vars, "t")
     vars = tilde_t.vars

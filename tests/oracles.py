@@ -2,13 +2,16 @@
 
 These stay deliberately naive: exhaustive recursion straight from the
 defining combinatorics, no reuse of library internals beyond basic linear
-algebra for the hyperplane lattice and the leaf type of forests.
+algebra for the lattices, the raw arrangement the lattice oracle closes,
+and the leaf type of forests.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+from dowlingnest.arrangement import raw_arrangement
+from dowlingnest.errors import SizeBoundExceeded
 from dowlingnest.forests import Leaf
 from dowlingnest.linalg import RMatrix, Subspace, kernel
 from dowlingnest.poset import Poset
@@ -155,6 +158,40 @@ def dowling_hyperplane_lattice(r, n):
             if meet.basis not in elems:
                 elems[meet.basis] = meet
                 work.append(meet)
+    ordered = sorted(elems.values(), key=lambda s: (-s.dim, s.basis))
+    matrix = [[a.contains(b) for b in ordered] for a in ordered]
+    return Poset(ordered, matrix)
+
+
+def lattice_oracle(inst, cap=None):
+    """The intersection lattice closed by rational subspace meets.
+
+    Each meet is perp -> sum -> perp (`Subspace.intersect`) and the order
+    matrix is N^2 `Subspace.contains` tests; same elements, order and cap
+    semantics as `arrangement.intersection_lattice`.
+    """
+    if cap is None:
+        cap = inst.cap_lattice
+    raw = raw_arrangement(inst)
+    elems = {}
+
+    def admit(s):
+        if len(elems) >= cap:
+            raise SizeBoundExceeded(
+                f"intersection lattice exceeded the cap of {cap} elements"
+            )
+        elems[s.basis] = s
+
+    for s in (Subspace.full(inst.ambient_dim), *raw):
+        admit(s)
+    worklist = list(elems.values())
+    while worklist:
+        current = worklist.pop()
+        for gen in raw:
+            meet = current.intersect(gen)
+            if meet.basis not in elems:
+                admit(meet)
+                worklist.append(meet)
     ordered = sorted(elems.values(), key=lambda s: (-s.dim, s.basis))
     matrix = [[a.contains(b) for b in ordered] for a in ordered]
     return Poset(ordered, matrix)

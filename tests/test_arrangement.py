@@ -42,6 +42,7 @@ from dowlingnest.export import nested_covers
 from dowlingnest.linalg import RMatrix
 
 from conftest import make_abelian_instance, make_n3_grid, make_s3_instance
+from oracles import lattice_oracle
 
 
 # -- closure operator ------------------------------------------------------------
@@ -234,6 +235,22 @@ def test_every_lattice_element_is_a_transversal_block_intersection(z2, z3, klein
                 codims += s.codim
             assert meet == flat
             assert flat.codim == codims
+
+
+def test_lattice_matches_the_subspace_meet_oracle():
+    """The closure over integer constraint rows, ordered by generator masks,
+    gives the elements and order matrix of perp -> sum -> perp meets and
+    `Subspace.contains`."""
+    instances = make_n3_grid() + [
+        make_s3_instance(2),
+        make_abelian_instance([4], [[1], [2]], 2),
+        make_abelian_instance([2], [[1]], 4),
+    ]
+    for inst in instances:
+        mine = intersection_lattice(inst)
+        oracle = lattice_oracle(inst)
+        assert mine.elements == oracle.elements
+        assert mine.leq_matrix == oracle.leq_matrix
 
 
 # -- blocks ---------------------------------------------------------------------------

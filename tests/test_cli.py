@@ -198,6 +198,58 @@ def test_series_stdout_is_byte_stable(capsys, name, n):
     assert hashlib.sha256(out.encode()).hexdigest() == SERIES_DIGESTS[(name, n)]
 
 
+# sha256 of `lattice` stdout and of the `export --what lattice` json and dot;
+# a change to how the lattice is closed or ordered must leave the elements,
+# their order and the covers as they are.
+LATTICE_COMMANDS = {
+    "lattice": ("lattice",),
+    "json": ("export", "--what", "lattice", "--format", "json"),
+    "dot": ("export", "--what", "lattice", "--format", "dot"),
+}
+LATTICE_DIGESTS = {
+    ("lattice", "z2.json", 2): "03cefd4414cdcf3fb08314008c13b4d9e89cbe9b848f7a7f6853f138f5c22df3",
+    ("json", "z2.json", 2): "f999cba86c1605c95e66f04896f0874c4edc08d6ef6ab4cc20d788057037aef3",
+    ("dot", "z2.json", 2): "49e478381c2a320f092bc29bf16391e7ed0fed8d236a87cedfcdfb50374900cf",
+    ("lattice", "z2.json", 3): "192d08fed51c649baa0d81928434f594c52965a67f2c21bd52b4626fc9494300",
+    ("json", "z2.json", 3): "4c8298f9007fb4247890c517550ca6a49a0b8edd1871e557fa863dfa50258fe0",
+    ("dot", "z2.json", 3): "c6c3bb60dc60ba70e3666c33c14e57a738211809263dd45b1f21fd0c9f1860d6",
+    ("lattice", "z3.json", 2): "cde07480a83d072c68733defcbcff47e2dd5fdbaac192a9d0f6b11f1682761c1",
+    ("json", "z3.json", 2): "977851749f5cf8817e2c6b1b6eb9d87d41671a1c6398b2f293699ec5e0923ef0",
+    ("dot", "z3.json", 2): "dff9c2f5088c4c10937f0d238e31d552ba90f82b89668fee2419f6c37d73b6da",
+    ("lattice", "z3.json", 3): "48cbfa9d3e03f048416626966fcfd974ba0e1507588f050f00bd347fe462b556",
+    ("json", "z3.json", 3): "1ed572217d12abc41704d96ac7238d795bcc685b6afdc8b1ab357d19792c32d7",
+    ("dot", "z3.json", 3): "e36651643ccaf38a578609c96f8f57821af50d1c4d7d17c384a03cd7603ca6b2",
+    ("lattice", "klein4.json", 2): "45a4157981ee9aa28ec327fe2e3879b0ac1bf16672b0de5f5099d7610f3858ee",
+    ("json", "klein4.json", 2): "d9b560fdf085f38eada84556fbc3771b6de39992f11a6abc58ecbe3870a9a485",
+    ("dot", "klein4.json", 2): "180356d9395a578077ff38a10ed6e0b476dc008a7cdf6fbf8e4d14bf00080fa8",
+    ("lattice", "klein4.json", 3): "3295db1dfd67a2af14329077ee00cf31eeca5b8275407469c7c89676b9c6f678",
+    ("json", "klein4.json", 3): "574ef1c188748f3edd9a98270cc3a9dfaf7246b9db6b99c4d9baf32e0360241e",
+    ("dot", "klein4.json", 3): "dd624db34afe59bfe2b88c5f27eccdd1cd60c05b50c41568da5269c7432d5aaf",
+    ("lattice", "z4_plane.json", 2): "12071619b656dd37d07ff76aac7c13831a467407ff288c6d8a825ec4e85e746e",
+    ("json", "z4_plane.json", 2): "4a41549881b2e84499e4347a13b0a44395ac32781c6c0df3278a0442525c9720",
+    ("dot", "z4_plane.json", 2): "602f50d30eee6429ee680f12948959989680bca2f105704228941204b542edbe",
+    ("lattice", "z4_plane.json", 3): "8a19bcb4e287e5fa1d5728c1dc6e5ba7e0a92c7634b048b71e10030d5bad91be",
+    ("json", "z4_plane.json", 3): "ecb2ad4f569e196115fe6e4e0bc023e429389fd620f7210cf130efbaa76c20e7",
+    ("dot", "z4_plane.json", 3): "6e34b8239f9e3bc3aacafe7d8cef048fa6cd1036ffe66c7a231abf7e9540a843",
+    ("lattice", "s3.json", 2): "274c52ac59687f921104f03ad97a8d472254016f7546687869c510a681c1c312",
+    ("json", "s3.json", 2): "cf671d5ccf14c2ef8d419ad6377fe6401a5ad344d92defdbe14b8960bce95479",
+    ("dot", "s3.json", 2): "55b9850e5413817e2a942cdc51c1b0700e039b2961015a237c022201dace0f68",
+    ("lattice", "s3.json", 3): "24432a8d3ac5f28a4bbe9e823567e1c647edede0b67468603f2eda19ab3e5509",
+    ("json", "s3.json", 3): "b50cdc9c7ef1a47d623f158d27fd8f3c6b2cbf43abec833c9387a1ea01ed3235",
+    ("dot", "s3.json", 3): "4eb2791bec582678ef2acd44b1b81a4af4b6e9a4a83d80f62aa9c90689f6c9f7",
+}
+
+
+@pytest.mark.parametrize("what, name, n", sorted(LATTICE_DIGESTS))
+def test_lattice_output_is_byte_stable(capsys, what, name, n):
+    code, out, _ = run_cli(
+        capsys, *LATTICE_COMMANDS[what], "--input", str(INSTANCES / name), "--n", str(n)
+    )
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == LATTICE_DIGESTS[(what, name, n)]
+
+
 def test_series_hand_expansion_low_degree(capsys):
     """Degree <= 2 of the three-factor exponential product, by hand.
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,7 @@ from dowlingnest import (
     Subspace,
     kernel,
 )
+from dowlingnest.linalg import in_row_space, integer_echelon, rref
 from dowlingnest.reps import (
     cyclotomic_polynomial,
     fix_subspace,
@@ -88,6 +90,39 @@ def test_containment_consistent_with_sum(A, B):
     assert A.contains(B) == (A.sum(B) == A)
 
 
+small_ints = st.integers(min_value=-4, max_value=4)
+
+
+@st.composite
+def rows_and_vectors(draw):
+    ambient = draw(st.integers(min_value=1, max_value=5))
+    row = st.tuples(*[small_ints] * ambient)
+    rows = draw(st.lists(row, max_size=4))
+    coeffs = [draw(small_ints) for _ in rows]
+    combination = tuple(
+        sum(c * r[j] for c, r in zip(coeffs, rows)) for j in range(ambient)
+    )
+    return ambient, rows, combination, draw(row)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows_and_vectors())
+def test_integer_echelon_scales_the_rref(case):
+    """Each row is the matching RREF row times a positive integer, and the
+    rows are primitive; membership agrees with `contains_vector`."""
+    ambient, rows, combination, other = case
+    echelon = integer_echelon(rows)
+    reduced, pivots = rref(rows)
+    assert len(echelon) == len(reduced)
+    for row, ref, p in zip(echelon, reduced, pivots):
+        assert all(type(x) is int for x in row)
+        assert row[p] > 0 and gcd(*row) == 1
+        assert row == tuple(row[p] * x for x in ref)
+    space = Subspace.from_spanning(ambient, rows)
+    assert in_row_space(echelon, combination)
+    assert in_row_space(echelon, other) == space.contains_vector(other)
+
+
 def test_fix_subspace_trivial_subgroup_is_everything(klein):
     assert klein.rep.fix(Subgroup((0,))) == Subspace.full(2)
 
@@ -137,6 +172,21 @@ def test_character_fix_agrees_with_kernel_route():
         for H in inst.subgroups():
             assert fix_subspace(inst.rep, H.elements) == fix_subspace_via_kernels(
                 inst.rep, H.elements
+            )
+
+
+def test_matrix_fix_agrees_with_kernel_route(s3, chains8):
+    """The stacked-kernel fixed space equals the meet of the kernels, and on
+    chains8 given by bare matrices also the coordinate route."""
+    plain = Representation(
+        chains8.group, chains8.rep.dim_v, chains8.rep.scalar_degree, chains8.rep.matrices
+    )
+    for H in chains8.subgroups():
+        assert fix_subspace(plain, H.elements) == fix_subspace(chains8.rep, H.elements)
+    for rep, subgroups in ((s3.rep, s3.subgroups()), (plain, chains8.subgroups())):
+        for H in subgroups:
+            assert fix_subspace(rep, H.elements) == fix_subspace_via_kernels(
+                rep, H.elements
             )
 
 
@@ -195,6 +245,45 @@ def test_matrix_extension_needs_generators():
     assert all(rep.matrix(g) == full.matrix(g) for g in G.elements())
     with pytest.raises(InstanceError, match="generating"):
         Representation.from_matrices(G, {2: deleted_permutation_matrix(perms[2])})
+
+
+@pytest.mark.parametrize("name", ["klein", "s3", "chains8"])
+def test_every_corrupted_matrix_is_rejected(request, name):
+    """The homomorphism check runs only on a generating set, yet a change
+    to any one element's matrix is caught."""
+    rep = request.getfixturevalue(name).rep
+    for g in range(rep.group.order):
+        matrices = list(rep.matrices)
+        entries = [list(r) for r in matrices[g].entries]
+        entries[0][0] += 1
+        matrices[g] = RMatrix(entries)
+        with pytest.raises(InstanceError, match="homomorphism"):
+            Representation(
+                rep.group,
+                rep.dim_v,
+                rep.scalar_degree,
+                matrices,
+                rep.characters,
+                rep.char_exponents,
+            )
+
+
+@pytest.mark.parametrize("a_first", [True, False])
+def test_a_map_twisted_between_generators_is_rejected(a_first):
+    """rho(x, y) = A^x B^y (or B^y A^x) with involutions A, B that do not
+    commute: the rule holds when the second factor is multiplied on, so
+    the check must use both generators of the Klein group."""
+    G = FiniteGroup.from_abelian([2, 2])
+    A = RMatrix(((1, 0), (0, -1)))
+    B = RMatrix(((0, 1), (1, 0)))
+    one = RMatrix.identity(2)
+    matrices = []
+    for g in range(G.order):
+        x, y = G.id_to_tuple(g)
+        ax, by = (A if x else one), (B if y else one)
+        matrices.append(ax.mul(by) if a_first else by.mul(ax))
+    with pytest.raises(InstanceError, match="homomorphism"):
+        Representation(G, dim_v=2, scalar_degree=1, matrices=matrices)
 
 
 def test_non_homomorphic_matrices_rejected():

@@ -25,7 +25,7 @@ when that intersection is itself a block subspace.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from itertools import combinations, product
 from math import lcm
 
 from .errors import InstanceError, SizeBoundExceeded
@@ -34,9 +34,11 @@ from .groups import (
     conjugate_subgroup,
     coset_rep,
     enumerate_subgroups,
+    left_cosets,
+    subgroup_closure,
     subgroup_conj_classes,
 )
-from .linalg import RMatrix, Subspace, in_row_space, integer_echelon, kernel
+from .linalg import ONE, ZERO, RMatrix, Subspace, in_row_space, integer_echelon, kernel
 from .poset import Poset
 from .reps import Representation, pointwise_stabilizer
 
@@ -56,14 +58,13 @@ class ProblemInstance:
         self.group = group
         self.rep = rep
         self.names = dict(names or {})
-        self.cap_lattice = DEFAULT_CAP_LATTICE if cap_lattice is None else cap_lattice
-        self.cap_nested = DEFAULT_CAP_NESTED if cap_nested is None else cap_nested
+        self.cap_lattice = _cap("cap_lattice", cap_lattice, DEFAULT_CAP_LATTICE)
+        self.cap_nested = _cap("cap_nested", cap_nested, DEFAULT_CAP_NESTED)
         self._subgroups = None
         self._conj = None
         self._closed = None
         self._blocks = None
         self._block_subspaces = {}
-        self._fix_lookup = None
         self._meet_cache = {}
         self._recon_cache = {}
 
@@ -115,8 +116,16 @@ class ProblemInstance:
         inst._subgroups = self._subgroups
         inst._conj = self._conj
         inst._closed = self._closed
-        inst._fix_lookup = self._fix_lookup
         return inst
+
+
+def _cap(name, value, default):
+    """A size cap: None for the default, else an int >= 0 (not a bool)."""
+    if value is None:
+        return default
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise InstanceError(f"{name}: expected a nonnegative integer, got {value!r}")
+    return value
 
 
 def build_instance(n, group, rep_data, names=None, cap_lattice=None, cap_nested=None):
@@ -195,9 +204,6 @@ def closed_subgroups(inst):
     )
     _check_closed_set(inst, result)
     inst._closed = result
-    inst._fix_lookup = {
-        inst.fix(K).basis: K for K in result.members
-    }
     return result
 
 
@@ -222,71 +228,47 @@ def _check_closed_set(inst, cs):
 # -- raw arrangement and intersection lattice ---------------------------------
 
 
-def _factor_embed(inst, factor, rows):
-    """Place vectors living in one V-factor into V^n coordinates."""
-    b = inst.block_width
-    out = []
-    for row in rows:
-        v = [Fraction(0)] * inst.ambient_dim
-        for c, x in enumerate(row):
-            v[factor * b + c] = x
-        out.append(tuple(v))
-    return out
+def free_factor_subspace(inst, W, factors, elements):
+    """{ v : v_f = rho(g) w for (f, g) in zip(factors, elements), w in W }.
 
-
-def _pair_subspace(inst, i, j, g):
-    """H(i, j, g) = { v_j = rho(g) v_i } as a canonical subspace of V^n."""
+    W is a subspace of V, `factors` are 0-based and every factor not listed
+    is free.  Every raw subspace and every block has this shape: H(i, j, g)
+    is (V, (i, j), (e, g)), H(i, i, g) is (Fix<g>, (i,), (e,)), and
+    H^K(i_1^{g_1 K}, ...) is (Fix(K), (i_1 - 1, ...), (g_1, ...)).
+    """
     b = inst.block_width
-    rep = inst.rep
+    d = inst.ambient_dim
+    mats = [inst.rep.matrix(g) for g in elements]
     vectors = []
-    # graph over the i-th factor: (w, rho(g) w) plus all other factors free
-    mat = rep.matrix(g)
-    for c in range(b):
-        w = tuple(Fraction(1) if cc == c else Fraction(0) for cc in range(b))
-        img = mat.apply(w)
-        v = [Fraction(0)] * inst.ambient_dim
-        v[i * b + c] = Fraction(1)
-        for cc, x in enumerate(img):
-            v[j * b + cc] = x
-        vectors.append(tuple(v))
+    for w in W.basis:
+        v = [ZERO] * d
+        for f, mat in zip(factors, mats):
+            v[f * b : (f + 1) * b] = mat.apply(w)
+        vectors.append(v)
     for f in range(inst.n):
-        if f in (i, j):
-            continue
-        for c in range(b):
-            v = [Fraction(0)] * inst.ambient_dim
-            v[f * b + c] = Fraction(1)
-            vectors.append(tuple(v))
-    return Subspace.from_spanning(inst.ambient_dim, vectors)
-
-
-def _self_subspace(inst, i, g):
-    """H(i, i, g) = { v_i = rho(g) v_i }: the i-th factor pinned to Fix(<g>)."""
-    from .groups import subgroup_closure
-
-    fix_g = inst.fix(subgroup_closure(inst.group, (g,)))
-    vectors = _factor_embed(inst, i, fix_g.basis)
-    b = inst.block_width
-    for f in range(inst.n):
-        if f == i:
-            continue
-        for c in range(b):
-            v = [Fraction(0)] * inst.ambient_dim
-            v[f * b + c] = Fraction(1)
-            vectors.append(tuple(v))
-    return Subspace.from_spanning(inst.ambient_dim, vectors)
+        if f not in factors:
+            for c in range(f * b, (f + 1) * b):
+                v = [ZERO] * d
+                v[c] = ONE
+                vectors.append(v)
+    return Subspace.from_spanning(d, vectors)
 
 
 def raw_arrangement(inst):
     """The subspaces H(i, j, g), deduplicated and canonically ordered."""
+    G = inst.group
+    e = G.identity
+    V = Subspace.full(inst.block_width)
     seen = {}
     for i in range(inst.n):
         for j in range(i + 1, inst.n):
-            for g in inst.group.elements():
-                s = _pair_subspace(inst, i, j, g)
+            for g in G.elements():
+                s = free_factor_subspace(inst, V, (i, j), (e, g))
                 seen[s.basis] = s
-        for g in inst.group.elements():
-            if g != inst.group.identity:
-                s = _self_subspace(inst, i, g)
+        for g in G.elements():
+            if g != e:
+                fix_g = inst.fix(subgroup_closure(G, (g,)))
+                s = free_factor_subspace(inst, fix_g, (i,), (e,))
                 seen[s.basis] = s
     return sorted(seen.values(), key=lambda s: s.sort_key)
 
@@ -393,33 +375,15 @@ class Block:
         return f"H^{name}({parts})"
 
 
-def block_subspace_from(inst, K, indices, elements):
-    """Subspace for arbitrary coset elements g_r (not necessarily normal form)."""
-    b = inst.block_width
-    fix = inst.fix(K)
-    vectors = []
-    for w in fix.basis:
-        v = [Fraction(0)] * inst.ambient_dim
-        for idx, g in zip(indices, elements):
-            img = inst.rep.matrix(g).apply(w)
-            for c, x in enumerate(img):
-                v[(idx - 1) * b + c] = x
-        vectors.append(tuple(v))
-    used = {idx - 1 for idx in indices}
-    for f in range(inst.n):
-        if f in used:
-            continue
-        for c in range(b):
-            v = [Fraction(0)] * inst.ambient_dim
-            v[f * b + c] = Fraction(1)
-            vectors.append(tuple(v))
-    return Subspace.from_spanning(inst.ambient_dim, vectors)
-
-
 def block_subspace(inst, block):
     got = inst._block_subspaces.get(block)
     if got is None:
-        got = block_subspace_from(inst, block.subgroup, block.indices, block.cosets)
+        got = free_factor_subspace(
+            inst,
+            inst.fix(block.subgroup),
+            tuple(i - 1 for i in block.indices),
+            block.cosets,
+        )
         expected = inst.fix(block.subgroup).dim + (inst.n - len(block.indices)) * inst.block_width
         if got.dim != expected:
             raise InstanceError(
@@ -430,48 +394,37 @@ def block_subspace(inst, block):
 
 
 def building_blocks(inst):
-    """All blocks in normal form, one per distinct subspace.
+    """All blocks in normal form, sorted by `Block.sort_key`.
 
-    A subspace determines its normal form uniquely when the label is
-    closed (the label is the pointwise stabilizer of the projected fixed
-    space, and the cosets are then pinned), so this is checked rather than
-    resolved by a tie-break.
+    Distinct normal forms have distinct subspaces, so no block is listed
+    twice and none of their subspaces is built here.  Let two normal forms
+    H^K(i_1^{g_1 K}, ...) and H^K'(i'_1^{g'_1 K'}, ...) share a subspace W.
+      - Both index sets are the constrained factors of W, those whose
+        coordinates do not all lie in W: with k >= 2 a vector nonzero at
+        one index is nonzero at all of them, and with k = 1 the label is a
+        closed K != {e}, so Fix(K) != V.  Hence the index sets are equal.
+      - W projects onto the first index as Fix(K) = Fix(K'), since both
+        first cosets are eK.  Distinct closed subgroups have distinct fixed
+        spaces (`_check_closed_set`), so K = K'.
+      - Over w in Fix(K), W ties v_{i_r} = g_r w = g'_r w.  That holds for
+        every w exactly when g_r^-1 g'_r fixes Fix(K) pointwise, i.e. lies in
+        phi(K) = K, as K is closed.  So g_r K = g'_r K, and the canonical
+        coset representatives are equal.
     """
     if inst._blocks is not None:
         return inst._blocks
-    cs = closed_subgroups(inst)
-    G = inst.group
-    trivial = Subgroup((G.identity,))
     blocks = []
-    by_subspace = {}
-    from itertools import combinations, product
-
-    for K in cs.members:
-        reps = tuple(c.rep for c in _coset_list(inst, K))
+    for K in closed_subgroups(inst).members:
+        reps = tuple(c.rep for c in left_cosets(inst.group, K))
         for k in range(1, inst.n + 1):
-            if k == 1 and K.elements == trivial.elements:
+            if k == 1 and len(K) == 1:
                 continue
             for idxs in combinations(range(1, inst.n + 1), k):
                 for tail in product(reps, repeat=k - 1):
-                    blk = Block(subgroup=K, indices=idxs, cosets=(0,) + tail)
-                    sub = block_subspace(inst, blk)
-                    other = by_subspace.get(sub.basis)
-                    if other is not None:
-                        # normal forms are unique per subspace; keep the
-                        # lexicographically smaller one if this ever fires
-                        if blk.sort_key < other.sort_key:
-                            by_subspace[sub.basis] = blk
-                        continue
-                    by_subspace[sub.basis] = blk
-    blocks = sorted(by_subspace.values(), key=lambda b: b.sort_key)
+                    blocks.append(Block(subgroup=K, indices=idxs, cosets=(0,) + tail))
+    blocks.sort(key=lambda b: b.sort_key)
     inst._blocks = tuple(blocks)
     return inst._blocks
-
-
-def _coset_list(inst, K):
-    from .groups import left_cosets
-
-    return left_cosets(inst.group, K)
 
 
 # -- order and compatibility ----------------------------------------------------
@@ -542,30 +495,24 @@ def is_block_subspace(inst, W):
 
 def _reconstruct_block(inst, W):
     b = inst.block_width
-    n = inst.n
-    closed_subgroups(inst)
-    factor_axes = {}
+    d = inst.ambient_dim
     constrained = []
-    for f in range(n):
-        unit_rows = []
-        for c in range(b):
-            v = [Fraction(0)] * inst.ambient_dim
-            v[f * b + c] = Fraction(1)
-            unit_rows.append(tuple(v))
-        factor_axes[f] = unit_rows
-        if not all(W.contains_vector(v) for v in unit_rows):
+    for f in range(inst.n):
+        units = []
+        for c in range(f * b, (f + 1) * b):
+            v = [ZERO] * d
+            v[c] = ONE
+            units.append(v)
+        if not all(W.contains_vector(v) for v in units):
             constrained.append(f)
     if not constrained:
         return None
-    k = len(constrained)
-    free_count = (n - k) * b
-    # W must split as (tied part over the constrained factors) + (free factors)
-    tied_dim = W.dim - free_count
-    if tied_dim < 0:
-        return None
-    tied = W.intersect(_coordinate_subspace(inst, constrained))
-    if tied.dim != tied_dim:
-        return None
+    # W contains every free factor, so W = tied + free: the tied part, W met
+    # with the constrained coordinates, is W with the free coordinates zeroed
+    kept = {c for f in constrained for c in range(f * b, (f + 1) * b)}
+    tied = Subspace.from_spanning(
+        d, [[x if c in kept else ZERO for c, x in enumerate(v)] for v in W.basis]
+    )
     j1 = constrained[0]
     proj = Subspace.from_spanning(
         b, tuple(v[j1 * b : (j1 + 1) * b] for v in tied.basis)
@@ -588,11 +535,11 @@ def _reconstruct_block(inst, W):
             return None
         carries.append(found)
     K = pointwise_stabilizer(inst.rep, proj)
+    # K = stab(proj) and Fix(K) = proj give phi(K) = stab(Fix(K)) = K, so K
+    # is closed
     if inst.fix(K).basis != proj.basis:
         return None
-    if inst._fix_lookup is not None and proj.basis not in inst._fix_lookup:
-        return None
-    if k == 1 and len(K) == 1:
+    if len(constrained) == 1 and len(K) == 1:
         return None
     indices = tuple(f + 1 for f in constrained)
     cosets = (0,) + tuple(coset_rep(inst.group, K, g) for g in carries)
@@ -600,17 +547,6 @@ def _reconstruct_block(inst, W):
     if block_subspace(inst, candidate).basis != W.basis:
         return None
     return candidate
-
-
-def _coordinate_subspace(inst, factors):
-    b = inst.block_width
-    rows = []
-    for f in factors:
-        for c in range(b):
-            v = [Fraction(0)] * inst.ambient_dim
-            v[f * b + c] = Fraction(1)
-            rows.append(tuple(v))
-    return Subspace.from_spanning(inst.ambient_dim, rows)
 
 
 # -- nested sets ----------------------------------------------------------------

@@ -19,7 +19,7 @@ from .arrangement import (
     intersection_lattice,
 )
 from .errors import AbelianOnly, DowlingNestError, InstanceError, SizeBoundExceeded
-from .forests import enumerate_forests
+from .forests import Leaf, enumerate_forests
 from .instancefile import load_instance
 from .selftest import run_selftest
 from .series import (
@@ -152,8 +152,6 @@ def cmd_forests(inst, args, out):
 
 
 def _tree_text(inst, node):
-    from .forests import Leaf
-
     if isinstance(node, Leaf):
         return str(node.label)
     inner = ",".join(

@@ -35,7 +35,7 @@ from operator import attrgetter
 
 from .arrangement import Block, NestedSet, block_leq, closed_subgroups
 from .errors import MalformedForest, NotRealizable, SizeBoundExceeded
-from .groups import Subgroup, coset_rep
+from .groups import Subgroup, coset_rep, left_cosets
 
 _NO_LEAF = 10**9  # sort sentinel for unlabelled leaves
 _END = -1  # closes a vertex's list of children in a sort key
@@ -397,8 +397,6 @@ def enumerate_forests(inst, cap=None):
     conj = inst.conj_classes()
     whole = Subgroup(tuple(range(G.order)))
     trivial = Subgroup((G.identity,))
-    from .groups import left_cosets
-
     coset_reps = {K: tuple(c.rep for c in left_cosets(G, K)) for K in cs.members}
     memo = {}
 

@@ -92,6 +92,16 @@ def parse_representation(group, data):
     raise InstanceError("representation: needs 'characters' or 'matrices'")
 
 
+def _object(data, key):
+    """An optional JSON object member, {} when absent or null."""
+    value = data.get(key)
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise InstanceError(f"{key}: expected an object")
+    return value
+
+
 def parse_instance(data, n_override=None, cap_lattice=None, cap_nested=None):
     if not isinstance(data, dict):
         raise InstanceError("instance: expected a JSON object")
@@ -101,13 +111,13 @@ def parse_instance(data, n_override=None, cap_lattice=None, cap_nested=None):
     group = parse_group(data.get("group"))
     rep = parse_representation(group, data.get("representation"))
     names = {}
-    for key, name in (data.get("names") or {}).items():
+    for key, name in _object(data, "names").items():
         try:
             elems = tuple(sorted(int(x) for x in key.split(",")))
         except ValueError as exc:
             raise InstanceError(f"names: bad subgroup key {key!r}") from exc
         names[elems] = str(name)
-    bounds = data.get("bounds") or {}
+    bounds = _object(data, "bounds")
     return ProblemInstance(
         n,
         group,

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -34,15 +35,18 @@ from dowlingnest import (
     raw_arrangement,
 )
 from dowlingnest.arrangement import (
-    block_subspace_from,
+    free_factor_subspace,
     nested_sets_poset,
     pairwise_compatible,
 )
 from dowlingnest.export import nested_covers
+from dowlingnest.instancefile import load_instance
 from dowlingnest.linalg import RMatrix
 
 from conftest import make_abelian_instance, make_n3_grid, make_s3_instance
 from oracles import lattice_oracle
+
+INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 
 
 # -- closure operator ------------------------------------------------------------
@@ -117,10 +121,19 @@ def test_conjugates_of_closed_subgroups_are_closed(klein, s3):
                 assert conjugate_subgroup(inst.group, K, g) in cs
 
 
-def test_character_closure_agrees_with_stabilizer_route(klein, z4_plane):
+def test_character_closure_agrees_with_stabilizer_route():
+    """`_reconstruct_block` takes a label K with Fix(K) = proj and
+    K = stab(proj) to be closed; that needs phi, which takes a character
+    shortcut, to equal stab(Fix(H)) on every abelian instance."""
     from dowlingnest.reps import pointwise_stabilizer
 
-    for inst in (klein, z4_plane):
+    abelian = [
+        inst
+        for inst in (load_instance(p, n_override=1) for p in sorted(INSTANCES.glob("*.json")))
+        if inst.rep.char_exponents is not None
+    ]
+    assert len(abelian) == 6
+    for inst in abelian:
         for H in inst.subgroups():
             assert closure_phi(inst, H) == pointwise_stabilizer(
                 inst.rep, inst.fix(H)
@@ -151,22 +164,20 @@ def test_raw_arrangement_single_factor_sign():
 
 def test_self_subspace_codimension(s3):
     """codim H(i,i,g) equals dim V minus the fixed dimension of <g>."""
-    from dowlingnest.arrangement import _self_subspace
     from dowlingnest.groups import subgroup_closure
 
     for g in s3.group.elements():
         if g == 0:
             continue
-        s = _self_subspace(s3, 0, g)
-        fix_dim = s3.rep.fix(subgroup_closure(s3.group, (g,))).dim
-        assert s.codim == s3.rep.matrix_dim - fix_dim
+        fix_g = s3.rep.fix(subgroup_closure(s3.group, (g,)))
+        s = free_factor_subspace(s3, fix_g, (0,), (0,))
+        assert s.codim == s3.rep.matrix_dim - fix_g.dim
 
 
 def test_pair_subspace_codimension(klein):
-    from dowlingnest.arrangement import _pair_subspace
-
+    V = Subspace.full(klein.block_width)
     for g in klein.group.elements():
-        s = _pair_subspace(klein, 0, 1, g)
+        s = free_factor_subspace(klein, V, (0, 1), (0, g))
         assert s.codim == klein.rep.matrix_dim
 
 
@@ -253,6 +264,43 @@ def test_lattice_matches_the_subspace_meet_oracle():
         assert mine.leq_matrix == oracle.leq_matrix
 
 
+def _characteristic_polynomial(inst):
+    """sum over flats X of mu(V, X) t^(dim X), coefficients by ascending
+    power, from the order matrix alone; dim X is over C (rational dimension
+    divided by the scalar degree)."""
+    poset = intersection_lattice(inst)
+    leq = poset.leq_matrix
+    # elements come by decreasing dimension, so index 0 is V and every
+    # element comes after all elements below it
+    mu = []
+    for x in range(len(poset)):
+        mu.append(1 if x == 0 else -sum(mu[y] for y in range(x) if leq[y][x]))
+    coeffs = [0] * (inst.n * inst.rep.dim_v + 1)
+    for m, flat in zip(mu, poset.elements):
+        coeffs[flat.dim // inst.rep.scalar_degree] += m
+    return coeffs
+
+
+@pytest.mark.parametrize(
+    "order, n", [(2, 3), (2, 4), (3, 3), (4, 3)], ids=["z2-n3", "z2-n4", "z3-n3", "z4-n3"]
+)
+def test_lattice_characteristic_polynomial_is_dowlings(order, n):
+    """Dowling: chi(t) = prod_{i<n} (t - 1 - i |G|) for the lattice of G
+    acting by one faithful character.  This checks the mask order of
+    `intersection_lattice` without any subspace comparison."""
+    inst = make_abelian_instance([order], [[1]], n)
+    expected = [1]
+    for i in range(n):
+        root = 1 + i * order
+        expected = [
+            (expected[p - 1] if p else 0) - root * (expected[p] if p < len(expected) else 0)
+            for p in range(len(expected) + 1)
+        ]
+    assert _characteristic_polynomial(inst) == expected
+    if (order, n) == (2, 4):
+        assert expected == [105, -176, 86, -16, 1]
+
+
 # -- blocks ---------------------------------------------------------------------------
 
 
@@ -276,16 +324,18 @@ def test_z2_blocks_are_the_five_expected(z2):
     }
 
 
-def test_block_subspace_dimension_identity(klein):
-    inst = klein.with_n(3)
-    for b in building_blocks(inst):
-        dim = block_subspace(inst, b).dim
-        expected = inst.fix(b.subgroup).dim + (inst.n - len(b.indices)) * inst.block_width
-        assert dim == expected
+def test_block_subspace_dimension_identity():
+    for inst in make_n3_grid() + [make_s3_instance(3)]:
+        for b in building_blocks(inst):
+            dim = block_subspace(inst, b).dim
+            free = (inst.n - len(b.indices)) * inst.block_width
+            assert dim == inst.fix(b.subgroup).dim + free
 
 
 def test_block_subspace_injective_on_output(z2, z3, z4, klein, s3):
-    for inst in (z2, z3, z4, klein, s3):
+    """`building_blocks` does not deduplicate: its docstring proves that
+    distinct normal forms have distinct subspaces, and this checks it."""
+    for inst in [z2, z3, z4, klein, s3] + make_n3_grid() + [make_s3_instance(3)]:
         blocks = building_blocks(inst)
         seen = {block_subspace(inst, b).basis for b in blocks}
         assert len(seen) == len(blocks)
@@ -324,10 +374,10 @@ def test_conjugation_identification_of_blocks(s3):
     for K in closed_subgroups(s3).members:
         for g in G.elements():
             for g2 in G.elements():
-                lhs = block_subspace_from(s3, K, (1, 2), (g, g2))
+                lhs = free_factor_subspace(s3, s3.fix(K), (0, 1), (g, g2))
                 Kg = conjugate_subgroup(G, K, g)
-                rhs = block_subspace_from(
-                    s3, Kg, (1, 2), (0, G.mul(g2, G.inv(g)))
+                rhs = free_factor_subspace(
+                    s3, s3.fix(Kg), (0, 1), (0, G.mul(g2, G.inv(g)))
                 )
                 assert lhs == rhs
                 recon = is_block_subspace(s3, lhs)
@@ -552,8 +602,8 @@ def test_single_factor_single_nested_set():
     assert len(sets[0].blocks) == 1
 
 
-def test_block_reconstruction_round_trip(z2, z3, klein, s3):
-    for inst in (z2, z3, klein, s3):
+def test_block_reconstruction_round_trip(z2, z3, klein, s3, z4_plane, chains8):
+    for inst in (z2, z3, klein, s3, z4_plane, chains8.with_n(2)):
         blocks = building_blocks(inst)
         for b in blocks:
             assert is_block_subspace(inst, block_subspace(inst, b)) == b
@@ -571,6 +621,23 @@ def test_enumeration_is_in_lexicographic_block_order(z3, klein, s3):
         keys = [tuple(position[b] for b in ns) for ns in enumerate_nested_sets(inst)]
         assert keys == sorted(keys)
         assert len(set(keys)) == len(keys)
+
+
+def test_nested_and_forest_routes_build_no_subspace_of_v_n(monkeypatch):
+    """Neither enumeration builds a subspace of V^n: with the one builder
+    made to raise, both still run on fresh instances."""
+    from dowlingnest import arrangement
+
+    def refuse(*args):
+        raise AssertionError("free_factor_subspace called")
+
+    monkeypatch.setattr(arrangement, "free_factor_subspace", refuse)
+    for inst, count in (
+        (make_abelian_instance([2, 2], [[1, 0], [0, 1]], 3), 3493),
+        (make_s3_instance(2), 215),
+    ):
+        assert len(enumerate_nested_sets(inst)) == count
+        assert len(enumerate_forests(inst)) == count
 
 
 def test_enumeration_is_deterministic(z3):

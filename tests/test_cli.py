@@ -393,3 +393,56 @@ def test_lattice_summary(capsys):
     code, out, _ = run_cli(capsys, "lattice", "--input", str(INSTANCES / "z4.json"))
     assert code == 0
     assert "lattice size" in out
+
+
+def _z2_with(tmp_path, **extra):
+    data = json.loads((INSTANCES / "z2.json").read_text())
+    data.update(extra)
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "bounds",
+    [
+        {"cap_nested": "x"},
+        {"cap_nested": 2.5},
+        {"cap_lattice": -1},
+        {"cap_lattice": True},
+        "notadict",
+        [],
+    ],
+    ids=["string", "float", "negative", "bool", "string-bounds", "list-bounds"],
+)
+def test_bad_bounds_in_the_file_are_exit_2(tmp_path, capsys, bounds):
+    code, out, err = run_cli(capsys, "count", "--input", _z2_with(tmp_path, bounds=bounds))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("input error:") and "Traceback" not in err
+
+
+def test_bad_names_in_the_file_are_exit_2(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "count", "--input", _z2_with(tmp_path, names="e"))
+    assert code == 2
+    assert "names: expected an object" in err
+
+
+@pytest.mark.parametrize("flag", ["--cap-nested", "--cap-lattice"])
+def test_negative_cap_on_the_command_line_is_exit_2(capsys, flag):
+    code, out, err = run_cli(
+        capsys, "count", "--input", str(INSTANCES / "z2.json"), flag, "-1"
+    )
+    assert code == 2
+    assert out == ""
+    assert "expected a nonnegative integer, got -1" in err
+
+
+def test_good_bounds_in_the_file_still_apply(tmp_path, capsys):
+    path = _z2_with(tmp_path, bounds={"cap_nested": 3, "cap_lattice": 0})
+    code, _, err = run_cli(capsys, "count", "--input", path)
+    assert code == 3
+    assert "cap of 3" in err
+    code, out, _ = run_cli(capsys, "count", "--input", path, "--cap-nested", "9")
+    assert code == 0
+    assert out.splitlines()[-1] == "count 9"

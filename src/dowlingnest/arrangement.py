@@ -50,8 +50,8 @@ class ProblemInstance:
     """Immutable bundle (n, G, V) plus caches for derived data."""
 
     def __init__(self, n, group, rep, names=None, cap_lattice=None, cap_nested=None):
-        if n < 1:
-            raise InstanceError("n must be a positive integer")
+        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+            raise InstanceError(f"n: expected a positive integer, got {n!r}")
         if rep.group is not group:
             raise InstanceError("representation does not belong to the given group")
         self.n = n

@@ -1,7 +1,8 @@
 """Command-line surface.
 
-Exit codes: 0 success, 1 cross-check disagreement, 2 input error, 3 size
-bound exceeded.  Output for a fixed input file and flags is byte-stable.
+Exit codes: 0 success, 1 cross-check disagreement, 2 input error, 3 size or
+group-order bound exceeded.  Output for a fixed input file and flags is
+byte-stable.
 """
 
 from __future__ import annotations
@@ -18,7 +19,13 @@ from .arrangement import (
     enumerate_nested_sets,
     intersection_lattice,
 )
-from .errors import AbelianOnly, DowlingNestError, InstanceError, SizeBoundExceeded
+from .errors import (
+    AbelianOnly,
+    DowlingNestError,
+    InstanceError,
+    OrderBoundExceeded,
+    SizeBoundExceeded,
+)
 from .forests import Leaf, enumerate_forests
 from .instancefile import load_instance
 from .selftest import run_selftest
@@ -256,13 +263,10 @@ def main(argv=None):
             cap_nested=args.cap_nested,
         )
         return HANDLERS[args.command](inst, args, out)
-    except InstanceError as exc:
+    except (InstanceError, AbelianOnly) as exc:
         sys.stderr.write(f"input error: {exc}\n")
         return EXIT_INPUT
-    except AbelianOnly as exc:
-        sys.stderr.write(f"input error: {exc}\n")
-        return EXIT_INPUT
-    except SizeBoundExceeded as exc:
+    except (SizeBoundExceeded, OrderBoundExceeded) as exc:
         sys.stderr.write(f"bound exceeded: {exc}\n")
         return EXIT_BOUND
     except DowlingNestError as exc:

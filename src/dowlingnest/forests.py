@@ -176,9 +176,15 @@ def forest_violation(inst, forest, variant="general"):
     """First violated rule as a string, or None when the forest is valid.
 
     variant="abelian" applies the simplified unary/coset clauses; on abelian
-    instances both variants accept exactly the same forests.
+    instances both variants accept exactly the same forests.  A vertex label
+    that is not a closed subgroup is reported before any rule is checked.
     """
     check_structure(inst, forest)
+    cs = closed_subgroups(inst)
+    for tree in forest.trees:
+        for v in internal_vertices(tree):
+            if v.subgroup not in cs:
+                return f"vertex label {v.subgroup.label()} is not a closed subgroup"
     G = inst.group
     conj = inst.conj_classes()
     whole = Subgroup(tuple(range(G.order)))
@@ -389,30 +395,36 @@ def _proper_partitions(items):
 
 
 def enumerate_forests(inst, cap=None):
-    """Generate every valid forest directly from the labeling rules."""
+    """Generate every valid forest directly from the labeling rules.
+
+    One table, edge_reps[K, L], holds the coset representatives a of K with
+    a^-1 L a <= K (every representative when the child is a leaf).  With
+    the trivial edge toward the smallest leaf, it decides rules (1), (4) and
+    (5), and keeps G-labelled children under G, once per pair of labels.
+    The one check left per child combination is that a G vertex has at most
+    one G-labelled child (rule 3).
+    """
     if cap is None:
         cap = inst.cap_nested
     G = inst.group
     cs = closed_subgroups(inst)
-    conj = inst.conj_classes()
     whole = Subgroup(tuple(range(G.order)))
     trivial = Subgroup((G.identity,))
-    coset_reps = {K: tuple(c.rep for c in left_cosets(G, K)) for K in cs.members}
+    edge_reps = {}
+    for K in cs.members:
+        reps = tuple(c.rep for c in left_cosets(G, K))
+        inside = set(K.elements)
+        edge_reps[K, None] = reps
+        for L in cs.members:
+            edge_reps[K, L] = tuple(
+                a for a in reps if all(G.conj(G.inv(a), p) in inside for p in L)
+            )
     memo = {}
 
-    def admissible_reps(K, child_label):
-        """Coset representatives of K allowed on an edge to a child subtree."""
-        if child_label is None:
-            return coset_reps[K]
-        out = []
-        for a in coset_reps[K]:
-            a_inv = G.inv(a)
-            if all(G.conj(a_inv, p) in K.elements for p in child_label):
-                out.append(a)
-        return tuple(out)
+    def is_whole(node):
+        return isinstance(node, Vertex) and node.subgroup.elements == whole.elements
 
     def trees_on(part):
-        part = tuple(sorted(part))
         if part in memo:
             return memo[part]
         smallest = part[0]
@@ -424,52 +436,34 @@ def enumerate_forests(inst, cap=None):
         for split in _proper_partitions(part):
             child_options = []
             for piece in split:
-                opts = []
-                if len(piece) == 1:
-                    opts.append((None, Leaf(piece[0])))
-                for sub in trees_on(piece):
-                    opts.append((sub.subgroup, sub))
+                opts = [(None, Leaf(piece[0]))] if len(piece) == 1 else []
+                opts.extend((sub.subgroup, sub) for sub in trees_on(piece))
                 child_options.append(opts)
+            first, *rest = child_options  # split is ordered by minimum
             for K in cs.members:
-                for combo in iter_product(*child_options):
-                    if any(
-                        lbl is not None and not conj.leq(lbl, K)
-                        for lbl, _ in combo
-                    ):
+                # The offers need no rule (1) or rule (3) check of their own:
+                # - a nonempty edge_reps[K, L] puts a conjugate of L inside K,
+                #   so [L] <= [K];
+                # - L <= K on the smallest-leaf piece gives [L] <= [K];
+                # - G is conjugate into no K != G, so G-labelled children
+                #   are offered only under K = G.
+                offers = [
+                    [(0, node) for lbl, node in first if lbl is None or lbl.is_subset(K)]
+                ]
+                offers.extend(
+                    [(a, node) for lbl, node in opts for a in edge_reps[K, lbl]]
+                    for opts in rest
+                )
+                check_g = K.elements == whole.elements
+                for children in iter_product(*offers):
+                    if check_g and sum(is_whole(node) for _, node in children) > 1:
                         continue
-                    g_roots = sum(
-                        1
-                        for lbl, _ in combo
-                        if lbl is not None and lbl.elements == whole.elements
-                    )
-                    if g_roots > (1 if K.elements == whole.elements else 0):
-                        continue
-                    rep_choices = []
-                    ok = True
-                    for piece, (lbl, node) in zip(split, combo):
-                        if piece[0] == smallest:
-                            if lbl is not None and not lbl.is_subset(K):
-                                ok = False
-                                break
-                            rep_choices.append((0,))
-                        else:
-                            reps = admissible_reps(K, lbl)
-                            if not reps:
-                                ok = False
-                                break
-                            rep_choices.append(reps)
-                    if not ok:
-                        continue
-                    for reps in iter_product(*rep_choices):
-                        children = tuple(
-                            (rep, node) for rep, (_, node) in zip(reps, combo)
-                        )
-                        by_label[K].append(Vertex(subgroup=K, children=children))
+                    by_label[K].append(Vertex(subgroup=K, children=children))
         # unary chains: strictly larger label over an existing root
-        for K in sorted(cs.members, key=lambda s: s.sort_key):
+        for K in cs.members:
             for P in cs.members:
                 if P.is_subset(K) and P.elements != K.elements:
-                    for sub in list(by_label[P]):
+                    for sub in by_label[P]:
                         by_label[K].append(Vertex(subgroup=K, children=((0, sub),)))
         result = tuple(t for K in cs.members for t in by_label[K])
         memo[part] = result
@@ -488,10 +482,7 @@ def enumerate_forests(inst, cap=None):
             internal = [t for t in combo if isinstance(t, Vertex)]
             if not internal:
                 continue
-            with_g = sum(
-                1 for t in internal if t.subgroup.elements == whole.elements
-            )
-            if with_g > 1:
+            if sum(map(is_whole, internal)) > 1:
                 continue
             if len(forests) >= cap:
                 raise SizeBoundExceeded(

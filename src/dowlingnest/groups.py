@@ -234,6 +234,12 @@ def subgroup_closure(G, gens):
     return Subgroup(tuple(elems))
 
 
+def check_order_bound(order, order_bound=DEFAULT_ORDER_BOUND):
+    """Raise OrderBoundExceeded for a group too large to enumerate."""
+    if order > order_bound:
+        raise OrderBoundExceeded(f"group order {order} exceeds the bound {order_bound}")
+
+
 def enumerate_subgroups(G, order_bound=DEFAULT_ORDER_BOUND):
     """All subgroups of G, sorted by (size, elements).
 
@@ -241,10 +247,7 @@ def enumerate_subgroups(G, order_bound=DEFAULT_ORDER_BOUND):
     reachable from a smaller one by adjoining a single generator, so the
     search is exhaustive.
     """
-    if G.order > order_bound:
-        raise OrderBoundExceeded(
-            f"group order {G.order} exceeds the bound {order_bound}"
-        )
+    check_order_bound(G.order, order_bound)
     trivial = Subgroup((G.identity,))
     seen = {trivial.elements: trivial}
     frontier = [trivial]

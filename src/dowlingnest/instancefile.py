@@ -19,10 +19,11 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from math import prod
 
 from .arrangement import ProblemInstance
 from .errors import InstanceError
-from .groups import FiniteGroup
+from .groups import FiniteGroup, check_order_bound
 from .reps import Representation
 
 
@@ -48,11 +49,13 @@ def parse_group(data):
             isinstance(d, int) and d > 0 for d in factors
         ):
             raise InstanceError("group.abelian: expected a list of positive integers")
+        check_order_bound(prod(factors))  # before building an order^2 table
         return FiniteGroup.from_abelian(factors)
     if "cayley" in data:
         table = data["cayley"]
         if not isinstance(table, list):
             raise InstanceError("group.cayley: expected a table")
+        check_order_bound(len(table))
         return FiniteGroup.from_cayley(table)
     raise InstanceError("group: needs either 'abelian' or 'cayley'")
 
@@ -106,8 +109,6 @@ def parse_instance(data, n_override=None, cap_lattice=None, cap_nested=None):
     if not isinstance(data, dict):
         raise InstanceError("instance: expected a JSON object")
     n = n_override if n_override is not None else data.get("n")
-    if not isinstance(n, int) or n < 1:
-        raise InstanceError("n: expected a positive integer")
     group = parse_group(data.get("group"))
     rep = parse_representation(group, data.get("representation"))
     names = {}

@@ -13,15 +13,6 @@ class Poset:
         if len(self.leq_matrix) != n or any(len(r) != n for r in self.leq_matrix):
             raise ValueError("order matrix shape mismatch")
 
-    @classmethod
-    def from_relation(cls, elements, leq):
-        elements = tuple(elements)
-        m = [
-            [bool(leq(a, b)) for b in elements]
-            for a in elements
-        ]
-        return cls(elements, m)
-
     def __len__(self):
         return len(self.elements)
 

@@ -230,16 +230,6 @@ class MultiSeries:
                         acc[e] = get(e, 0) + c1 * c2
         return self._make(out, self._den * other._den)
 
-    def pow(self, k):
-        result = MultiSeries.constant(self.vars, self.trunc)
-        base = self
-        while k:
-            if k & 1:
-                result = result.mul(base)
-            base = base.mul(base)
-            k >>= 1
-        return result
-
     def exp(self):
         """exp(A) for A with no term of t-degree zero."""
         if self._terms[0]:

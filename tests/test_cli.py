@@ -250,6 +250,47 @@ def test_lattice_output_is_byte_stable(capsys, what, name, n):
     assert digest == LATTICE_DIGESTS[(what, name, n)]
 
 
+# sha256 of the `export --what forests` json and dot; a change to how forests
+# are enumerated must leave every tree, its labels and the forest order as
+# they are.
+FOREST_DIGESTS = {
+    ("json", "z2.json", 2): "3da3ae548e27d13c2ce328663964bc27134ba7b7e5242a4e2e251713d4444f2d",
+    ("dot", "z2.json", 2): "95b907ec373fec5c6b3cfcd98454b590e671023685dec4f6c96057daf63a3e53",
+    ("json", "z2.json", 3): "98f2056b0b73c539ef4ba853ffb5c1cff24afc28fd61e55eb3d63ea0010f0814",
+    ("dot", "z2.json", 3): "629a107b4b99e699b98728b1319f5b90ab409aa8791a763f411db9989155689b",
+    ("json", "z3.json", 2): "dc708ffa272f9b3da9b5a8e63425915c88dd9d3f843139a40a264e14ba2686fd",
+    ("dot", "z3.json", 2): "7802ee2c12ef5c614d39579d94b08a82995e6aa9c996c7d5da91aaeb09f1a417",
+    ("json", "z3.json", 3): "e8649d51613732a3df985ac50ca46e0d695cc41a9a386f2f7cb30a4bc8db8fbc",
+    ("dot", "z3.json", 3): "99e7f554d365ca650b23bfeef9428362213b22e028a041c24208d41193e867c6",
+    ("json", "klein4.json", 2): "98ffb7411032b658f04194f57ba0e61cadcd7fa2a9339de88c4ebcaa99157a0e",
+    ("dot", "klein4.json", 2): "5584b7784a183404a5b2e473190a53646168e22c556bdbd6409528f701b91599",
+    ("json", "klein4.json", 3): "cdc05426b2f84bc848adf14752b6fa668033bbd713d6ae8d6cc1d225ed052428",
+    ("dot", "klein4.json", 3): "f58fc6e70eb0beac2bc954cc0fffea2b214519a65017ce03c37e6b47aa15b65f",
+    ("json", "z4_plane.json", 2): "b3187cdd6b00edd6862180d2b220da3e4e954d3caf71e0d7d0693c50b4eecaba",
+    ("dot", "z4_plane.json", 2): "3745e224224bc594685b7465c62021bff791da13567eb434e0c984b9e067e235",
+    ("json", "z4_plane.json", 3): "da59de63032b818ac39a759e6b3cba854bad00e5aa8de0d09a93974041a6768d",
+    ("dot", "z4_plane.json", 3): "abf2e7871dd284a0f56f115cda86fb152dc959ee046d4e4cbe815406e720bdea",
+    ("json", "s3.json", 2): "c605a2bd0e60a6456b1a82d744a27ef644411f6e37a31f14a286c7a6386b304a",
+    ("dot", "s3.json", 2): "33063d9fc4145c6f65f4c9605775998f4be71ec9121970743ab7f1db3e67b1b3",
+    ("json", "s3.json", 3): "2ab6c7fdafa8ba9a39bc4e0ecd19449f60103bf5b2c753043a393a891dc76394",
+    ("dot", "s3.json", 3): "1abe984dc150d6e658c01dd77e63a285bbb8a58558bd38204faf9cb4d7c6282f",
+    ("json", "z2x4_chains.json", 2): "b15e816a744894b4c1f217b7cd06feb0bb112aee5ff918950f70697e06bce8b8",
+    ("dot", "z2x4_chains.json", 2): "43742de963b970d61feb514a638c5bcbd31f2a67d819d0ac44f1ed5cb03d24ca",
+}
+
+
+@pytest.mark.parametrize("fmt, name, n", sorted(FOREST_DIGESTS))
+def test_forest_output_is_byte_stable(capsys, fmt, name, n):
+    code, out, _ = run_cli(
+        capsys,
+        "export", "--what", "forests", "--format", fmt,
+        "--input", str(INSTANCES / name), "--n", str(n),
+    )
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == FOREST_DIGESTS[(fmt, name, n)]
+
+
 def test_series_hand_expansion_low_degree(capsys):
     """Degree <= 2 of the three-factor exponential product, by hand.
 
@@ -420,6 +461,26 @@ def test_bad_bounds_in_the_file_are_exit_2(tmp_path, capsys, bounds):
     assert code == 2
     assert out == ""
     assert err.startswith("input error:") and "Traceback" not in err
+
+
+def test_bool_n_in_the_file_is_exit_2(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "count", "--input", _z2_with(tmp_path, n=True))
+    assert code == 2
+    assert out == ""
+    assert err == "input error: n: expected a positive integer, got True\n"
+
+
+def test_group_past_the_order_bound_is_exit_3(tmp_path, capsys):
+    path = tmp_path / "big.json"
+    path.write_text(
+        json.dumps(
+            {"n": 2, "group": {"abelian": [65]}, "representation": {"characters": [[1]]}}
+        )
+    )
+    code, out, err = run_cli(capsys, "count", "--input", str(path))
+    assert code == 3
+    assert out == ""
+    assert err == "bound exceeded: group order 65 exceeds the bound 64\n"
 
 
 def test_bad_names_in_the_file_are_exit_2(tmp_path, capsys):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from dowlingnest import (
@@ -9,6 +11,7 @@ from dowlingnest import (
     MalformedForest,
     NestedSet,
     Subgroup,
+    closed_subgroups,
     decompose_forest,
     enumerate_forests,
     enumerate_nested_sets,
@@ -26,8 +29,10 @@ from dowlingnest.forests import (
     forest_violation,
     internal_vertices,
 )
+from dowlingnest.groups import ConjClassPoset, left_cosets
+from dowlingnest.instancefile import load_instance
 
-from conftest import make_abelian_instance, make_n3_grid
+from conftest import make_abelian_instance, make_n3_grid, make_s3_instance
 from oracles import flat_tree_key, forest_order_key, smallest_leaf, tree_order_key
 
 
@@ -129,6 +134,25 @@ def test_descendant_label_order_enforced(z4_plane):
     )
     violation = forest_violation(z4_plane, bad)
     assert violation.startswith("rule (1)") or violation.startswith("rule (2)")
+
+
+# on the plane, A3 = {0,3,4} is a subgroup whose closure is S3, and {0,1,2}
+# is not a subgroup at all
+@pytest.mark.parametrize(
+    "label", [Subgroup((0, 3, 4)), Subgroup((0, 1, 2))], ids=["A3", "not-a-subgroup"]
+)
+def test_root_label_outside_the_closed_subgroups_is_rejected(s3, label):
+    bad = LabelledForest((Vertex(label, ((0, Leaf(1)), (0, Leaf(2)))),))
+    assert forest_violation(s3, bad) == (
+        f"vertex label {label.label()} is not a closed subgroup"
+    )
+
+
+def test_child_label_outside_the_closed_subgroups_is_rejected():
+    inst = make_s3_instance(3)
+    child = Vertex(Subgroup((0, 1, 2)), ((0, Leaf(2)), (0, Leaf(3))))
+    bad = LabelledForest((Vertex(Subgroup(tuple(range(6))), ((0, Leaf(1)), (0, child))),))
+    assert forest_violation(inst, bad) == "vertex label {0,1,2} is not a closed subgroup"
 
 
 def test_forest_without_internal_vertices_rejected():
@@ -293,6 +317,42 @@ def test_rule_4_condition_is_coset_invariant(s3):
                 via_rep = all(G.conj(G.inv(rep), p) in Q.elements for p in P)
                 assert direct == via_rep
 
+
+INSTANCE_FILES = sorted((Path(__file__).resolve().parent.parent / "instances").glob("*.json"))
+
+
+@pytest.mark.parametrize("path", INSTANCE_FILES, ids=lambda p: p.stem)
+def test_admissible_edges_imply_the_class_order(path):
+    """enumerate_forests checks no class order: an edge coset aK with
+    a^-1 L a <= K already gives [L] <= [K], and G fits under G alone."""
+    inst = load_instance(str(path))
+    G = inst.group
+    conj = inst.conj_classes()
+    whole = Subgroup(tuple(range(G.order)))
+    members = closed_subgroups(inst).members
+    for K in members:
+        for L in members:
+            reps = [
+                c.rep
+                for c in left_cosets(G, K)
+                if all(G.conj(G.inv(c.rep), p) in K.elements for p in L)
+            ]
+            if reps:
+                assert conj.leq(L, K)
+            if L == whole and K != whole:
+                assert reps == []
+            if K == whole:
+                assert reps == [0]
+
+
+def test_enumeration_asks_no_class_order(monkeypatch):
+    def refuse(self, P, Q):
+        raise AssertionError("enumerate_forests asked ConjClassPoset.leq")
+
+    monkeypatch.setattr(ConjClassPoset, "leq", refuse)
+    for name, count in (("s3.json", 10159), ("klein4.json", 3493)):
+        inst = load_instance(str(INSTANCE_FILES[0].parent / name), n_override=3)
+        assert len(enumerate_forests(inst)) == count
 
 def test_s3_cross_transposition_edges_admit_one_coset(s3):
     """Conjugating one transposition subgroup into another pins the edge

@@ -24,9 +24,10 @@ when that intersection is itself a block subspace.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations, product
 from math import lcm
+from operator import attrgetter
 
 from .errors import InstanceError, SizeBoundExceeded
 from .groups import (
@@ -356,16 +357,19 @@ class Block:
 
     indices are 1-based and strictly increasing; cosets[r] is the canonical
     representative of the coset attached to indices[r], and cosets[0] is
-    always the representative of eK (element id 0).
+    always the representative of eK (element id 0).  The sort key is built
+    once, here, and takes no part in equality, hashing or repr.
     """
 
     subgroup: Subgroup
     indices: tuple
     cosets: tuple
+    sort_key: tuple = field(init=False, compare=False, repr=False)
 
-    @property
-    def sort_key(self):
-        return (self.subgroup.sort_key, self.indices, self.cosets)
+    def __post_init__(self):
+        object.__setattr__(
+            self, "sort_key", (self.subgroup.sort_key, self.indices, self.cosets)
+        )
 
     def describe(self, inst=None):
         name = inst.subgroup_label(self.subgroup) if inst else self.subgroup.label()
@@ -422,7 +426,7 @@ def building_blocks(inst):
             for idxs in combinations(range(1, inst.n + 1), k):
                 for tail in product(reps, repeat=k - 1):
                     blocks.append(Block(subgroup=K, indices=idxs, cosets=(0,) + tail))
-    blocks.sort(key=lambda b: b.sort_key)
+    blocks.sort(key=attrgetter("sort_key"))
     inst._blocks = tuple(blocks)
     return inst._blocks
 
@@ -433,35 +437,33 @@ def building_blocks(inst):
 def block_leq(inst, b1, b2):
     """True iff subspace(b1) contains subspace(b2).
 
-    Decided purely combinatorially from the block data:
-      (1) the index set of b1 is contained in that of b2;
-      (2) for each shared index, conjugating the b1 label by the coset
-          mismatch lands inside the b2 label (equivalent, for closed
-          labels, to the fixed-space condition);
-      (3) coset mismatches are consistent across pairs of shared indices.
-    The linear-algebra containment oracle must agree on every pair.
+    Decided from the block data.  Write K1, K2 for the labels and, at each
+    index i of b1, a_i = h_i^-1 g_i, where g_i is the coset of b1 at i and
+    h_i that of b2.  Then b1 contains b2 exactly when
+      (1) the indices of b1 are among those of b2,
+      (2) a_i K1 a_i^-1 <= K2 for every index i of b1, and
+      (3) a_j a_i^-1 lies in K2 for every pair of indices i, j of b1.
+    With i_0 the first index of b1, (2) and (3) hold exactly when
+    a_0 K1 a_0^-1 <= K2 and a_i a_0^-1 lies in K2 for every i: given these,
+    a_i = k_i a_0 with k_i in K2, so a_j a_i^-1 = k_j k_i^-1 lies in K2 and
+    a_i K1 a_i^-1 = k_i (a_0 K1 a_0^-1) k_i^-1 <= K2.  So one pass over the
+    indices decides it.  The linear-algebra containment oracle must agree
+    on every pair.
     """
     G = inst.group
-    pos2 = {idx: r for r, idx in enumerate(b2.indices)}
+    coset2 = dict(zip(b2.indices, b2.cosets))
     for idx in b1.indices:
-        if idx not in pos2:
+        if idx not in coset2:
             return False
-    K1 = b1.subgroup
-    K2 = b2.subgroup
-    k2set = set(K2.elements)
-    mismatches = []
-    for r, idx in enumerate(b1.indices):
-        g_r = b1.cosets[r]
-        h_t = b2.cosets[pos2[idx]]
-        a = G.mul(G.inv(h_t), g_r)  # condition (2): a K1 a^-1 inside K2
-        if any(G.conj(a, x) not in k2set for x in K1):
+    k2 = set(b2.subgroup.elements)
+    a = [G.mul(G.inv(coset2[idx]), g) for idx, g in zip(b1.indices, b1.cosets)]
+    a0, a0_inv = a[0], G.inv(a[0])
+    for x in b1.subgroup.elements:
+        if G.conj(a0, x) not in k2:
             return False
-        mismatches.append((g_r, h_t))
-    for g_r, h_t in mismatches:
-        for g_th, h_ga in mismatches:
-            x = G.mul(G.mul(G.inv(h_ga), g_th), G.mul(G.inv(g_r), h_t))
-            if x not in k2set:
-                return False
+    for ai in a[1:]:
+        if G.mul(ai, a0_inv) not in k2:
+            return False
     return True
 
 
@@ -558,7 +560,7 @@ class NestedSet:
 
     def __post_init__(self):
         object.__setattr__(
-            self, "blocks", tuple(sorted(self.blocks, key=lambda b: b.sort_key))
+            self, "blocks", tuple(sorted(self.blocks, key=attrgetter("sort_key")))
         )
 
     def __len__(self):
@@ -566,10 +568,6 @@ class NestedSet:
 
     def __iter__(self):
         return iter(self.blocks)
-
-    @property
-    def sort_key(self):
-        return (len(self.blocks), tuple(b.sort_key for b in self.blocks))
 
 
 def pairwise_compatible(inst, blocks):
@@ -618,7 +616,7 @@ def is_nested(inst, blocks):
     The pairwise compatibility test is used as a sound fast rejection, after
     which every antichain of size >= 2 is verified.
     """
-    blocks = sorted(set(blocks), key=lambda b: b.sort_key)
+    blocks = sorted(set(blocks), key=attrgetter("sort_key"))
     if len(blocks) <= 1:
         return True
     if not pairwise_compatible(inst, blocks):

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from itertools import product as iter_product
 from operator import attrgetter
 
-from .arrangement import Block, NestedSet, block_leq, closed_subgroups
+from .arrangement import Block, NestedSet, closed_subgroups
 from .errors import MalformedForest, NotRealizable, SizeBoundExceeded
 from .groups import Subgroup, coset_rep, left_cosets
 
@@ -294,77 +294,46 @@ def forest_to_nested(inst, forest):
 def nested_to_forest(inst, nested):
     """The unique forest mapping onto the given nested set.
 
-    Containment of blocks gives the vertex hierarchy, each leaf hangs below
-    the smallest block containing it, and edge representatives are solved
-    from the coset mismatch at any shared index.
+    Blocks of a nested set that share an index are comparable, and if b < c
+    strictly then c has more indices, or the same indices and a larger
+    label (equal indices and equal label sizes would make the labels
+    conjugate, so of equal fixed dimension, so the subspaces and the normal
+    forms equal).  With the blocks sorted by (number of indices, label
+    size), the parent of a block is the first later block holding its first
+    index, and each leaf hangs under the first block holding it.  Edge
+    representatives are solved from the coset mismatch at the child's first
+    index.  The build trusts the input, so a set that is not nested is
+    caught afterwards: by the labelling rules, or by the round trip back
+    through `forest_to_nested`.
     """
     G = inst.group
-    blocks = list(nested.blocks)
-    m = len(blocks)
-    leq = [[block_leq(inst, a, b) for b in blocks] for a in blocks]
-    strict = [
-        [leq[i][j] and blocks[i] != blocks[j] for j in range(m)] for i in range(m)
-    ]
-
-    def parent_of(i):
-        ups = [j for j in range(m) if strict[i][j]]
-        if not ups:
-            return None
-        best = None
-        for j in ups:
-            if best is None or strict[j][best]:
-                best = j
-        for j in ups:  # superiors of a block must form a chain
-            if j != best and not strict[best][j]:
-                raise NotRealizable("block superiors do not form a chain")
-        return best
-
-    parents = [parent_of(i) for i in range(m)]
+    blocks = sorted(nested.blocks, key=lambda b: (len(b.indices), len(b.subgroup)))
     coset_of = [dict(zip(b.indices, b.cosets)) for b in blocks]
-
-    leaf_home = {}
-    for leaf in range(1, inst.n + 1):
-        holding = [i for i in range(m) if leaf in blocks[i].indices]
-        if not holding:
-            continue
-        low = holding[0]
-        for i in holding[1:]:
-            if strict[i][low]:
-                low = i
-        for i in holding:  # blocks sharing an index are totally ordered
-            if i != low and not strict[low][i]:
-                raise NotRealizable("blocks sharing a leaf are not a chain")
-        leaf_home[leaf] = low
-
-    built = {}
-
-    def build(i):
-        if i in built:
-            return built[i]
-        K = blocks[i].subgroup
-        children = []
-        for leaf, home in leaf_home.items():
-            if home == i:
-                children.append((coset_of[i][leaf], Leaf(leaf)))
-        for j in range(m):
-            if parents[j] == i:
-                p = blocks[j].indices[0]
-                a = G.mul(G.inv(coset_of[j][p]), coset_of[i][p])
-                children.append((coset_rep(G, K, a), build(j)))
-        if not children:
+    children = [[] for _ in blocks]
+    placed = set()
+    trees = []
+    for i, b in enumerate(blocks):
+        for leaf in b.indices:
+            if leaf not in placed:
+                placed.add(leaf)
+                children[i].append((coset_of[i][leaf], Leaf(leaf)))
+        if not children[i]:
             raise NotRealizable("block vertex ended up with no children")
-        node = Vertex(subgroup=K, children=tuple(children))
-        built[i] = node
-        return node
-
-    trees = [build(i) for i in range(m) if parents[i] is None]
-    trees.extend(
-        Leaf(leaf) for leaf in range(1, inst.n + 1) if leaf not in leaf_home
-    )
+        node = Vertex(subgroup=b.subgroup, children=tuple(children[i]))
+        p = b.indices[0]
+        parent = next((j for j in range(i + 1, len(blocks)) if p in coset_of[j]), None)
+        if parent is None:
+            trees.append(node)
+        else:
+            a = G.mul(G.inv(b.cosets[0]), coset_of[parent][p])
+            children[parent].append((coset_rep(G, blocks[parent].subgroup, a), node))
+    trees.extend(Leaf(leaf) for leaf in range(1, inst.n + 1) if leaf not in placed)
     forest = LabelledForest(trees=tuple(trees))
     problem = forest_violation(inst, forest)
     if problem is not None:
         raise NotRealizable(f"reconstructed forest is invalid: {problem}")
+    if forest_to_nested(inst, forest) != nested:
+        raise NotRealizable("the reconstructed forest maps to another set of blocks")
     return forest
 
 
@@ -372,7 +341,8 @@ def nested_to_forest(inst, nested):
 
 
 def _set_partitions(items):
-    """All set partitions, each part a sorted tuple, parts ordered by minimum."""
+    """All set partitions, each part a sorted tuple.  The parts are not
+    ordered by minimum: (1, 2, 3) yields ((2,), (1, 3))."""
     items = list(items)
     if not items:
         yield ()
@@ -388,7 +358,7 @@ def _set_partitions(items):
 
 
 def _proper_partitions(items):
-    """Set partitions into at least two parts."""
+    """Set partitions into at least two parts, ordered by minimum."""
     for p in _set_partitions(items):
         if len(p) >= 2:
             yield tuple(sorted(p, key=min))

@@ -43,7 +43,7 @@ class FiniteGroup:
             if len(row) != n:
                 raise InstanceError(f"Cayley table row {i} has length {len(row)}, expected {n}")
             for x in row:
-                if not (isinstance(x, int) and 0 <= x < n):
+                if not (type(x) is int and 0 <= x < n):
                     raise InstanceError(f"Cayley table entry {x!r} out of range in row {i}")
         for a in range(n):
             if self._mul[0][a] != a or self._mul[a][0] != a:

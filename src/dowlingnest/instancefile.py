@@ -46,15 +46,15 @@ def parse_group(data):
     if "abelian" in data:
         factors = data["abelian"]
         if not isinstance(factors, list) or not all(
-            isinstance(d, int) and d > 0 for d in factors
+            type(d) is int and d > 0 for d in factors
         ):
             raise InstanceError("group.abelian: expected a list of positive integers")
         check_order_bound(prod(factors))  # before building an order^2 table
         return FiniteGroup.from_abelian(factors)
     if "cayley" in data:
         table = data["cayley"]
-        if not isinstance(table, list):
-            raise InstanceError("group.cayley: expected a table")
+        if not isinstance(table, list) or not all(isinstance(r, list) for r in table):
+            raise InstanceError("group.cayley: expected a list of rows")
         check_order_bound(len(table))
         return FiniteGroup.from_cayley(table)
     raise InstanceError("group: needs either 'abelian' or 'cayley'")
@@ -74,6 +74,10 @@ def parse_representation(group, data):
             raise InstanceError("representation.matrices: expected an object")
         parsed = {}
         for key, rows in mats.items():
+            if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
+                raise InstanceError(
+                    f"representation.matrices[{key}]: expected a list of rows"
+                )
             try:
                 g = int(key)
             except ValueError as exc:

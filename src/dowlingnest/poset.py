@@ -20,19 +20,26 @@ class Poset:
         return self.leq_matrix[i][j]
 
     def covers(self):
-        """Cover pairs (i, j) with i < j and nothing strictly between."""
-        n = len(self.elements)
+        """Cover pairs (i, j) with i < j and nothing strictly between.
+
+        up[i] is the bitmask of the j != i above i.  The j above i with
+        something strictly between are those above some member of up[i], so
+        the covers of i are up[i] minus the union of its members' up-sets.
+        """
+        up = [
+            sum(1 << j for j, le in enumerate(row) if le and j != i)
+            for i, row in enumerate(self.leq_matrix)
+        ]
         out = []
-        for i in range(n):
-            for j in range(n):
-                if i == j or not self.leq_matrix[i][j]:
-                    continue
-                if any(
-                    k != i and k != j and self.leq_matrix[i][k] and self.leq_matrix[k][j]
-                    for k in range(n)
-                ):
-                    continue
-                out.append((i, j))
+        for i, mask in enumerate(up):
+            above = 0
+            rest = mask
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                above |= up[low.bit_length() - 1]
+            covers = mask & ~above
+            out.extend((i, j) for j in range(covers.bit_length()) if covers >> j & 1)
         return tuple(out)
 
     def check_partial_order(self):

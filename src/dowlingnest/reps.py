@@ -121,7 +121,12 @@ class Representation:
         if group.abelian_spec is None:
             raise InstanceError("character input requires an abelian invariant-factor group")
         spec = group.abelian_spec
-        chars = tuple(tuple(int(c) for c in ch) for ch in characters)
+        if not all(
+            isinstance(ch, (list, tuple)) and all(type(c) is int for c in ch)
+            for ch in characters
+        ):
+            raise InstanceError("each character must be a list of integers")
+        chars = tuple(tuple(ch) for ch in characters)
         if not chars:
             raise InstanceError("representation must have positive dimension")
         for ch in chars:
@@ -159,8 +164,10 @@ class Representation:
 
     @classmethod
     def from_matrices(cls, group, generator_matrices):
-        """Extend matrices given on a generating set to all of G."""
-        known = {group.identity: None}
+        """Extend matrices given on a generating set to all of G; the
+        identity acts as the identity matrix unless a matrix is given for it
+        (which `_validate` then checks)."""
+        known = {}
         dim = None
         for g, m in generator_matrices.items():
             m = RMatrix(m.entries if isinstance(m, RMatrix) else m)
@@ -173,7 +180,7 @@ class Representation:
             known[g] = m
         if dim is None:
             raise InstanceError("no generator matrices given")
-        known[group.identity] = RMatrix.identity(dim)
+        known.setdefault(group.identity, RMatrix.identity(dim))
         changed = True
         while changed and len(known) < group.order:
             changed = False
@@ -214,6 +221,9 @@ class Representation:
                     raise InstanceError(
                         f"matrices are not a homomorphism at the pair ({a},{b})"
                     )
+        # a homomorphism can still send e to an idempotent other than I
+        if self.matrices[G.identity] != RMatrix.identity(self.matrix_dim):
+            raise InstanceError("the identity element must act as the identity matrix")
         if len({m.entries for m in self.matrices}) != n:
             raise InstanceError("representation not faithful")
         if fix_subspace(self, range(n)).dim != 0:

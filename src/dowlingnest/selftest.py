@@ -7,6 +7,8 @@ suite pins down, packaged for arbitrary user instances.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from .arrangement import (
     block_leq,
     block_subspace,
@@ -23,7 +25,7 @@ from .forests import enumerate_forests, forest_to_nested, nested_to_forest
 from .series import nested_count_via_series
 
 
-def _check_phi_closure(inst):
+def _check_phi_closure(inst, run):
     subs = inst.subgroups()
     for H in subs:
         P = closure_phi(inst, H)
@@ -41,7 +43,7 @@ def _check_phi_closure(inst):
     return True, f"{len(subs)} subgroups"
 
 
-def _check_conjugation_stability(inst):
+def _check_conjugation_stability(inst, run):
     cs = closed_subgroups(inst)
     for K in cs.members:
         for g in inst.group.elements():
@@ -50,7 +52,7 @@ def _check_conjugation_stability(inst):
     return True, f"{len(cs.members)} closed subgroups"
 
 
-def _check_block_order_oracle(inst):
+def _check_block_order_oracle(inst, run):
     blocks = building_blocks(inst)
     spaces = [block_subspace(inst, b) for b in blocks]
     for i, b1 in enumerate(blocks):
@@ -62,39 +64,37 @@ def _check_block_order_oracle(inst):
     return True, f"{len(blocks)} blocks, {len(blocks) ** 2} pairs"
 
 
-def _check_counts(inst):
-    nested = enumerate_nested_sets(inst)
-    forests = enumerate_forests(inst)
+def _check_counts(inst, run):
+    nested, forests = run.nested, run.forests
     if len(nested) != len(forests):
         return False, f"nested {len(nested)} != forests {len(forests)}"
     detail = f"nested = forests = {len(nested)}"
-    if inst.group.is_abelian:
-        via_series = nested_count_via_series(inst, inst.n)
-        if via_series != len(nested):
-            return False, f"series count {via_series} != {len(nested)}"
+    if run.series_count is not None:
+        if run.series_count != len(nested):
+            return False, f"series count {run.series_count} != {len(nested)}"
         detail += " = series count"
     return True, detail
 
 
-def _check_bijection(inst):
-    nested = enumerate_nested_sets(inst)
-    forests = enumerate_forests(inst)
+def _check_bijection(inst, run):
+    # Every forest survives forest -> nested -> forest, so forest_to_nested
+    # is injective, and its image is the enumerated nested sets.  So each
+    # nested set S is forest_to_nested(F) for one forest F, nested_to_forest
+    # sends S to F, and F goes back to S: the round trip from the nested
+    # side needs no loop of its own.
     image = set()
-    for forest in forests:
+    for forest in run.forests:
         ns = forest_to_nested(inst, forest)
         if nested_to_forest(inst, ns) != forest:
             return False, "round trip through a nested set moved a forest"
         image.add(ns)
-    if image != set(nested):
+    if image != set(run.nested):
         return False, "forest image differs from the enumerated nested sets"
-    for ns in nested:
-        if forest_to_nested(inst, nested_to_forest(inst, ns)) != ns:
-            return False, "round trip through a forest moved a nested set"
-    return True, f"{len(forests)} objects on each side"
+    return True, f"{len(run.forests)} objects on each side"
 
 
-def _check_fast_path(inst):
-    for ns in enumerate_nested_sets(inst):
+def _check_fast_path(inst, run):
+    for ns in run.nested:
         if not pairwise_compatible(inst, ns.blocks):
             return False, "an enumerated nested set fails pairwise compatibility"
         if not is_nested(inst, ns.blocks):
@@ -112,19 +112,51 @@ CHECKS = (
 )
 
 
+@dataclass(frozen=True)
+class _Run:
+    """What the checks share: each route enumerated or counted once."""
+
+    nested: list
+    forests: list
+    series_count: int | None
+
+
+def _check_work(inst, count):
+    """Refuse an instance whose nested count, or that count times its number
+    of building blocks (a bound on the work of the checks), passes the
+    nested-set cap.  Every block is a nested set, so once the count is
+    within the cap, so are the blocks built to count them."""
+    if count > inst.cap_nested:
+        raise SizeBoundExceeded(
+            f"{count} nested sets at n={inst.n} exceed the cap of "
+            f"{inst.cap_nested}; lower --n or raise --cap-nested"
+        )
+    blocks = len(building_blocks(inst))
+    if count * blocks > inst.cap_nested:
+        raise SizeBoundExceeded(
+            f"selftest work {count} nested sets x {blocks} blocks = "
+            f"{count * blocks} at n={inst.n} exceeds the cap of "
+            f"{inst.cap_nested}; lower --n or raise --cap-nested"
+        )
+
+
 def run_selftest(inst, emit=print):
-    """Run every check; for an abelian group, first refuse an instance whose
-    series count says its nested sets would pass the nested-set cap."""
+    """Run every check on one enumeration of each route.
+
+    The work is bounded before anything is printed: an abelian instance is
+    refused on its series count before anything is enumerated, any other
+    once its nested sets are (that enumeration stops at the cap itself).
+    """
+    series_count = None
     if inst.group.is_abelian:
-        count = nested_count_via_series(inst, inst.n)
-        if count > inst.cap_nested:
-            raise SizeBoundExceeded(
-                f"{count} nested sets at n={inst.n} exceed the cap of "
-                f"{inst.cap_nested}; lower --n or raise --cap-nested"
-            )
+        series_count = nested_count_via_series(inst, inst.n)
+        _check_work(inst, series_count)
+    nested = enumerate_nested_sets(inst)
+    _check_work(inst, len(nested))
+    run = _Run(nested, enumerate_forests(inst), series_count)
     failures = 0
     for name, fn in CHECKS:
-        ok, detail = fn(inst)
+        ok, detail = fn(inst, run)
         status = "PASS" if ok else "FAIL"
         if not ok:
             failures += 1

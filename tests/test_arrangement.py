@@ -408,7 +408,10 @@ def test_block_leq_reflexive(z2, klein):
 
 
 def test_block_leq_agrees_with_containment_everywhere(z2, z3, z4, klein, s3):
-    for inst in grid_instances(z2, z3, z4, klein, s3):
+    """At n=2 and on the n=3 grid; S3 at n=3 has nonabelian blocks with three
+    indices, where `block_leq`'s one-pass reduction is used."""
+    n3 = make_n3_grid() + [make_s3_instance(3)]
+    for inst in grid_instances(z2, z3, z4, klein, s3) + tuple(n3):
         blocks = building_blocks(inst)
         spaces = [block_subspace(inst, b) for b in blocks]
         for i, b1 in enumerate(blocks):

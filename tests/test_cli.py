@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from dowlingnest.cli import main
 
@@ -507,3 +511,132 @@ def test_good_bounds_in_the_file_still_apply(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "count", "--input", path, "--cap-nested", "9")
     assert code == 0
     assert out.splitlines()[-1] == "count 9"
+
+
+@pytest.mark.parametrize(
+    "group, representation",
+    [
+        (None, {"characters": [["a"]]}),
+        (None, {"characters": [1]}),
+        (None, {"characters": [[1.5]]}),
+        (None, {"characters": [[True]]}),
+        ({"abelian": [True, 2]}, {"characters": [[0, 1]]}),
+        ({"cayley": [[0, 1], 1]}, {"matrices": {"1": [[-1]]}}),
+        ({"cayley": [[0, True], [1, 0]]}, {"matrices": {"1": [[-1]]}}),
+        (None, {"matrices": {"1": [-1]}}),
+        (None, {"matrices": {"0": [[2]], "1": [[-1]]}}),
+        (None, {"matrices": {"0": [[1, 0], [0, 0]], "1": [[-1, 0], [0, 0]]}}),
+    ],
+    ids=[
+        "string-character",
+        "int-character",
+        "float-character",
+        "bool-character",
+        "bool-abelian-factor",
+        "cayley-row-not-a-list",
+        "bool-cayley-entry",
+        "matrix-rows-not-lists",
+        "bad-identity-matrix",
+        "idempotent-identity-matrix",
+    ],
+)
+def test_bad_group_or_representation_is_exit_2(tmp_path, capsys, group, representation):
+    path = _z2_with(tmp_path, group=group or {"abelian": [2]}, representation=representation)
+    code, out, err = run_cli(capsys, "closed-subgroups", "--input", path)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("input error:") and "Traceback" not in err
+
+
+def _json_values():
+    scalars = (
+        st.none()
+        | st.booleans()
+        | st.integers(-3, 9)
+        | st.floats(-3, 3, allow_nan=False)
+        | st.sampled_from(["", "a", "1", "1/2", "1/0", "-1", "0,1"])
+    )
+    return st.recursive(
+        scalars,
+        lambda inner: st.lists(inner, max_size=3)
+        | st.dictionaries(st.sampled_from(["", "0", "1", "a", "0,1"]), inner, max_size=3),
+        max_leaves=6,
+    )
+
+
+def _field_paths(doc, prefix=()):
+    """Every path to a member or list entry of a JSON document."""
+    if isinstance(doc, dict):
+        items = doc.items()
+    elif isinstance(doc, list):
+        items = enumerate(doc)
+    else:
+        return
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _field_paths(value, prefix + (key,))
+
+
+def _group_order_at_most(doc, bound):
+    group = doc.get("group")
+    if not isinstance(group, dict):
+        return True
+    factors = group.get("abelian")
+    if isinstance(factors, list) and all(type(d) is int for d in factors):
+        order = 1
+        for d in factors:
+            order *= max(d, 1)
+        if order > bound:
+            return False
+    table = group.get("cayley")
+    return not (isinstance(table, list) and len(table) > bound)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(["z2.json", "klein4.json", "s3.json"]),
+    st.data(),
+    _json_values(),
+)
+def test_mutated_instance_files_never_escape_main(tmp_path_factory, name, data, value):
+    """One field of a small valid file replaced by a random JSON value: the
+    command ends in exit 0, 2 or 3, never in a traceback or exit 1."""
+    doc = json.loads((INSTANCES / name).read_text())
+    path = data.draw(st.sampled_from(list(_field_paths(doc))))
+    owner = doc
+    for key in path[:-1]:
+        owner = owner[key]
+    owner[path[-1]] = value
+    assume(_group_order_at_most(doc, 8))
+    target = tmp_path_factory.mktemp("fuzz") / "inst.json"
+    target.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["closed-subgroups", "--input", str(target)])
+    assert code in (0, 2, 3), err.getvalue()
+
+
+def test_selftest_bounds_its_work(capsys):
+    """The series host at n=3 has 123,247 nested sets, under the default cap
+    of 10^7, but with its 196 blocks the checks' work is 24.2M: refused at
+    once, before anything is enumerated or printed."""
+    chains = str(INSTANCES / "z2x4_chains.json")
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "selftest", "--input", chains, "--n", "3")
+    assert time.perf_counter() - start < 10
+    assert code == 3
+    assert out == ""
+    assert "123247 nested sets x 196 blocks = 24156412" in err
+    assert "cap of 10000000" in err
+
+
+def test_selftest_bounds_the_work_of_a_nonabelian_instance(capsys):
+    """S3 at n=3: 10,159 nested sets x 124 blocks; without a series count the
+    bound is checked once the nested sets are enumerated."""
+    s3 = str(INSTANCES / "s3.json")
+    code, out, err = run_cli(
+        capsys, "selftest", "--input", s3, "--n", "3", "--cap-nested", "1259715"
+    )
+    assert code == 3
+    assert out == ""
+    assert "10159 nested sets x 124 blocks = 1259716" in err

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from pathlib import Path
 
 import pytest
@@ -10,7 +11,9 @@ from dowlingnest import (
     Block,
     MalformedForest,
     NestedSet,
+    NotRealizable,
     Subgroup,
+    building_blocks,
     closed_subgroups,
     decompose_forest,
     enumerate_forests,
@@ -227,6 +230,45 @@ def test_bijection_round_trips(z2, z3, z4, klein, s3):
         for ns in nested:
             forest = nested_to_forest(inst, ns)
             assert forest_to_nested(inst, forest) == ns
+
+
+@pytest.mark.parametrize(
+    "inst",
+    [
+        make_abelian_instance([2, 2], [[1, 0], [0, 1]], 3),
+        make_s3_instance(2),
+        make_s3_instance(3),
+    ],
+    ids=["klein4-n3", "s3-n2", "s3-n3"],
+)
+def test_nested_to_forest_refuses_exactly_the_sets_that_are_not_nested(inst):
+    """Random sets of one to four distinct blocks: `nested_to_forest` raises
+    NotRealizable exactly when the `is_nested` oracle says no, and otherwise
+    returns a forest that maps back onto the set."""
+    rng = random.Random(f"nested-to-forest-{inst.n}-{inst.group.order}")
+    blocks = building_blocks(inst)
+    refused = 0
+    for _ in range(300):
+        ns = NestedSet(tuple(rng.sample(blocks, rng.randint(1, 4))))
+        if is_nested(inst, ns.blocks):
+            assert forest_to_nested(inst, nested_to_forest(inst, ns)) == ns
+        else:
+            refused += 1
+            with pytest.raises(NotRealizable):
+                nested_to_forest(inst, ns)
+    assert 0 < refused < 300
+
+
+def test_a_forest_that_passes_every_rule_can_still_miss_the_set():
+    """On Klein n=3, {H^H2(1,2), H^H2(2,3)} is not nested, yet the build
+    gives a forest that passes every labelling rule; it maps to
+    {H^H2(1,2), H^H2(3)}, so only the round trip refuses it."""
+    inst = make_abelian_instance([2, 2], [[1, 0], [0, 1]], 3)
+    h2 = Subgroup((0, 1))
+    ns = NestedSet((Block(h2, (1, 2), (0, 0)), Block(h2, (2, 3), (0, 0))))
+    assert not is_nested(inst, ns.blocks)
+    with pytest.raises(NotRealizable, match="another set of blocks"):
+        nested_to_forest(inst, ns)
 
 
 def _assert_stored_order_data(forest):

@@ -16,7 +16,6 @@ from .arrangement import (
     block_leq,
     block_subspace,
     blocks_compatible,
-    build_instance,
     building_blocks,
     closed_subgroups,
     closure_phi,
@@ -102,7 +101,6 @@ __all__ = [
     "block_leq",
     "block_subspace",
     "blocks_compatible",
-    "build_instance",
     "building_blocks",
     "closed_subgroups",
     "closure_phi",

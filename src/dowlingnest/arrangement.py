@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations, product
-from math import lcm
 from operator import attrgetter
 
 from .errors import InstanceError, SizeBoundExceeded
@@ -39,9 +38,9 @@ from .groups import (
     subgroup_closure,
     subgroup_conj_classes,
 )
-from .linalg import ONE, ZERO, RMatrix, Subspace, in_row_space, integer_echelon, kernel
+from .linalg import ONE, ZERO, Subspace, in_row_space, integer_echelon, kernel_echelon
 from .poset import Poset
-from .reps import Representation, pointwise_stabilizer
+from .reps import pointwise_stabilizer
 
 DEFAULT_CAP_LATTICE = 10**6
 DEFAULT_CAP_NESTED = 10**7
@@ -127,23 +126,6 @@ def _cap(name, value, default):
     if isinstance(value, bool) or not isinstance(value, int) or value < 0:
         raise InstanceError(f"{name}: expected a nonnegative integer, got {value!r}")
     return value
-
-
-def build_instance(n, group, rep_data, names=None, cap_lattice=None, cap_nested=None):
-    """Construct an instance from raw representation data.
-
-    rep_data is either {"characters": [...]} or {"matrices": {id: rows}}.
-    """
-    if "characters" in rep_data:
-        rep = Representation.from_characters(group, rep_data["characters"])
-    elif "matrices" in rep_data:
-        mats = {int(k): v for k, v in rep_data["matrices"].items()}
-        rep = Representation.from_matrices(group, mats)
-    else:
-        raise InstanceError("representation must give 'characters' or 'matrices'")
-    return ProblemInstance(
-        n, group, rep, names=names, cap_lattice=cap_lattice, cap_nested=cap_nested
-    )
 
 
 # -- closure operator and closed subgroups -----------------------------------
@@ -274,15 +256,6 @@ def raw_arrangement(inst):
     return sorted(seen.values(), key=lambda s: s.sort_key)
 
 
-def _constraint_rows(space):
-    """The `integer_echelon` of the annihilator of a subspace."""
-    rows = []
-    for row in space.perp().basis:
-        den = lcm(*(x.denominator for x in row))
-        rows.append([x.numerator * (den // x.denominator) for x in row])
-    return integer_echelon(rows)
-
-
 def intersection_lattice(inst, cap=None):
     """Closure of the raw arrangement under intersection, as a Poset.
 
@@ -306,13 +279,14 @@ def intersection_lattice(inst, cap=None):
     Hence A contains B exactly when mask(A) is a subset of mask(B): if it
     is, B = meet(mask(B)) <= meet(mask(A)) = A; conversely a raw subspace
     containing A contains B, so it lies in mask(B).  Only at the end is
-    each flat turned into its rational Subspace, by one `kernel` of its
-    rows.
+    each flat turned into its rational Subspace, by one `kernel_echelon` of
+    its rows.
     """
     if cap is None:
         cap = inst.cap_lattice
+    d = inst.ambient_dim
     raw = raw_arrangement(inst)
-    gens = [_constraint_rows(s) for s in raw]
+    gens = [kernel_echelon(s.basis, d) for s in raw]
     flats = {}  # constraint rows -> mask
 
     def admit(rows, mask):
@@ -337,9 +311,8 @@ def intersection_lattice(inst, cap=None):
             meet = integer_echelon(rows + gen)
             if meet not in flats:
                 worklist.append((meet, admit(meet, mask | 1 << k)))
-    d = inst.ambient_dim
     spaces = [
-        (kernel(RMatrix(rows)) if rows else Subspace.full(d), mask)
+        (Subspace.from_echelon(d, kernel_echelon(rows, d)), mask)
         for rows, mask in flats.items()
     ]
     spaces.sort(key=lambda sm: (-sm[0].dim, sm[0].basis))
@@ -429,6 +402,33 @@ def building_blocks(inst):
     blocks.sort(key=attrgetter("sort_key"))
     inst._blocks = tuple(blocks)
     return inst._blocks
+
+
+def block_count(inst):
+    """len(building_blocks(inst)), computed without building a block.
+
+    A closed K of index r gives C(n, k) r^(k-1) blocks on k indices (a coset
+    at every index but the first), k = 1 excepted when K = {e}.  Summed over
+    k >= 1 that is ((1 + r)^n - 1) / r, an exact division.
+    """
+    n = inst.n
+    total = 0
+    for K in closed_subgroups(inst).members:
+        r = inst.group.order // len(K)
+        total += ((1 + r) ** n - 1) // r - (n if len(K) == 1 else 0)
+    return total
+
+
+def check_block_cap(inst, cap):
+    """Refuse, before any block is built, an enumeration whose building
+    blocks alone pass the cap: every block is a nested set of one block,
+    and nested sets and forests are in bijection.  K = G alone gives
+    2^n - 1 blocks, so an n past the bit length of the cap is refused
+    without computing the count."""
+    if inst.n > cap.bit_length() or block_count(inst) > cap:
+        raise SizeBoundExceeded(
+            f"the building blocks at n={inst.n} exceed the cap of {cap}"
+        )
 
 
 # -- order and compatibility ----------------------------------------------------
@@ -652,6 +652,7 @@ def enumerate_nested_sets(inst, cap=None):
     """
     if cap is None:
         cap = inst.cap_nested
+    check_block_cap(inst, cap)
     blocks = building_blocks(inst)
     m = len(blocks)
     compat = [0] * m

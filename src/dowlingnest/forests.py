@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from itertools import product as iter_product
 from operator import attrgetter
 
-from .arrangement import Block, NestedSet, closed_subgroups
+from .arrangement import Block, NestedSet, check_block_cap, closed_subgroups
 from .errors import MalformedForest, NotRealizable, SizeBoundExceeded
 from .groups import Subgroup, coset_rep, left_cosets
 
@@ -172,12 +172,11 @@ def check_structure(inst, forest):
         )
 
 
-def forest_violation(inst, forest, variant="general"):
+def forest_violation(inst, forest):
     """First violated rule as a string, or None when the forest is valid.
 
-    variant="abelian" applies the simplified unary/coset clauses; on abelian
-    instances both variants accept exactly the same forests.  A vertex label
-    that is not a closed subgroup is reported before any rule is checked.
+    A vertex label that is not a closed subgroup is reported before any rule
+    is checked.
     """
     check_structure(inst, forest)
     cs = closed_subgroups(inst)
@@ -212,18 +211,14 @@ def forest_violation(inst, forest, variant="general"):
                     )
                 if isinstance(child, Vertex):
                     P = child.subgroup
-                    if variant == "abelian":
-                        if not P.is_subset(Q):
-                            return "rule (1): descendant label not below its ancestor"
-                    else:
-                        if not conj.leq(P, Q):
-                            return "rule (1): descendant class not below its ancestor"
-                        a_inv = G.inv(rep)
-                        if any(G.conj(a_inv, p) not in Q.elements for p in P):
-                            return (
-                                "rule (4): representative does not conjugate the child "
-                                "label into the parent label"
-                            )
+                    if not conj.leq(P, Q):
+                        return "rule (1): descendant class not below its ancestor"
+                    a_inv = G.inv(rep)
+                    if any(G.conj(a_inv, p) not in Q.elements for p in P):
+                        return (
+                            "rule (4): representative does not conjugate the child "
+                            "label into the parent label"
+                        )
                     if P.elements == whole.elements:
                         g_children += 1
             if Q.elements == whole.elements and g_children > 1:
@@ -234,13 +229,8 @@ def forest_violation(inst, forest, variant="general"):
                     if Q.elements == trivial.elements:
                         return "rule (2): a unary vertex over a leaf is labelled {e}"
                 else:
-                    P = child.subgroup
-                    if variant == "abelian":
-                        if not (P.is_subset(Q) and P.elements != Q.elements):
-                            return "rule (2): unary vertex without a strict label drop"
-                    else:
-                        if not class_lt(P, Q):
-                            return "rule (2): unary vertex without a strict class drop"
+                    if not class_lt(child.subgroup, Q):
+                        return "rule (2): unary vertex without a strict class drop"
             # rule (5): the edge toward the smallest descendant leaf is trivial
             smallest = v.smallest
             for rep, child in v.children:
@@ -251,8 +241,8 @@ def forest_violation(inst, forest, variant="general"):
     return None
 
 
-def validate_forest(inst, forest, variant="general"):
-    return forest_violation(inst, forest, variant=variant) is None
+def validate_forest(inst, forest):
+    return forest_violation(inst, forest) is None
 
 
 # -- forest -> nested set ---------------------------------------------------------
@@ -376,6 +366,7 @@ def enumerate_forests(inst, cap=None):
     """
     if cap is None:
         cap = inst.cap_nested
+    check_block_cap(inst, cap)
     G = inst.group
     cs = closed_subgroups(inst)
     whole = Subgroup(tuple(range(G.order)))

@@ -297,7 +297,8 @@ def left_cosets(G, K):
 
 def coset_rep(G, K, g):
     """Canonical representative of the coset gK."""
-    return min(G.mul(g, k) for k in K)
+    row = G._mul[g]
+    return min([row[k] for k in K.elements])
 
 
 @dataclass(frozen=True)

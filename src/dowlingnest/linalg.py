@@ -4,26 +4,24 @@ Everything here is over Fraction or int; no floating point is used anywhere,
 so containment and equality of subspaces are genuine decisions.  A Subspace
 is canonically represented by the RREF basis of its row space, which makes
 set-equality of subspaces the same as equality of the dataclass fields.
-`integer_echelon` gives the same canonical form for integer rows, scaled to
-integers, for loops that would otherwise spend their time normalizing
-Fractions.
+There is one elimination, the fraction-free `integer_echelon`: `rref` and
+`kernel` scale their rows to integers, eliminate there, and divide each row
+by its pivot only at the end, and `RMatrix.mul` takes integer dot products
+over one denominator.  Fractions are built only for what is returned.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, count
-from math import gcd
+from math import gcd, lcm
 
 from .errors import AmbientMismatch, InstanceError
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-
-
-def _frac_rows(rows):
-    return tuple(tuple(Fraction(x) for x in row) for row in rows)
 
 
 @dataclass(frozen=True)
@@ -33,7 +31,11 @@ class RMatrix:
     entries: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "entries", _frac_rows(self.entries))
+        entries = tuple(
+            tuple(x if type(x) is Fraction else Fraction(x) for x in row)
+            for row in self.entries
+        )
+        object.__setattr__(self, "entries", entries)
         if self.entries and any(len(r) != len(self.entries[0]) for r in self.entries):
             raise InstanceError("ragged matrix")
 
@@ -54,13 +56,17 @@ class RMatrix:
         return cls(tuple(tuple(ZERO for _ in range(cols)) for _ in range(rows)))
 
     def mul(self, other):
+        """The product, as integer dot products over one denominator."""
         if self.cols != other.rows:
             raise AmbientMismatch("matrix product shape mismatch")
-        bt = tuple(zip(*other.entries))
+        a, da = _over_one_denominator(self.entries)
+        b, db = _over_one_denominator(other.entries)
+        den = da * db
+        bt = tuple(zip(*b))
         return RMatrix(
             tuple(
-                tuple(sum(a * b for a, b in zip(row, col)) for col in bt)
-                for row in self.entries
+                tuple(Fraction(sum(map(operator.mul, row, col)), den) for col in bt)
+                for row in a
             )
         )
 
@@ -83,35 +89,23 @@ class RMatrix:
         return self == RMatrix.identity(self.rows)
 
 
+def _over_one_denominator(rows):
+    """(integer rows, den) with rows = integer rows / den, for int or Fraction."""
+    rows = tuple(rows)
+    den = lcm(*(x.denominator for row in rows for x in row))
+    return [[x.numerator * (den // x.denominator) for x in row] for row in rows], den
+
+
+def _unit_pivots(echelon):
+    """The RREF of an `integer_echelon` (each row over its pivot), and its pivots."""
+    pivots = tuple(map(_lead, echelon))
+    rows = (tuple(Fraction(x, row[p]) for x in row) for row, p in zip(echelon, pivots))
+    return tuple(rows), pivots
+
+
 def rref(rows):
     """Reduced row echelon form; returns (rows_without_zero_rows, pivot_columns)."""
-    m = [list(r) for r in rows]
-    if not m:
-        return (), ()
-    ncols = len(m[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = None
-        for i in range(r, len(m)):
-            if m[i][c] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = ONE / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    out = tuple(tuple(row) for row in m[:r])
-    return out, tuple(pivots)
+    return _unit_pivots(integer_echelon(_over_one_denominator(rows)[0]))
 
 
 @dataclass(frozen=True)
@@ -123,12 +117,17 @@ class Subspace:
 
     @classmethod
     def from_spanning(cls, ambient_dim, vectors):
-        vecs = _frac_rows(vectors)
+        vecs = tuple(vectors)
         for v in vecs:
             if len(v) != ambient_dim:
                 raise AmbientMismatch("spanning vector has wrong length")
         rows, _ = rref(vecs)
         return cls(ambient_dim=ambient_dim, basis=rows)
+
+    @classmethod
+    def from_echelon(cls, ambient_dim, echelon):
+        """The Subspace spanned by the rows of an `integer_echelon`."""
+        return cls(ambient_dim=ambient_dim, basis=_unit_pivots(echelon)[0])
 
     @classmethod
     def full(cls, ambient_dim):
@@ -181,9 +180,9 @@ class Subspace:
         Over Q the form is positive definite, so perp is a genuine
         complement and perp(perp(S)) == S.
         """
-        if not self.basis:
-            return Subspace.full(self.ambient_dim)
-        return kernel(RMatrix(self.basis))
+        return Subspace.from_echelon(
+            self.ambient_dim, kernel_echelon(self.basis, self.ambient_dim)
+        )
 
     def intersect(self, other):
         self._check(other)
@@ -207,19 +206,30 @@ class Subspace:
 
 def kernel(M):
     """Canonical Subspace of all v with M v = 0."""
-    rows, pivots = rref(M.entries)
-    n = M.cols
-    pivot_set = set(pivots)
-    free = [c for c in range(n) if c not in pivot_set]
+    return Subspace.from_echelon(M.cols, kernel_echelon(M.entries, M.cols))
+
+
+def kernel_echelon(rows, ncols):
+    """The `integer_echelon` of {v in Q^ncols : row . v = 0 for each row},
+    for int or Fraction rows.
+
+    With L the lcm of the pivots of the rows' echelon, each free column f
+    gives the vector with L at f, -L * row[f] / row[p] at the pivot p of
+    each echelon row and 0 elsewhere.  An echelon row is 0 at the other
+    pivots, so it is orthogonal to that vector; the ncols - rank vectors
+    are independent, so they span the kernel.
+    """
+    echelon = integer_echelon(_over_one_denominator(rows)[0])
+    pivots = [_lead(row) for row in echelon]
+    L = lcm(*(row[p] for row, p in zip(echelon, pivots)))
     basis = []
-    for f in free:
-        v = [ZERO] * n
-        v[f] = ONE
-        for r, p in zip(rows, pivots):
-            v[p] = -r[f]
-        basis.append(tuple(v))
-    canon, _ = rref(basis)
-    return Subspace(ambient_dim=n, basis=canon)
+    for f in sorted(set(range(ncols)) - set(pivots)):
+        v = [0] * ncols
+        v[f] = L
+        for row, p in zip(echelon, pivots):
+            v[p] = -(L // row[p]) * row[f]
+        basis.append(v)
+    return integer_echelon(basis)
 
 
 def _lead(row):

@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .arrangement import (
+    block_count,
     block_leq,
     block_subspace,
     building_blocks,
@@ -124,14 +125,13 @@ class _Run:
 def _check_work(inst, count):
     """Refuse an instance whose nested count, or that count times its number
     of building blocks (a bound on the work of the checks), passes the
-    nested-set cap.  Every block is a nested set, so once the count is
-    within the cap, so are the blocks built to count them."""
+    nested-set cap.  The blocks are counted, not built."""
     if count > inst.cap_nested:
         raise SizeBoundExceeded(
             f"{count} nested sets at n={inst.n} exceed the cap of "
             f"{inst.cap_nested}; lower --n or raise --cap-nested"
         )
-    blocks = len(building_blocks(inst))
+    blocks = block_count(inst)
     if count * blocks > inst.cap_nested:
         raise SizeBoundExceeded(
             f"selftest work {count} nested sets x {blocks} blocks = "

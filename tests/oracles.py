@@ -117,6 +117,32 @@ def flat_tree_key(node):
     return key + (-1,)
 
 
+def gauss_jordan_rref(rows):
+    """Reduced row echelon form by Gauss-Jordan elimination over Fraction:
+    (nonzero rows, pivot columns), the contract of `linalg.rref`."""
+    m = [[Fraction(x) for x in r] for r in rows]
+    if not m:
+        return (), ()
+    pivots = []
+    r = 0
+    for c in range(len(m[0])):
+        pivot = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        inv = 1 / m[r][c]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return tuple(tuple(row) for row in m[:r]), tuple(pivots)
+
+
 def dowling_hyperplane_lattice(r, n):
     """Intersection lattice of the rank-n full monomial reflection
     arrangement over the r-th roots of unity, built from the hyperplane

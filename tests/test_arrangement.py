@@ -35,6 +35,7 @@ from dowlingnest import (
     raw_arrangement,
 )
 from dowlingnest.arrangement import (
+    block_count,
     free_factor_subspace,
     nested_sets_poset,
     pairwise_compatible,
@@ -322,6 +323,14 @@ def test_z2_blocks_are_the_five_expected(z2):
         "H^{0,1}(2^0)",
         "H^{0,1}(1^0,2^0)",
     }
+
+
+@pytest.mark.parametrize("path", sorted(INSTANCES.glob("*.json")), ids=lambda p: p.stem)
+def test_block_count_is_the_number_of_blocks(path):
+    inst = load_instance(path, n_override=1)
+    for n in (1, 2, 3):
+        inst = inst.with_n(n)
+        assert block_count(inst) == len(building_blocks(inst))
 
 
 def test_block_subspace_dimension_identity():

@@ -5,6 +5,10 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import os
+import resource
+import subprocess
+import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -640,3 +644,41 @@ def test_selftest_bounds_the_work_of_a_nonabelian_instance(capsys):
     assert code == 3
     assert out == ""
     assert "10159 nested sets x 124 blocks = 1259716" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["forests", "--input", "z2.json", "--n", "1100"],
+        ["count", "--method", "forest", "--input", "z2.json", "--n", "1100"],
+        ["nested", "--input", "z2.json", "--n", "40"],
+        ["count", "--method", "lattice", "--input", "s3.json", "--n", "30"],
+    ],
+    ids=["forests-z2", "count-forest-z2", "nested-z2", "count-lattice-s3"],
+)
+def test_caps_refuse_before_any_block_is_built(argv):
+    """Every block is a nested set, so a block count past the cap is exit 3
+    before a block is built.  These ended in a RecursionError, a MemoryError
+    or a run without end; the subprocess has a time and a memory limit so
+    that a regression fails instead of taking the machine's memory."""
+    argv = [str(INSTANCES / a) if a.endswith(".json") else a for a in argv]
+    env = dict(os.environ, PYTHONPATH=str(INSTANCES.parent / "src"))
+    limit = 1 << 30
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    start = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-m", "dowlingnest.cli", *argv],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+        preexec_fn=cap_memory,
+    )
+    assert time.perf_counter() - start < 10
+    assert done.returncode == 3, done.stderr
+    assert done.stdout == ""
+    assert "bound exceeded" in done.stderr
+    assert "Traceback" not in done.stderr

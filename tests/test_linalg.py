@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import time
 from fractions import Fraction
 from math import gcd
 
@@ -18,6 +19,7 @@ from dowlingnest import (
     Subgroup,
     Subspace,
     kernel,
+    parse_instance,
 )
 from dowlingnest.linalg import in_row_space, integer_echelon, rref
 from dowlingnest.reps import (
@@ -27,6 +29,7 @@ from dowlingnest.reps import (
 )
 
 from conftest import make_abelian_instance, make_s3_instance
+from oracles import gauss_jordan_rref
 
 
 def test_kernel_of_zero_and_identity():
@@ -108,11 +111,11 @@ def rows_and_vectors(draw):
 @settings(max_examples=150, deadline=None)
 @given(rows_and_vectors())
 def test_integer_echelon_scales_the_rref(case):
-    """Each row is the matching RREF row times a positive integer, and the
-    rows are primitive; membership agrees with `contains_vector`."""
+    """Each row is the Gauss-Jordan RREF row times a positive integer, and
+    the rows are primitive; membership agrees with `contains_vector`."""
     ambient, rows, combination, other = case
     echelon = integer_echelon(rows)
-    reduced, pivots = rref(rows)
+    reduced, pivots = gauss_jordan_rref(rows)
     assert len(echelon) == len(reduced)
     for row, ref, p in zip(echelon, reduced, pivots):
         assert all(type(x) is int for x in row)
@@ -121,6 +124,46 @@ def test_integer_echelon_scales_the_rref(case):
     space = Subspace.from_spanning(ambient, rows)
     assert in_row_space(echelon, combination)
     assert in_row_space(echelon, other) == space.contains_vector(other)
+
+
+@st.composite
+def rational_matrices(draw, max_rows=4, max_cols=5):
+    rows = draw(st.integers(min_value=1, max_value=max_rows))
+    cols = draw(st.integers(min_value=1, max_value=max_cols))
+    return [[draw(small_fracs) for _ in range(cols)] for _ in range(rows)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(rational_matrices())
+def test_rref_and_kernel_match_gauss_jordan(rows):
+    """`rref` equals Gauss-Jordan over Fraction; the kernel's basis is in
+    that RREF, solves M v = 0 and has cols - rank vectors, so it is the
+    canonical basis of the kernel.  The check calls no `integer_echelon`."""
+    cols = len(rows[0])
+    reduced, pivots = gauss_jordan_rref(rows)
+    got = rref(rows)
+    assert got == (reduced, pivots)
+    basis = kernel(RMatrix(rows)).basis
+    assert all(type(x) is Fraction for part in (got[0], basis) for v in part for x in v)
+    assert len(basis) == cols - len(pivots)
+    for v in basis:
+        assert all(sum(a * x for a, x in zip(row, v)) == 0 for row in rows)
+    assert gauss_jordan_rref(basis)[0] == basis
+    assert Subspace.from_spanning(cols, rows).perp().basis == basis
+
+
+@settings(max_examples=150, deadline=None)
+@given(rational_matrices(), st.integers(min_value=0, max_value=4), st.data())
+def test_matrix_product_matches_the_fraction_triple_loop(a, cols, data):
+    inner = len(a[0])
+    b = [[data.draw(small_fracs) for _ in range(cols)] for _ in range(inner)]
+    expected = tuple(
+        tuple(sum((a[i][k] * b[k][j] for k in range(inner)), Fraction(0)) for j in range(cols))
+        for i in range(len(a))
+    )
+    got = RMatrix(a).mul(RMatrix(b)).entries
+    assert got == expected
+    assert all(type(x) is Fraction for row in got for x in row)
 
 
 def test_fix_subspace_trivial_subgroup_is_everything(klein):
@@ -216,6 +259,20 @@ def test_character_realization_is_faithful_rational_homomorphism():
     i_mat = rep.matrix(1)
     assert i_mat.mul(i_mat).entries == rep.matrix(2).entries
     assert i_mat.mul(i_mat).mul(i_mat).mul(i_mat).is_identity()
+
+
+def test_largest_cyclic_group_loads_quickly():
+    """Z/63 realizes its character through 63 powers of a 36 x 36 companion
+    matrix, and the homomorphism check multiplies 63 more products; in
+    Fraction arithmetic that load took about 24 s, on integer numerators
+    about 1 s."""
+    start = time.perf_counter()
+    inst = parse_instance(
+        {"n": 1, "group": {"abelian": [63]}, "representation": {"characters": [[1]]}}
+    )
+    assert time.perf_counter() - start < 10
+    assert inst.rep.scalar_degree == 36
+    assert inst.rep.matrix(1).mul(inst.rep.matrix(62)).is_identity()
 
 
 def test_faithless_characters_rejected():

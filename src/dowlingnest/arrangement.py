@@ -38,7 +38,15 @@ from .groups import (
     subgroup_closure,
     subgroup_conj_classes,
 )
-from .linalg import ONE, ZERO, Subspace, in_row_space, integer_echelon, kernel_echelon
+from .linalg import (
+    ONE,
+    ZERO,
+    Subspace,
+    in_row_space,
+    integer_echelon,
+    kernel_echelon,
+    pivot_columns,
+)
 from .poset import Poset
 from .reps import pointwise_stabilizer
 
@@ -294,8 +302,9 @@ def intersection_lattice(inst, cap=None):
             raise SizeBoundExceeded(
                 f"intersection lattice exceeded the cap of {cap} elements"
             )
+        pivots = pivot_columns(rows)
         for k, gen in enumerate(gens):
-            if not mask >> k & 1 and all(in_row_space(rows, r) for r in gen):
+            if not mask >> k & 1 and all(in_row_space(rows, pivots, r) for r in gen):
                 mask |= 1 << k
         flats[rows] = mask
         return mask

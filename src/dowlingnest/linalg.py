@@ -98,7 +98,7 @@ def _over_one_denominator(rows):
 
 def _unit_pivots(echelon):
     """The RREF of an `integer_echelon` (each row over its pivot), and its pivots."""
-    pivots = tuple(map(_lead, echelon))
+    pivots = pivot_columns(echelon)
     rows = (tuple(Fraction(x, row[p]) for x in row) for row, p in zip(echelon, pivots))
     return tuple(rows), pivots
 
@@ -220,7 +220,7 @@ def kernel_echelon(rows, ncols):
     are independent, so they span the kernel.
     """
     echelon = integer_echelon(_over_one_denominator(rows)[0])
-    pivots = [_lead(row) for row in echelon]
+    pivots = pivot_columns(echelon)
     L = lcm(*(row[p] for row, p in zip(echelon, pivots)))
     basis = []
     for f in sorted(set(range(ncols)) - set(pivots)):
@@ -280,15 +280,20 @@ def integer_echelon(rows):
     return tuple(out)
 
 
-def in_row_space(echelon, v):
+def pivot_columns(echelon):
+    """The pivot column of each row of an `integer_echelon` result."""
+    return tuple(map(_lead, echelon))
+
+
+def in_row_space(echelon, pivots, v):
     """Whether the integer vector v lies in the row space of `echelon`.
 
-    `echelon` is an `integer_echelon` result; its rows are 0 at each other's
-    pivots, so clearing v at every pivot in turn leaves 0 exactly when v is
-    a combination of the rows.
+    `echelon` is an `integer_echelon` result and `pivots` its
+    `pivot_columns`, found once for the many vectors tested against it.  Its
+    rows are 0 at each other's pivots, so clearing v at every pivot in turn
+    leaves 0 exactly when v is a combination of the rows.
     """
-    for row in echelon:
-        c = _lead(row)
+    for row, c in zip(echelon, pivots):
         a = v[c]
         if a:
             v = [row[c] * x - a * y for x, y in zip(v, row)]

@@ -17,10 +17,19 @@ children gives the functional equation
 
     lambda_bar = (1/r) * (exp(r*B) - 1 - r*B),
 
-solved degree by degree.  The same counts arise from weighted partitions:
-trees with l leaves and k internal vertices biject with partitions of an
-(l+k-1)-set into k blocks of size >= 2, a block of size i weighing r^(i-1);
-partition_oracle recursion pins that down independently.
+which `lambda_bar` solves by an integer recurrence on the EGF coefficients
+of lambda_bar and exp(r*B), read off from the derivatives of both sides
+(O(trunc^2) big-integer steps).  The same counts arise from weighted
+partitions: trees with l leaves and k internal vertices biject with
+partitions of an (l+k-1)-set into k blocks of size >= 2, a block of size i
+weighing r^(i-1); partition_oracle recursion pins that down independently.
+
+The forest series `gamma_tilde` applies one operator exponential per proper
+closed subgroup H.  `nested_count_via_series` needs only the series at
+s = 1 with every t_K replaced by t, so it runs the same operator schedule
+with s = 1 from the start and merges each t_K into t as soon as no later
+operator differentiates it; both are ring maps that commute with the
+operators still to come (the proof is at `_gamma_tilde_at_s1`).
 """
 
 from __future__ import annotations
@@ -363,18 +372,30 @@ class MultiSeries:
 
 def lambda_bar(r, trunc):
     """EGF of leaf-labelled rooted trees with all arities >= 2 and edge
-    weight r^(arity-1) per vertex, as a series in 't'."""
-    t = MultiSeries.monomial(("t",), trunc, "t")
-    lam = MultiSeries(("t",), trunc, {})
-    for _ in range(trunc + 1):
-        branches = t.add(lam)
-        rb = branches.scale(r)
-        correction = MultiSeries.constant(("t",), trunc).add(rb)
-        nxt = rb.exp().sub(correction).scale(Fraction(1, r))
-        if nxt == lam:
-            break
-        lam = nxt
-    return lam
+    weight r^(arity-1) per vertex, as a series in 't'.
+
+    With a_n = n![t^n] lambda_bar, e_n = n![t^n] exp(r*B) and
+    b_k = a_k + [k = 1] the coefficients of B = t + lambda_bar, the
+    derivatives lambda_bar' = B'(exp(r*B) - 1) and exp(r*B)' = r*B'exp(r*B)
+    read, coefficient by coefficient,
+
+        a_(n+1) = sum over k < n of C(n, k) b_(k+1) e_(n-k),
+        e_(n+1) = r * (sum over k <= n of C(n, k) b_(k+1) e_(n-k)),
+
+    from a_0 = 0 and e_0 = 1.  The k = n summand of a_(n+1) is missing
+    because e_0 - 1 = 0; it is the one that needs b_(n+1).
+    """
+    a = [0] * (trunc + 1)
+    b = [0] * (trunc + 1)  # b[k] = a[k] + [k = 1], filled as a[k] is
+    e = [1] + [0] * trunc
+    for n in range(trunc):
+        below = sum(comb(n, k) * b[k + 1] * e[n - k] for k in range(n))
+        a[n + 1] = below
+        b[n + 1] = below + (n == 0)
+        e[n + 1] = r * (below + b[n + 1])
+    return MultiSeries(
+        ("t",), trunc, {(n,): Fraction(x, factorial(n)) for n, x in enumerate(a)}
+    )
 
 
 def partition_oracle(n, k, r):
@@ -454,6 +475,31 @@ def admissible_order(inst):
     return tuple(sorted(cs.proper, key=lambda K: (-len(K), K.elements)))
 
 
+def _operator_schedule(inst, trunc, order):
+    """The operators of the forest series, one step per H of `order`.
+
+    Yields (H, lam_H as a series in 't', the K strictly above H, the K
+    whose t_K is finished once H's step is done).  t_K is finished after
+    the last H contained in K, K itself included: every operator that
+    differentiates t_K belongs to a proper closed H strictly inside K, and
+    lam_K enters at K's own step.
+    """
+    proper = closed_subgroups(inst).proper
+    last = {
+        K.elements: i for i, H in enumerate(order) for K in proper if H.is_subset(K)
+    }
+    for i, H in enumerate(order):
+        above = [K for K in proper if H.is_subset(K) and K.elements != H.elements]
+        finished = [K for K in proper if last[K.elements] == i]
+        yield H, lambda_for_subgroup(inst, H, trunc), above, finished
+
+
+def _embed_lambda(lam, vars, var):
+    """A series in 't' as the same series in `var` inside `vars`."""
+    exps = {_single_exp(vars, var, e[0]): c for e, c in lam.coeffs.items()}
+    return MultiSeries(vars, lam.trunc, exps)
+
+
 def gamma_tilde(inst, trunc, order=None):
     """Forest series over proper closed subgroups: no fallen leaves, no
     full-group vertices.
@@ -488,20 +534,40 @@ def gamma_tilde(inst, trunc, order=None):
     vars = series_variables(inst)
     acc = MultiSeries.constant(vars, trunc)
     s_var = MultiSeries.monomial(vars, trunc, "s")
-    for H in order:
-        lam = lambda_for_subgroup(inst, H, trunc)
-        lam_embedded = MultiSeries(
-            vars,
-            trunc,
-            {
-                _single_exp(vars, subgroup_variable(H), e[0]): c
-                for e, c in lam.coeffs.items()
-            },
-        )
-        acc = _apply_exp_multiply(acc, s_var.mul(lam_embedded))
-        for K in proper:
-            if H.is_subset(K) and K.elements != H.elements:
-                acc = _apply_exp_derive(acc, lam_embedded, subgroup_variable(K))
+    for H, lam, above, _ in _operator_schedule(inst, trunc, order):
+        lam = _embed_lambda(lam, vars, subgroup_variable(H))
+        acc = _apply_exp_multiply(acc, s_var.mul(lam))
+        for K in above:
+            acc = _apply_exp_derive(acc, lam, subgroup_variable(K))
+    return acc
+
+
+def _gamma_tilde_at_s1(inst, trunc):
+    """gamma_tilde(inst, trunc) at s = 1 with every t_K replaced by t.
+
+    Both substitutions are ring maps of truncated series that keep the
+    t-degree (t and the t_K count alike), so they commute with products and
+    with exp.  Setting s = 1 also commutes with every d/dt_K, since s is
+    never differentiated: apply it from the start, and each multiplier is
+    exp(lam_H(t_H)).  Replacing t_K by t commutes with d/dt_L for L != K
+    and with every later multiplier, which lies in some t_H, H != K; it
+    only fails to commute with d/dt_K.  So t_K can be replaced as soon as
+    the last operator that differentiates it has run, which is when the
+    schedule calls it finished.  Every t_K is finished after the last step,
+    leaving a series in t alone.
+    """
+    if not inst.group.is_abelian:
+        raise AbelianOnly("the forest series requires an abelian group")
+    acc = MultiSeries.constant(series_variables(inst)[1:], trunc)
+    for H, lam, above, finished in _operator_schedule(
+        inst, trunc, admissible_order(inst)
+    ):
+        lam = _embed_lambda(lam, acc.vars, subgroup_variable(H))
+        acc = _apply_exp_multiply(acc, lam)
+        for K in above:
+            acc = _apply_exp_derive(acc, lam, subgroup_variable(K))
+        if finished:
+            acc = acc.merge_vars([subgroup_variable(K) for K in finished], "t")
     return acc
 
 
@@ -555,10 +621,20 @@ def _big_g_from(tilde):
 
 
 def nested_count_via_series(inst, n):
-    """n! times the t^n coefficient of the counting series at s = 1."""
-    series = big_g(inst, n).eval_var("s", 1)
-    coeff = series.coefficient(t=n)
-    value = coeff * factorial(n)
+    """n! times the t^n coefficient of the counting series at s = 1.
+
+    big_g at s = 1 is G(1,t) = phi*gamma + e^t(gamma~ - 1), where gamma~ is
+    gamma_tilde at s = 1 with every t_K merged into t, gamma = e^t gamma~
+    and phi = 1/(2 - gamma) - 1.  gamma~ comes from `_gamma_tilde_at_s1`,
+    so no series in s or in the t_K is left to be built.
+    """
+    tilde = _gamma_tilde_at_s1(inst, n)
+    one = MultiSeries.constant(("t",), n)
+    e_t = MultiSeries.monomial(("t",), n, "t").exp()
+    gamma = e_t.mul(tilde)
+    phi = MultiSeries.constant(("t",), n, 2).sub(gamma).inverse().sub(one)
+    series = phi.mul(gamma).add(e_t.mul(tilde.sub(one)))
+    value = series.coefficient(t=n) * factorial(n)
     if value.denominator != 1:
         raise ValueError(f"count came out non-integer: {value}")
     return int(value)

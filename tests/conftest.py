@@ -9,14 +9,32 @@ from __future__ import annotations
 from itertools import permutations
 
 import pytest
+from hypothesis import assume
+from hypothesis import strategies as st
 
-from dowlingnest import FiniteGroup, ProblemInstance, Representation
+from dowlingnest import FiniteGroup, InstanceError, ProblemInstance, Representation
 
 
 def make_abelian_instance(factors, characters, n, names=None):
     G = FiniteGroup.from_abelian(factors)
     rep = Representation.from_characters(G, characters)
     return ProblemInstance(n, G, rep, names=names)
+
+
+@st.composite
+def small_abelian_instances(draw):
+    """One or two cyclic factors of order <= 4, one or two faithful
+    characters, n <= 3 (n <= 2 past order 8, where n = 3 runs to seconds)."""
+    factors = draw(st.lists(st.integers(2, 4), min_size=1, max_size=2))
+    character = st.tuples(*(st.integers(0, d - 1) for d in factors)).map(list)
+    characters = draw(st.lists(character, min_size=1, max_size=2))
+    G = FiniteGroup.from_abelian(factors)
+    n = draw(st.integers(1, 3 if G.order <= 8 else 2))
+    try:
+        rep = Representation.from_characters(G, characters)
+    except InstanceError:
+        assume(False)
+    return ProblemInstance(n, G, rep)
 
 
 def make_n3_grid():

@@ -3,12 +3,13 @@
 These stay deliberately naive: exhaustive recursion straight from the
 defining combinatorics, no reuse of library internals beyond basic linear
 algebra for the lattices, the raw arrangement the lattice oracle closes,
-and the leaf type of forests.
+the leaf type of forests, and the series arithmetic for the series oracles.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial
 
 from dowlingnest.arrangement import raw_arrangement
 from dowlingnest.errors import SizeBoundExceeded
@@ -16,6 +17,7 @@ from dowlingnest.forests import Leaf
 from dowlingnest.linalg import RMatrix, Subspace, kernel
 from dowlingnest.poset import Poset
 from dowlingnest.reps import companion_matrix, cyclotomic_polynomial
+from dowlingnest.series import MultiSeries, big_g
 
 
 def set_partitions(items):
@@ -71,6 +73,30 @@ def _multi_child_trees(leaves, r):
                 ways *= _multi_child_trees(p, r)
         total += ways
     return total
+
+
+def lambda_bar_fixed_point(r, trunc):
+    """The tree series by fixed-point passes on
+    lambda_bar = (1/r) * (exp(r*B) - 1 - r*B), B = t + lambda_bar: each pass
+    fixes at least one more degree, so trunc + 1 passes reach the solution."""
+    t = MultiSeries.monomial(("t",), trunc, "t")
+    lam = MultiSeries(("t",), trunc, {})
+    for _ in range(trunc + 1):
+        branches = t.add(lam)
+        rb = branches.scale(r)
+        correction = MultiSeries.constant(("t",), trunc).add(rb)
+        nxt = rb.exp().sub(correction).scale(Fraction(1, r))
+        if nxt == lam:
+            break
+        lam = nxt
+    return lam
+
+
+def count_via_full_series(inst, n):
+    """n! times the t^n coefficient of the full (s, t) series at s = 1."""
+    value = big_g(inst, n).eval_var("s", 1).coefficient(t=n) * factorial(n)
+    assert value.denominator == 1, value
+    return int(value)
 
 
 _NO_LEAF = 10**9

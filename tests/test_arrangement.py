@@ -8,14 +8,10 @@ from itertools import combinations
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dowlingnest import (
-    FiniteGroup,
-    InstanceError,
-    ProblemInstance,
-    Representation,
     Subgroup,
     Subspace,
     block_leq,
@@ -43,8 +39,14 @@ from dowlingnest.arrangement import (
 from dowlingnest.export import nested_covers
 from dowlingnest.instancefile import load_instance
 from dowlingnest.linalg import RMatrix
+from dowlingnest.selftest import CHECKS, run_selftest
 
-from conftest import make_abelian_instance, make_n3_grid, make_s3_instance
+from conftest import (
+    make_abelian_instance,
+    make_n3_grid,
+    make_s3_instance,
+    small_abelian_instances,
+)
 from oracles import lattice_oracle
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
@@ -569,33 +571,23 @@ def test_nested_covers_match_the_poset_oracle(z2, z3, z4, klein, z4_plane, s3):
         assert tuple(nested_covers(sets)) == nested_sets_poset(sets).covers()
 
 
-@st.composite
-def small_abelian_instances(draw):
-    """One or two cyclic factors of order <= 4, one or two faithful
-    characters, n <= 3 (n <= 2 past order 8, where n = 3 runs to seconds)."""
-    factors = draw(st.lists(st.integers(2, 4), min_size=1, max_size=2))
-    character = st.tuples(*(st.integers(0, d - 1) for d in factors)).map(list)
-    characters = draw(st.lists(character, min_size=1, max_size=2))
-    G = FiniteGroup.from_abelian(factors)
-    n = draw(st.integers(1, 3 if G.order <= 8 else 2))
-    try:
-        rep = Representation.from_characters(G, characters)
-    except InstanceError:
-        assume(False)
-    return ProblemInstance(n, G, rep)
-
-
 @settings(max_examples=15, deadline=None)
 @given(small_abelian_instances(), st.randoms(use_true_random=False))
 def test_clique_count_agrees_with_forests_and_series(inst, rng):
     """The clique search counts what the forest and series routes count, and
     its sets pass `is_nested` (all of them, or 60 drawn when there are more,
-    since the definition check is the slow part at n = 3)."""
+    since the definition check is the slow part at n = 3).  At n <= 2 every
+    `selftest` check passes as well."""
     sets = enumerate_nested_sets(inst)
     assert len(sets) == len(enumerate_forests(inst))
     assert len(sets) == nested_count_via_series(inst, inst.n)
     for ns in rng.sample(sets, min(len(sets), 60)):
         assert is_nested(inst, ns.blocks), ns
+    if inst.n <= 2:
+        lines = []
+        assert run_selftest(inst, emit=lines.append), lines
+        assert len(lines) == len(CHECKS)
+        assert all(line.startswith("PASS ") for line in lines), lines
 
 
 def test_nested_sets_are_downward_closed(klein):

@@ -21,7 +21,7 @@ from dowlingnest import (
     kernel,
     parse_instance,
 )
-from dowlingnest.linalg import in_row_space, integer_echelon, rref
+from dowlingnest.linalg import in_row_space, integer_echelon, pivot_columns, rref
 from dowlingnest.reps import (
     cyclotomic_polynomial,
     fix_subspace,
@@ -122,8 +122,9 @@ def test_integer_echelon_scales_the_rref(case):
         assert row[p] > 0 and gcd(*row) == 1
         assert row == tuple(row[p] * x for x in ref)
     space = Subspace.from_spanning(ambient, rows)
-    assert in_row_space(echelon, combination)
-    assert in_row_space(echelon, other) == space.contains_vector(other)
+    assert pivot_columns(echelon) == tuple(pivots)
+    assert in_row_space(echelon, pivots, combination)
+    assert in_row_space(echelon, pivots, other) == space.contains_vector(other)
 
 
 @st.composite

@@ -5,6 +5,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import permutations
 from math import comb, factorial, gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -27,6 +28,7 @@ from dowlingnest import (
     partition_oracle,
 )
 from dowlingnest.forests import decompose_forest
+from dowlingnest.instancefile import load_instance
 from dowlingnest.series import (
     _apply_exp_derive,
     _apply_exp_multiply,
@@ -36,11 +38,13 @@ from dowlingnest.series import (
     subgroup_variable,
 )
 
-from conftest import make_abelian_instance
+from conftest import make_abelian_instance, small_abelian_instances
 from oracles import (
     FractionSeries,
     count_arity2_trees,
     count_trees_with_unary_leaf_vertices,
+    count_via_full_series,
+    lambda_bar_fixed_point,
 )
 
 
@@ -252,6 +256,12 @@ def test_lambda_bar_matches_both_oracles(r):
         )
 
 
+@pytest.mark.parametrize("r", range(1, 9))
+def test_lambda_bar_recurrence_matches_the_fixed_point(r):
+    for trunc in range(17):
+        assert lambda_bar(r, trunc) == lambda_bar_fixed_point(r, trunc), trunc
+
+
 def test_partition_oracle_base_cases():
     for r in (1, 2, 3):
         assert partition_oracle(2, 1, r) == r
@@ -316,6 +326,8 @@ def test_lambda_requires_abelian(s3):
         lambda_for_subgroup(s3, Subgroup((0,)), 3)
     with pytest.raises(AbelianOnly):
         gamma_tilde(s3, 2)
+    with pytest.raises(AbelianOnly):
+        nested_count_via_series(s3, 2)
 
 
 # -- the forest series ---------------------------------------------------------------
@@ -456,6 +468,46 @@ def test_series_counts_on_small_instances(z2, z3, z4, klein):
             enumerate_nested_sets(inst.with_n(1))
         )
         assert nested_count_via_series(inst, 2) == len(enumerate_nested_sets(inst))
+
+
+INSTANCES = Path(__file__).resolve().parent.parent / "instances"
+
+
+@pytest.mark.parametrize(
+    "name, top",
+    [
+        ("z2", 5),
+        ("z3", 5),
+        ("z4", 5),
+        ("klein4", 5),
+        ("z4_plane", 5),
+        ("z2x4_chains", 4),
+    ],
+)
+def test_count_path_matches_the_full_series(name, top):
+    """s = 1 from the start and each t_K merged once finished give the
+    coefficient of the full (s, t, t_H) series."""
+    inst = load_instance(INSTANCES / f"{name}.json")
+    for n in range(1, top + 1):
+        sub = inst.with_n(n)
+        assert nested_count_via_series(sub, n) == count_via_full_series(sub, n), n
+
+
+@settings(max_examples=25, deadline=None)
+@given(small_abelian_instances())
+def test_count_path_matches_the_full_series_on_random_instances(inst):
+    assert nested_count_via_series(inst, inst.n) == count_via_full_series(
+        inst, inst.n
+    )
+
+
+def test_chains8_count_at_n12(chains8):
+    """Pinned from the full series route; the count path takes well under a
+    second here."""
+    assert (
+        nested_count_via_series(chains8.with_n(12), 12)
+        == 1207475572661904557098426367
+    )
 
 
 def test_single_factor_count_is_one(z2):

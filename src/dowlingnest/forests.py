@@ -30,7 +30,7 @@ block containing it and solves the edge cosets from coset mismatches.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product as iter_product
+from itertools import combinations, islice, product as iter_product
 from operator import attrgetter
 
 from .arrangement import Block, NestedSet, check_block_cap, closed_subgroups
@@ -47,8 +47,15 @@ _END = -1  # closes a vertex's list of children in a sort key
 # nested tuples (1, subgroup.sort_key, ((rep, child key), ...)) would, but
 # in one flat pass instead of a recursion.
 
+_set = object.__setattr__  # frozen node classes fill their derived fields
+_smallest = attrgetter("smallest")
 
-@dataclass(frozen=True)
+
+def _child_smallest(edge):
+    return edge[1].smallest
+
+
+@dataclass(frozen=True, slots=True)
 class Leaf:
     """Leaf vertex; label None only occurs in decomposition subforests."""
 
@@ -63,7 +70,7 @@ class Leaf:
         return (0, self.smallest)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Vertex:
     """Internal vertex: a subgroup label and (coset representative, child) pairs.
 
@@ -78,19 +85,21 @@ class Vertex:
     sort_key: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        children = tuple(sorted(self.children, key=lambda e: e[1].smallest))
-        object.__setattr__(self, "children", children)
+        children = self.children
+        if len(children) > 1:
+            children = tuple(sorted(children, key=_child_smallest))
+        else:
+            children = tuple(children)
+        _set(self, "children", children)
         # an empty or unlabelled vertex is malformed; check_structure reports it
-        object.__setattr__(
-            self, "smallest", children[0][1].smallest if children else _NO_LEAF
-        )
+        _set(self, "smallest", children[0][1].smallest if children else _NO_LEAF)
         elements = getattr(self.subgroup, "elements", ())
         key = [1, len(elements), *elements]
         for rep, child in children:
             key.append(rep)
-            key.extend(child.sort_key)
+            key += child.sort_key
         key.append(_END)
-        object.__setattr__(self, "sort_key", tuple(key))
+        _set(self, "sort_key", tuple(key))
 
 
 def min_leaf(node):
@@ -114,14 +123,17 @@ def internal_vertices(node):
         yield from internal_vertices(child)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LabelledForest:
     trees: tuple
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "trees", tuple(sorted(self.trees, key=attrgetter("smallest")))
-        )
+        trees = self.trees
+        if len(trees) > 1:
+            trees = tuple(sorted(trees, key=_smallest))
+        else:
+            trees = tuple(trees)
+        _set(self, "trees", trees)
 
     @property
     def fallen_leaves(self):
@@ -354,111 +366,177 @@ def _proper_partitions(items):
             yield tuple(sorted(p, key=min))
 
 
-def enumerate_forests(inst, cap=None):
-    """Generate every valid forest directly from the labeling rules.
+def _node_sort_key(node):
+    return node.sort_key
 
-    One table, edge_reps[K, L], holds the coset representatives a of K with
-    a^-1 L a <= K (every representative when the child is a leaf).  With
-    the trivial edge toward the smallest leaf, it decides rules (1), (4) and
-    (5), and keeps G-labelled children under G, once per pair of labels.
-    The one check left per child combination is that a G vertex has at most
-    one G-labelled child (rule 3).
+
+def enumerate_forests(inst, cap=None):
+    """Generate every valid forest directly from the labeling rules, each
+    once and already in canonical order: by the sort keys of the trees,
+    taken in smallest-leaf order.
+
+    Trees.  One table, edge_reps[K, L], holds the coset representatives a
+    of K with a^-1 L a <= K (every representative when the child is a
+    leaf).  With the trivial edge toward the smallest leaf, it decides
+    rules (1), (4) and (5), and keeps G-labelled children under G, once per
+    pair of labels.  The (edge, child) offers are built once per label,
+    piece of leaves and whether the piece holds the smallest leaf, with
+    the G-labelled offers kept apart: a G vertex takes at most one of them,
+    at one position of its children, which is rule (3) within a tree.
+
+    Forests.  `forests_on(S, g_free)` lists the forests on the leaf set S
+    in order.  The tree holding m = min S is Leaf(m) or a tree on some
+    P <= S with min P = m; those candidates are sorted once per m, with
+    Leaf(m) first, since a leaf's key sorts below every vertex's.  Each
+    candidate is followed by every forest on S - P, free to use the full
+    group again only if the candidate does not (a G label can sit only
+    under G, so a tree holds G exactly when its root does): rule (3)
+    across trees.  The result is sorted: a forest's key starts with the
+    key of the tree holding its smallest leaf, distinct trees have
+    distinct keys, and the forests after one candidate are sorted by
+    induction.  By the same induction, element 0 of every list is the
+    forest of fallen leaves alone, the one forest on {1..n} with no
+    internal vertex, so dropping it leaves exactly the valid forests.
+
+    The cap counts valid forests, and everything built on the way is held
+    to it as it grows: each tree, with the other leaves fallen, is a valid
+    forest of its own, and so is each forest on S but the one of fallen
+    leaves alone.  So neither the trees built nor any one list outgrows
+    the cap before the refusal, and a run within the cap builds no vertex
+    it does not return.
     """
     if cap is None:
         cap = inst.cap_nested
     check_block_cap(inst, cap)
     G = inst.group
-    cs = closed_subgroups(inst)
+    members = closed_subgroups(inst).members
     whole = Subgroup(tuple(range(G.order)))
     trivial = Subgroup((G.identity,))
-    edge_reps = {}
-    for K in cs.members:
+    # labels are indices into members; index LEAF stands for a leaf child
+    LEAF = len(members)
+    full = next((k for k, K in enumerate(members) if K == whole), None)
+    edge_reps, below = [], []
+    for K in members:
         reps = tuple(c.rep for c in left_cosets(G, K))
         inside = set(K.elements)
-        edge_reps[K, None] = reps
-        for L in cs.members:
-            edge_reps[K, L] = tuple(
-                a for a in reps if all(G.conj(G.inv(a), p) in inside for p in L)
-            )
-    memo = {}
+        edge_reps.append(
+            [
+                tuple(a for a in reps if all(G.conj(G.inv(a), p) in inside for p in L))
+                for L in members
+            ]
+            + [reps]
+        )
+        below.append([inside.issuperset(L.elements) for L in members] + [True])
+    leaves = {i: Leaf(i) for i in range(1, inst.n + 1)}
+    tree_memo = {}
+    offer_memo = {}
+    built = 0
 
-    def is_whole(node):
-        return isinstance(node, Vertex) and node.subgroup.elements == whole.elements
+    def grow(trees, K, children_seq):
+        """Append a vertex labelled K over each children tuple.  Each tree
+        is a forest once the other leaves fall, so the trees built are
+        held to the cap as they are built."""
+        nonlocal built
+        before = len(trees)
+        trees.extend(
+            Vertex(subgroup=K, children=c) for c in islice(children_seq, cap - built + 1)
+        )
+        built += len(trees) - before
+        if built > cap:
+            raise SizeBoundExceeded(f"forest enumeration exceeded the cap of {cap}")
+
+    def offers(k, piece, first):
+        """(edge, child) pairs for a child on `piece` under label k: those
+        with a G-labelled child, and the others.  The offers need no rule
+        (1) or rule (3) check of their own:
+        - a nonempty edge_reps[K, L] puts a conjugate of L inside K, so
+          [L] <= [K];
+        - L <= K on the smallest-leaf piece gives [L] <= [K];
+        - G is conjugate into no K != G, so G-labelled children are
+          offered only under K = G."""
+        key = (k, piece, first)
+        if key in offer_memo:
+            return offer_memo[key]
+        nodes = [(LEAF, (leaves[piece[0]],))] if len(piece) == 1 else []
+        nodes.extend(enumerate(trees_on(piece)))
+        plain, with_g = [], []
+        for l, trees in nodes:
+            reps = ((0,) if below[k][l] else ()) if first else edge_reps[k][l]
+            (with_g if l == full else plain).extend(
+                (a, tree) for tree in trees for a in reps
+            )
+        offer_memo[key] = plain, with_g
+        return plain, with_g
 
     def trees_on(part):
-        if part in memo:
-            return memo[part]
-        smallest = part[0]
-        by_label = {K: [] for K in cs.members}
+        """Every tree on the leaves of `part`, grouped by root label."""
+        if part in tree_memo:
+            return tree_memo[part]
+        by_label = [[] for _ in members]
         if len(part) == 1:
-            for K in cs.members:
-                if K.elements != trivial.elements:
-                    by_label[K].append(Vertex(subgroup=K, children=((0, Leaf(smallest)),)))
+            for k, K in enumerate(members):
+                if K != trivial:
+                    grow(by_label[k], K, [((0, leaves[part[0]]),)])
         for split in _proper_partitions(part):
-            child_options = []
-            for piece in split:
-                opts = [(None, Leaf(piece[0]))] if len(piece) == 1 else []
-                opts.extend((sub.subgroup, sub) for sub in trees_on(piece))
-                child_options.append(opts)
-            first, *rest = child_options  # split is ordered by minimum
-            for K in cs.members:
-                # The offers need no rule (1) or rule (3) check of their own:
-                # - a nonempty edge_reps[K, L] puts a conjugate of L inside K,
-                #   so [L] <= [K];
-                # - L <= K on the smallest-leaf piece gives [L] <= [K];
-                # - G is conjugate into no K != G, so G-labelled children
-                #   are offered only under K = G.
-                offers = [
-                    [(0, node) for lbl, node in first if lbl is None or lbl.is_subset(K)]
-                ]
-                offers.extend(
-                    [(a, node) for lbl, node in opts for a in edge_reps[K, lbl]]
-                    for opts in rest
+            for k, K in enumerate(members):
+                made = [offers(k, piece, i == 0) for i, piece in enumerate(split)]
+                plain = [p for p, _ in made]
+                choices = [plain]
+                # rule (3): a G vertex has at most one G child, here the i-th
+                choices.extend(
+                    plain[:i] + [with_g] + plain[i + 1 :]
+                    for i, (_, with_g) in enumerate(made)
+                    if with_g
                 )
-                check_g = K.elements == whole.elements
-                for children in iter_product(*offers):
-                    if check_g and sum(is_whole(node) for _, node in children) > 1:
-                        continue
-                    by_label[K].append(Vertex(subgroup=K, children=children))
+                for offered in choices:
+                    grow(by_label[k], K, iter_product(*offered))
         # unary chains: strictly larger label over an existing root
-        for K in cs.members:
-            for P in cs.members:
-                if P.is_subset(K) and P.elements != K.elements:
-                    for sub in by_label[P]:
-                        by_label[K].append(Vertex(subgroup=K, children=((0, sub),)))
-        result = tuple(t for K in cs.members for t in by_label[K])
-        memo[part] = result
-        return result
+        for k, K in enumerate(members):
+            for p in range(k):  # members are sorted by size
+                if below[k][p]:
+                    grow(by_label[k], K, [((0, sub),) for sub in by_label[p]])
+        tree_memo[part] = by_label
+        return by_label
 
-    forests = []
-    for partition in _set_partitions(range(1, inst.n + 1)):
-        options = []
-        for part in partition:
-            opts = []
-            if len(part) == 1:
-                opts.append(Leaf(part[0]))
-            opts.extend(trees_on(part))
-            options.append(opts)
-        for combo in iter_product(*options):
-            internal = [t for t in combo if isinstance(t, Vertex)]
-            if not internal:
+    def candidates(m):
+        """(tree, leaf mask, holds G) for every tree whose smallest leaf is
+        m, in sort-key order."""
+        entries = [(leaves[m], 1 << m, False)]
+        higher = range(m + 1, inst.n + 1)
+        for size in range(len(higher) + 1):
+            for rest in combinations(higher, size):
+                part = (m, *rest)
+                mask = sum(1 << i for i in part)
+                for k, trees in enumerate(trees_on(part)):
+                    entries.extend((tree, mask, k == full) for tree in trees)
+        entries.sort(key=lambda entry: _node_sort_key(entry[0]))
+        return entries
+
+    by_smallest = {}
+    forest_memo = {(0, True): [()], (0, False): [()]}
+
+    def forests_on(S, g_free, make=tuple):
+        """The forests on the leaves of bit mask S, each as `make` of its
+        trees, the G label allowed only if g_free."""
+        key = (S, g_free)
+        if key in forest_memo:
+            return forest_memo[key]
+        m = (S & -S).bit_length() - 1
+        if m not in by_smallest:
+            by_smallest[m] = candidates(m)
+        out = []
+        for tree, mask, holds_g in by_smallest[m]:
+            if S & mask != mask or (holds_g and not g_free):
                 continue
-            if sum(map(is_whole, internal)) > 1:
-                continue
-            if len(forests) >= cap:
-                raise SizeBoundExceeded(
-                    f"forest enumeration exceeded the cap of {cap}"
-                )
-            forests.append(LabelledForest(trees=tuple(combo)))
-    return sorted(forests, key=_forest_sort_key)
+            rest = forests_on(S ^ mask, g_free and not holds_g)
+            out.extend(make((tree, *r)) for r in rest)
+            if len(out) > cap + 1:  # out[0] has no internal vertex
+                raise SizeBoundExceeded(f"forest enumeration exceeded the cap of {cap}")
+        forest_memo[key] = out
+        return out
 
-
-def _node_sort_key(node):
-    return node.sort_key
-
-
-def _forest_sort_key(forest):
-    return tuple(t.sort_key for t in forest.trees)
+    every = forests_on(sum(1 << i for i in leaves), True, LabelledForest)
+    return every[1:]
 
 
 # -- decomposition into subforests ---------------------------------------------------

@@ -3,17 +3,20 @@
 These stay deliberately naive: exhaustive recursion straight from the
 defining combinatorics, no reuse of library internals beyond basic linear
 algebra for the lattices, the raw arrangement the lattice oracle closes,
-the leaf type of forests, and the series arithmetic for the series oracles.
+the forest node types, closed subgroups and cosets for the forest oracle,
+and the series arithmetic for the series oracles.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 from math import factorial
 
-from dowlingnest.arrangement import raw_arrangement
+from dowlingnest.arrangement import closed_subgroups, raw_arrangement
 from dowlingnest.errors import SizeBoundExceeded
-from dowlingnest.forests import Leaf
+from dowlingnest.forests import LabelledForest, Leaf, Vertex
+from dowlingnest.groups import Subgroup, left_cosets
 from dowlingnest.linalg import RMatrix, Subspace, kernel
 from dowlingnest.poset import Poset
 from dowlingnest.reps import companion_matrix, cyclotomic_polynomial
@@ -141,6 +144,82 @@ def flat_tree_key(node):
     for rep, child in _children_in_leaf_order(node):
         key += (rep,) + flat_tree_key(child)
     return key + (-1,)
+
+
+def forests_by_partitions(inst):
+    """Every valid forest, by building every combination and filtering: the
+    trees on each part of each set partition of the leaves, every choice
+    of one tree or bare leaf per part, the choices that break rule (3) or
+    have no internal vertex dropped, and one sort by `forest_order_key`.
+
+    A tree on a part is a leaf under a vertex not labelled {e}, or a vertex
+    over a proper set partition of the part, the child holding the smallest
+    leaf on the trivial edge below a label containing its own, each other
+    child on an edge a with a^-1 L a <= K; then unary chains of strictly
+    larger labels.  A G vertex with two G children is dropped per
+    combination."""
+    G = inst.group
+    members = closed_subgroups(inst).members
+    whole = Subgroup(tuple(range(G.order)))
+    trivial = Subgroup((G.identity,))
+
+    # coset representatives of K allowed on an edge to a child labelled L,
+    # or to a leaf when L is None
+    admissible = {}
+    for K in members:
+        reps = [c.rep for c in left_cosets(G, K)]
+        admissible[K, None] = reps
+        for L in members:
+            admissible[K, L] = [
+                a for a in reps if all(G.conj(G.inv(a), p) in K.elements for p in L)
+            ]
+
+    def is_whole(node):
+        return isinstance(node, Vertex) and node.subgroup == whole
+
+    memo = {}
+
+    def trees_on(part):
+        if part in memo:
+            return memo[part]
+        by_label = {K: [] for K in members}
+        if len(part) == 1:
+            for K in members:
+                if K != trivial:
+                    by_label[K].append(Vertex(K, ((0, Leaf(part[0])),)))
+        for split in set_partitions(part):
+            if len(split) < 2:
+                continue
+            first, *rest = sorted(split, key=min)
+            options = [
+                [(None, Leaf(p[0]))] * (len(p) == 1) + [(t.subgroup, t) for t in trees_on(p)]
+                for p in (first, *rest)
+            ]
+            for K in members:
+                offers = [[(0, t) for L, t in options[0] if L is None or L.is_subset(K)]]
+                offers.extend(
+                    [(a, t) for L, t in opts for a in admissible[K, L]]
+                    for opts in options[1:]
+                )
+                for children in product(*offers):
+                    if sum(is_whole(t) for _, t in children) > 1:
+                        continue
+                    by_label[K].append(Vertex(K, children))
+        for K in members:
+            for P in members:
+                if P.is_subset(K) and P != K:
+                    by_label[K].extend(Vertex(K, ((0, t),)) for t in by_label[P])
+        memo[part] = [t for K in members for t in by_label[K]]
+        return memo[part]
+
+    forests = []
+    for partition in set_partitions(tuple(range(1, inst.n + 1))):
+        options = [[Leaf(p[0])] * (len(p) == 1) + trees_on(p) for p in partition]
+        for combo in product(*options):
+            internal = [t for t in combo if isinstance(t, Vertex)]
+            if internal and sum(map(is_whole, internal)) <= 1:
+                forests.append(LabelledForest(combo))
+    return sorted(forests, key=forest_order_key)
 
 
 def gauss_jordan_rref(rows):

@@ -6,12 +6,14 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
 from dowlingnest import (
     Block,
     MalformedForest,
     NestedSet,
     NotRealizable,
+    SizeBoundExceeded,
     Subgroup,
     building_blocks,
     closed_subgroups,
@@ -35,8 +37,21 @@ from dowlingnest.forests import (
 from dowlingnest.groups import ConjClassPoset, left_cosets
 from dowlingnest.instancefile import load_instance
 
-from conftest import make_abelian_instance, make_n3_grid, make_s3_instance
-from oracles import flat_tree_key, forest_order_key, smallest_leaf, tree_order_key
+from conftest import (
+    make_abelian_instance,
+    make_n3_grid,
+    make_s3_instance,
+    small_abelian_instances,
+)
+from oracles import (
+    flat_tree_key,
+    forest_order_key,
+    forests_by_partitions,
+    smallest_leaf,
+    tree_order_key,
+)
+
+INSTANCE_DIR = Path(__file__).resolve().parent.parent / "instances"
 
 
 # -- the eight-leaf worked example -----------------------------------------------------
@@ -206,10 +221,84 @@ def test_single_factor_sign_has_one_forest():
 
 
 def test_forest_cap_raises(z2):
-    from dowlingnest import SizeBoundExceeded
-
     with pytest.raises(SizeBoundExceeded):
         enumerate_forests(z2, cap=3)
+
+
+@pytest.mark.parametrize(
+    "inst, count",
+    [(make_abelian_instance([2], [[1]], 3), 93), (make_s3_instance(2), 215)],
+    ids=["z2-n3", "s3-n2"],
+)
+def test_forest_cap_boundary(inst, count):
+    """The cap counts valid forests only: the forest of fallen leaves alone,
+    built on the way, does not count against it."""
+    assert len(enumerate_forests(inst, cap=count)) == count
+    with pytest.raises(SizeBoundExceeded):
+        enumerate_forests(inst, cap=count - 1)
+
+
+CHAINS8 = INSTANCE_DIR / "z2x4_chains.json"
+
+
+@pytest.mark.parametrize(
+    "inst",
+    make_n3_grid()
+    + [
+        make_s3_instance(3),
+        make_abelian_instance([2], [[1]], 4),
+        load_instance(str(CHAINS8), n_override=2),
+    ],
+    ids=["z2-n3", "z3-n3", "z4-n3", "klein4-n3", "s3-n3", "z2-n4", "chains8-n2"],
+)
+def test_enumeration_matches_the_partition_oracle(inst):
+    """Same forests in the same order as building every combination of
+    trees over every set partition, filtering, and sorting at the end."""
+    assert enumerate_forests(inst) == forests_by_partitions(inst)
+
+
+@settings(max_examples=15, deadline=None)
+@given(small_abelian_instances())
+def test_enumeration_matches_the_partition_oracle_on_random_instances(inst):
+    assert enumerate_forests(inst) == forests_by_partitions(inst)
+
+
+def _count_vertices(monkeypatch):
+    """From here on, count the vertices built in a one-element list."""
+    built = [0]
+    post_init = Vertex.__post_init__
+
+    def counted(self):
+        built[0] += 1
+        post_init(self)
+
+    monkeypatch.setattr(Vertex, "__post_init__", counted)
+    return built
+
+
+@pytest.mark.parametrize(
+    "inst",
+    [make_abelian_instance([2], [[1]], 4), make_s3_instance(2)],
+    ids=["z2-n4", "s3-n2"],
+)
+def test_enumeration_builds_only_vertices_it_returns(inst, monkeypatch):
+    """Every vertex built is an internal vertex of some returned forest."""
+    built = _count_vertices(monkeypatch)
+    forests = enumerate_forests(inst)
+    monkeypatch.undo()
+    used = {id(v) for f in forests for t in f.trees for v in internal_vertices(t)}
+    assert built[0] == len(used)
+
+
+def test_cap_bounds_the_trees_built(monkeypatch):
+    """Each tree is a forest once the other leaves fall, so a refusal comes
+    before more trees than the cap are built: chains8 at n=4 passes the
+    block cap at cap 2000 (1263 blocks) and has far more forests."""
+    inst = load_instance(str(CHAINS8), n_override=4)
+    built = _count_vertices(monkeypatch)
+    with pytest.raises(SizeBoundExceeded):
+        enumerate_forests(inst, cap=2000)
+    assert built[0] <= 2001
 
 
 def test_forest_count_equals_nested_count(z2, z3, z4, klein, s3):
@@ -360,7 +449,7 @@ def test_rule_4_condition_is_coset_invariant(s3):
                 assert direct == via_rep
 
 
-INSTANCE_FILES = sorted((Path(__file__).resolve().parent.parent / "instances").glob("*.json"))
+INSTANCE_FILES = sorted(INSTANCE_DIR.glob("*.json"))
 
 
 @pytest.mark.parametrize("path", INSTANCE_FILES, ids=lambda p: p.stem)
@@ -393,7 +482,7 @@ def test_enumeration_asks_no_class_order(monkeypatch):
 
     monkeypatch.setattr(ConjClassPoset, "leq", refuse)
     for name, count in (("s3.json", 10159), ("klein4.json", 3493)):
-        inst = load_instance(str(INSTANCE_FILES[0].parent / name), n_override=3)
+        inst = load_instance(str(INSTANCE_DIR / name), n_override=3)
         assert len(enumerate_forests(inst)) == count
 
 def test_s3_cross_transposition_edges_admit_one_coset(s3):

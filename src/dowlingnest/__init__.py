@@ -3,8 +3,9 @@
 Given a triple (n, G, V) with G a finite group and V an exact faithful
 representation without trivial summands, this package builds the subspace
 arrangement H(n, G, V) in V^n, its closed subgroups and minimal building
-set, enumerates nested sets and the equivalent labelled forests, and (for
-abelian G) computes the exponential generating series that counts them.
+set, enumerates nested sets and the equivalent labelled forests, counts the
+forests by part size for any finite G, and (for abelian G) computes the
+exponential generating series that counts them.
 Every count is reachable by at least two independent routes.
 """
 
@@ -41,6 +42,7 @@ from .forests import (
     LabelledForest,
     Leaf,
     Vertex,
+    count_forests,
     decompose_forest,
     enumerate_forests,
     forest_to_nested,
@@ -105,6 +107,7 @@ __all__ = [
     "closed_subgroups",
     "closure_phi",
     "conjugate_subgroup",
+    "count_forests",
     "decompose_forest",
     "enumerate_forests",
     "enumerate_nested_sets",

@@ -26,7 +26,7 @@ from .errors import (
     OrderBoundExceeded,
     SizeBoundExceeded,
 )
-from .forests import Leaf, enumerate_forests
+from .forests import Leaf, count_forests, enumerate_forests
 from .instancefile import load_instance
 from .selftest import run_selftest
 from .series import (
@@ -177,7 +177,7 @@ def cmd_count(inst, args, out):
         if method == "lattice":
             value = len(enumerate_nested_sets(inst))
         elif method == "forest":
-            value = len(enumerate_forests(inst))
+            value = count_forests(inst)
         else:
             if not inst.group.is_abelian:
                 if args.all_methods:

@@ -30,7 +30,8 @@ block containing it and solves the edge cosets from coset mismatches.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations, islice, product as iter_product
+from itertools import combinations, product as iter_product
+from math import comb
 from operator import attrgetter
 
 from .arrangement import Block, NestedSet, check_block_cap, closed_subgroups
@@ -339,6 +340,120 @@ def nested_to_forest(inst, nested):
     return forest
 
 
+# -- counting by part size ------------------------------------------------------------
+
+
+def _extend_exp(e, b):
+    """Append the next coefficient of E = exp(B) to e, from E' = B'E; all
+    series are n! [x^n], and b holds B up to the new degree."""
+    d = len(e) - 1
+    e.append(sum(comb(d, i) * b[i + 1] * e[d - i] for i in range(d + 1)))
+
+
+def count_forests(inst, cap=None):
+    """The number of valid forests, len(enumerate_forests(inst, cap)),
+    found without building a tree, for any finite G.
+
+    The edge toward the smallest leaf of a part is pinned and every other
+    leaf is treated alike, so the number of trees on a part with root label
+    K depends only on the part's size.  With every series an exponential
+    generating function in x, T_K counts the trees whose root has label K,
+    G is the full group and
+      A_K = x + sum of T_L over L <= K, L != G  (the piece holding the
+            smallest leaf, on the trivial edge),
+      B_K = [G:K] x + sum of a_K(L) T_L over L != G  (any other piece;
+            a_K(L) counts the cosets aK with a^-1 L a <= K).
+    The vertices with at least two children under K number
+    int A_K' e^{B_K} - A_K: the piece holding the smallest leaf, then a set
+    of other pieces, at least one.  Under G one child may have label G too
+    (rule (3)), on the first piece or on another, which gives
+    int [A' e^B (1 + T_G) + T_G' e^B] - A - T_G.  Add x for a vertex over
+    one leaf when K != {e}, and T_P for each P < K, P != K, for a unary
+    vertex over a smaller label: members are sorted by size, so each T_P is
+    final before T_K takes it.  The forests are a set of trees, at most
+    one with root G, less the forest of fallen leaves alone:
+    e^{x + sum of T_L over L != G} (1 + T_G) - e^x.
+
+    Every piece of a vertex with two children is smaller than the part, so
+    the series are found one size at a time, on integers n! [x^n], with
+    each e^B (and A' e^B under G) extended by one degree per size.  The
+    coset counts come from `left_cosets` and no table of
+    `enumerate_forests` is shared, so a wrong labelling rule here shows up
+    as a count that differs from the nested-set enumeration.
+
+    Raises SizeBoundExceeded from `check_block_cap` first, then when the
+    count passes the cap (default: the instance's nested-set cap).
+    Nested sets and forests are in bijection, so the count bounds both
+    enumerations; `enumerate_forests` calls this before it builds a tree.
+    """
+    if cap is None:
+        cap = inst.cap_nested
+    check_block_cap(inst, cap)
+    n = inst.n
+    G = inst.group
+    members = closed_subgroups(inst).members
+    whole = Subgroup(tuple(range(G.order)))
+    trivial = Subgroup((G.identity,))
+    full = next((k for k, K in enumerate(members) if K == whole), None)
+    others = [l for l in range(len(members)) if l != full]
+
+    def edges(K, L):
+        """a_K(L): the cosets aK with a^-1 L a <= K."""
+        inside = set(K.elements)
+        return sum(
+            all(G.conj(G.inv(c.rep), p) in inside for p in L) for c in left_cosets(G, K)
+        )
+
+    first, weights, smaller = [], [], []
+    for K in members:
+        inside = set(K.elements)
+        first.append([l for l in others if inside.issuperset(members[l].elements)])
+        weights.append([(l, edges(K, members[l])) for l in others])
+        smaller.append(
+            [p for p, P in enumerate(members) if P != K and inside.issuperset(P.elements)]
+        )
+    # n! [x^n] of T_K, A_K, B_K and e^{B_K} per label, and of A_G' e^{B_G}
+    T = [[0] for _ in members]
+    A = [[0] for _ in members]
+    B = [[0] for _ in members]
+    E = [[1] for _ in members]
+    D = []
+    for m in range(1, n + 1):
+        for k, K in enumerate(members):
+            head, extra = A[k], 0
+            if k == full:  # a G child on the first piece, or on another
+                head = [x + y for x, y in zip(A[k], T[k])]
+                extra = sum(
+                    comb(m - 1, i) * D[i] * T[k][m - 1 - i] for i in range(m - 1)
+                )
+            count = sum(comb(m - 1, j - 1) * head[j] * E[k][m - j] for j in range(1, m))
+            count += extra + (m == 1 and K != trivial)
+            T[k].append(count + sum(T[p][m] for p in smaller[k]))
+        leaf = m == 1
+        for k, K in enumerate(members):
+            A[k].append(leaf + sum(T[l][m] for l in first[k]))
+            B[k].append(
+                G.order // len(K) * leaf + sum(w * T[l][m] for l, w in weights[k])
+            )
+            _extend_exp(E[k], B[k])
+        if full is not None:
+            a, e = A[full], E[full]
+            D.append(sum(comb(m - 1, i) * a[i + 1] * e[m - 1 - i] for i in range(m)))
+    roots = [0] + [(m == 1) + sum(T[l][m] for l in others) for m in range(1, n + 1)]
+    exp_roots = [1]
+    for _ in range(n):
+        _extend_exp(exp_roots, roots)
+    with_g = T[full] if full is not None else [0] * (n + 1)
+    total = exp_roots[n] - 1
+    total += sum(comb(n, i) * exp_roots[i] * with_g[n - i] for i in range(n))
+    if total > cap:
+        raise SizeBoundExceeded(
+            f"{total} nested sets at n={n} exceed the cap of {cap}; "
+            "lower --n or raise --cap-nested"
+        )
+    return total
+
+
 # -- direct enumeration ------------------------------------------------------------
 
 
@@ -398,16 +513,13 @@ def enumerate_forests(inst, cap=None):
     forest of fallen leaves alone, the one forest on {1..n} with no
     internal vertex, so dropping it leaves exactly the valid forests.
 
-    The cap counts valid forests, and everything built on the way is held
-    to it as it grows: each tree, with the other leaves fallen, is a valid
-    forest of its own, and so is each forest on S but the one of fallen
-    leaves alone.  So neither the trees built nor any one list outgrows
-    the cap before the refusal, and a run within the cap builds no vertex
-    it does not return.
+    The cap counts valid forests, and `count_forests` refuses an instance
+    past it before a vertex is built.  Nothing built outgrows that count:
+    each tree, with the other leaves fallen, is a distinct valid forest, and
+    so is each entry of a memoised list but the one of fallen leaves alone.
+    A run within the cap builds no vertex it does not return.
     """
-    if cap is None:
-        cap = inst.cap_nested
-    check_block_cap(inst, cap)
+    count_forests(inst, cap)
     G = inst.group
     members = closed_subgroups(inst).members
     whole = Subgroup(tuple(range(G.order)))
@@ -430,20 +542,6 @@ def enumerate_forests(inst, cap=None):
     leaves = {i: Leaf(i) for i in range(1, inst.n + 1)}
     tree_memo = {}
     offer_memo = {}
-    built = 0
-
-    def grow(trees, K, children_seq):
-        """Append a vertex labelled K over each children tuple.  Each tree
-        is a forest once the other leaves fall, so the trees built are
-        held to the cap as they are built."""
-        nonlocal built
-        before = len(trees)
-        trees.extend(
-            Vertex(subgroup=K, children=c) for c in islice(children_seq, cap - built + 1)
-        )
-        built += len(trees) - before
-        if built > cap:
-            raise SizeBoundExceeded(f"forest enumeration exceeded the cap of {cap}")
 
     def offers(k, piece, first):
         """(edge, child) pairs for a child on `piece` under label k: those
@@ -476,7 +574,8 @@ def enumerate_forests(inst, cap=None):
         if len(part) == 1:
             for k, K in enumerate(members):
                 if K != trivial:
-                    grow(by_label[k], K, [((0, leaves[part[0]]),)])
+                    leaf = ((0, leaves[part[0]]),)
+                    by_label[k].append(Vertex(subgroup=K, children=leaf))
         for split in _proper_partitions(part):
             for k, K in enumerate(members):
                 made = [offers(k, piece, i == 0) for i, piece in enumerate(split)]
@@ -489,12 +588,16 @@ def enumerate_forests(inst, cap=None):
                     if with_g
                 )
                 for offered in choices:
-                    grow(by_label[k], K, iter_product(*offered))
+                    by_label[k].extend(
+                        Vertex(subgroup=K, children=c) for c in iter_product(*offered)
+                    )
         # unary chains: strictly larger label over an existing root
         for k, K in enumerate(members):
             for p in range(k):  # members are sorted by size
                 if below[k][p]:
-                    grow(by_label[k], K, [((0, sub),) for sub in by_label[p]])
+                    by_label[k].extend(
+                        Vertex(subgroup=K, children=((0, sub),)) for sub in by_label[p]
+                    )
         tree_memo[part] = by_label
         return by_label
 
@@ -530,8 +633,6 @@ def enumerate_forests(inst, cap=None):
                 continue
             rest = forests_on(S ^ mask, g_free and not holds_g)
             out.extend(make((tree, *r)) for r in rest)
-            if len(out) > cap + 1:  # out[0] has no internal vertex
-                raise SizeBoundExceeded(f"forest enumeration exceeded the cap of {cap}")
         forest_memo[key] = out
         return out
 

@@ -22,7 +22,12 @@ from .arrangement import (
     pairwise_compatible,
 )
 from .errors import SizeBoundExceeded
-from .forests import enumerate_forests, forest_to_nested, nested_to_forest
+from .forests import (
+    count_forests,
+    enumerate_forests,
+    forest_to_nested,
+    nested_to_forest,
+)
 from .series import nested_count_via_series
 
 
@@ -69,7 +74,9 @@ def _check_counts(inst, run):
     nested, forests = run.nested, run.forests
     if len(nested) != len(forests):
         return False, f"nested {len(nested)} != forests {len(forests)}"
-    detail = f"nested = forests = {len(nested)}"
+    if run.forest_count != len(nested):
+        return False, f"forest count {run.forest_count} != {len(nested)}"
+    detail = f"nested = forests = forest count = {len(nested)}"
     if run.series_count is not None:
         if run.series_count != len(nested):
             return False, f"series count {run.series_count} != {len(nested)}"
@@ -119,18 +126,14 @@ class _Run:
 
     nested: list
     forests: list
+    forest_count: int
     series_count: int | None
 
 
 def _check_work(inst, count):
-    """Refuse an instance whose nested count, or that count times its number
-    of building blocks (a bound on the work of the checks), passes the
-    nested-set cap.  The blocks are counted, not built."""
-    if count > inst.cap_nested:
-        raise SizeBoundExceeded(
-            f"{count} nested sets at n={inst.n} exceed the cap of "
-            f"{inst.cap_nested}; lower --n or raise --cap-nested"
-        )
+    """Refuse an instance whose nested count times its number of building
+    blocks (a bound on the work of the checks) passes the nested-set cap.
+    The blocks are counted, not built."""
     blocks = block_count(inst)
     if count * blocks > inst.cap_nested:
         raise SizeBoundExceeded(
@@ -143,17 +146,18 @@ def _check_work(inst, count):
 def run_selftest(inst, emit=print):
     """Run every check on one enumeration of each route.
 
-    The work is bounded before anything is printed: an abelian instance is
-    refused on its series count before anything is enumerated, any other
-    once its nested sets are (that enumeration stops at the cap itself).
+    The work is bounded before anything is enumerated or printed, for every
+    G: `count_forests` refuses a count past the nested-set cap, and
+    `_check_work` that count times the number of blocks.
     """
+    count = count_forests(inst)
+    _check_work(inst, count)
     series_count = None
     if inst.group.is_abelian:
         series_count = nested_count_via_series(inst, inst.n)
-        _check_work(inst, series_count)
-    nested = enumerate_nested_sets(inst)
-    _check_work(inst, len(nested))
-    run = _Run(nested, enumerate_forests(inst), series_count)
+    run = _Run(
+        enumerate_nested_sets(inst), enumerate_forests(inst), count, series_count
+    )
     failures = 0
     for name, fn in CHECKS:
         ok, detail = fn(inst, run)

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from dowlingnest import selftest
 from dowlingnest.cli import main
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
@@ -399,7 +400,7 @@ def test_selftest_passes_on_bundled_instances(capsys):
 
 def test_selftest_refuses_an_instance_past_the_nested_cap(capsys):
     """The bundled series host at its file n=8 has 5.04e16 nested sets; the
-    series count stops it before any check enumerates them."""
+    forest count stops it before any check enumerates them."""
     chains = str(INSTANCES / "z2x4_chains.json")
     start = time.perf_counter()
     code, out, err = run_cli(capsys, "selftest", "--input", chains)
@@ -634,9 +635,15 @@ def test_selftest_bounds_its_work(capsys):
     assert "cap of 10000000" in err
 
 
-def test_selftest_bounds_the_work_of_a_nonabelian_instance(capsys):
-    """S3 at n=3: 10,159 nested sets x 124 blocks; without a series count the
-    bound is checked once the nested sets are enumerated."""
+def test_selftest_bounds_the_work_of_a_nonabelian_instance(capsys, monkeypatch):
+    """S3 at n=3: 10,159 nested sets x 124 blocks; the forest count bounds
+    the work of a nonabelian instance too, before anything is enumerated."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("selftest enumerated before it bounded its work")
+
+    monkeypatch.setattr(selftest, "enumerate_nested_sets", refuse)
+    monkeypatch.setattr(selftest, "enumerate_forests", refuse)
     s3 = str(INSTANCES / "s3.json")
     code, out, err = run_cli(
         capsys, "selftest", "--input", s3, "--n", "3", "--cap-nested", "1259715"
@@ -653,14 +660,26 @@ def test_selftest_bounds_the_work_of_a_nonabelian_instance(capsys):
         ["count", "--method", "forest", "--input", "z2.json", "--n", "1100"],
         ["nested", "--input", "z2.json", "--n", "40"],
         ["count", "--method", "lattice", "--input", "s3.json", "--n", "30"],
+        ["forests", "--input", "z2x4_chains.json"],
+        ["count", "--method", "forest", "--input", "z2x4_chains.json"],
     ],
-    ids=["forests-z2", "count-forest-z2", "nested-z2", "count-lattice-s3"],
+    ids=[
+        "forests-z2",
+        "count-forest-z2",
+        "nested-z2",
+        "count-lattice-s3",
+        "forests-chains8",
+        "count-forest-chains8",
+    ],
 )
 def test_caps_refuse_before_any_block_is_built(argv):
     """Every block is a nested set, so a block count past the cap is exit 3
     before a block is built.  These ended in a RecursionError, a MemoryError
     or a run without end; the subprocess has a time and a memory limit so
-    that a regression fails instead of taking the machine's memory."""
+    that a regression fails instead of taking the machine's memory.  The
+    series host at its file n=8 has 5,586,239 blocks, under the default cap
+    of 10^7, but 5.04e16 forests: the forest count refuses it, where the
+    enumeration grew to 7.1 GB over 77 s."""
     argv = [str(INSTANCES / a) if a.endswith(".json") else a for a in argv]
     env = dict(os.environ, PYTHONPATH=str(INSTANCES.parent / "src"))
     limit = 1 << 30

@@ -17,11 +17,13 @@ from dowlingnest import (
     Subgroup,
     building_blocks,
     closed_subgroups,
+    count_forests,
     decompose_forest,
     enumerate_forests,
     enumerate_nested_sets,
     forest_to_nested,
     is_nested,
+    nested_count_via_series,
     nested_to_forest,
     validate_forest,
 )
@@ -52,6 +54,7 @@ from oracles import (
 )
 
 INSTANCE_DIR = Path(__file__).resolve().parent.parent / "instances"
+CHAINS8 = INSTANCE_DIR / "z2x4_chains.json"
 
 
 # -- the eight-leaf worked example -----------------------------------------------------
@@ -225,20 +228,109 @@ def test_forest_cap_raises(z2):
         enumerate_forests(z2, cap=3)
 
 
+def _enumerated(inst, cap):
+    return len(enumerate_forests(inst, cap=cap))
+
+
 @pytest.mark.parametrize(
-    "inst, count",
-    [(make_abelian_instance([2], [[1]], 3), 93), (make_s3_instance(2), 215)],
-    ids=["z2-n3", "s3-n2"],
+    "route, inst, count",
+    [
+        (_enumerated, make_abelian_instance([2], [[1]], 3), 93),
+        (_enumerated, make_s3_instance(2), 215),
+        (count_forests, make_abelian_instance([2], [[1]], 3), 93),
+        (count_forests, make_s3_instance(2), 215),
+    ],
+    ids=["z2-n3", "s3-n2", "z2-n3-count", "s3-n2-count"],
 )
-def test_forest_cap_boundary(inst, count):
+def test_forest_cap_boundary(route, inst, count):
     """The cap counts valid forests only: the forest of fallen leaves alone,
     built on the way, does not count against it."""
-    assert len(enumerate_forests(inst, cap=count)) == count
+    assert route(inst, count) == count
     with pytest.raises(SizeBoundExceeded):
-        enumerate_forests(inst, cap=count - 1)
+        route(inst, count - 1)
 
 
-CHAINS8 = INSTANCE_DIR / "z2x4_chains.json"
+# -- counting by part size -------------------------------------------------------------
+
+# S3 on the plane, n = 1..20, from `count_forests`
+S3_COUNTS = (
+    7,
+    215,
+    10159,
+    677183,
+    58339327,
+    6161342207,
+    770615197183,
+    111390258382847,
+    18272832533098495,
+    3354239870456856575,
+    681282452895505055743,
+    151709641915869191012351,
+    36755901295704943285108735,
+    9626216524323012284574597119,
+    2710110402892211510425124077567,
+    816263026577546891413781779316735,
+    261911513133036277538415385096749055,
+    89195816220560599244915760598037299199,
+    32133850146283805728981840452143764471807,
+    12210207845706133158405409765892939185127423,
+)
+
+
+@pytest.mark.parametrize(
+    "inst",
+    make_n3_grid()
+    + [make_s3_instance(n) for n in (1, 2, 3)]
+    + [make_abelian_instance([2], [[1]], n) for n in (1, 2, 4, 5)]
+    + [load_instance(str(CHAINS8), n_override=n) for n in (1, 2)],
+    ids=["z2-n3", "z3-n3", "z4-n3", "klein4-n3"]
+    + [f"s3-n{n}" for n in (1, 2, 3)]
+    + [f"z2-n{n}" for n in (1, 2, 4, 5)]
+    + ["chains8-n1", "chains8-n2"],
+)
+def test_count_forests_matches_the_enumeration(inst):
+    assert count_forests(inst) == len(enumerate_forests(inst))
+
+
+@settings(max_examples=15, deadline=None)
+@given(small_abelian_instances())
+def test_count_forests_matches_the_enumeration_on_random_instances(inst):
+    assert count_forests(inst) == len(enumerate_forests(inst))
+
+
+@pytest.mark.parametrize(
+    "name, top",
+    [
+        ("z2", 10),
+        ("z3", 10),
+        ("z4", 10),
+        ("z4_plane", 10),
+        ("klein4", 8),
+        ("z2x4_chains", 8),
+    ],
+)
+def test_count_forests_matches_the_series_count(name, top):
+    """The series route shares no code with the forest rules; agreement at
+    every n checks the recurrence well past the sizes enumeration reaches."""
+    inst = load_instance(str(INSTANCE_DIR / f"{name}.json"), n_override=top)
+    for n in range(1, top + 1):
+        at_n = inst.with_n(n)
+        assert count_forests(at_n, cap=10**30) == nested_count_via_series(at_n, n)
+
+
+def test_s3_counts_past_the_paper():
+    """The paper counts abelian G only.  S3 is pinned to n=20; at n <= 3 both
+    enumerations give the pinned count, and n=4 is the 677,183 nested sets
+    enumerated when the table was made."""
+    inst = load_instance(str(INSTANCE_DIR / "s3.json"))
+    counts = tuple(count_forests(inst.with_n(n), cap=10**50) for n in range(1, 21))
+    assert counts == S3_COUNTS
+    assert counts[3] == 677183
+    for n in (1, 2, 3):
+        at_n = inst.with_n(n)
+        assert len(enumerate_forests(at_n)) == S3_COUNTS[n - 1]
+        assert len(enumerate_nested_sets(at_n)) == S3_COUNTS[n - 1]
+
 
 
 @pytest.mark.parametrize(

@@ -658,10 +658,14 @@ def enumerate_nested_sets(inst, cap=None):
 
     `is_nested` (the definition, over every antichain) stays the oracle
     for this search in `selftest` and the tests.
+
+    Raises SizeBoundExceeded before any block is built when the blocks, or
+    the nested sets counted by `count_forests` (in bijection with the
+    forests), pass the cap (default: the instance's nested-set cap).
     """
-    if cap is None:
-        cap = inst.cap_nested
-    check_block_cap(inst, cap)
+    from .forests import count_forests  # forests imports this module
+
+    count_forests(inst, cap)  # `check_block_cap` first, then the exact count
     blocks = building_blocks(inst)
     m = len(blocks)
     compat = [0] * m
@@ -677,10 +681,6 @@ def enumerate_nested_sets(inst, cap=None):
             low = cand & -cand
             cand ^= low
             idx = low.bit_length() - 1
-            if len(out) >= cap:
-                raise SizeBoundExceeded(
-                    f"nested-set enumeration exceeded the cap of {cap}"
-                )
             chosen = picked + (blocks[idx],)
             out.append(NestedSet(chosen))
             extend(chosen, cand & compat[idx])

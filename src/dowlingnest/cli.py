@@ -8,7 +8,6 @@ byte-stable.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 
@@ -32,6 +31,7 @@ from .selftest import run_selftest
 from .series import (
     _big_g_from,
     _gamma_bar_from,
+    dumps_series_payload,
     gamma_tilde,
     nested_count_via_series,
     series_to_json,
@@ -204,7 +204,7 @@ def cmd_series(inst, args, out):
         "gamma_bar": series_to_json(_gamma_bar_from(tilde)),
         "g": series_to_json(_big_g_from(tilde)),
     }
-    out(json.dumps(payload, sort_keys=True, indent=2))
+    out(dumps_series_payload(payload))
     return EXIT_OK
 
 

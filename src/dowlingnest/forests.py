@@ -384,7 +384,8 @@ def count_forests(inst, cap=None):
     Raises SizeBoundExceeded from `check_block_cap` first, then when the
     count passes the cap (default: the instance's nested-set cap).
     Nested sets and forests are in bijection, so the count bounds both
-    enumerations; `enumerate_forests` calls this before it builds a tree.
+    enumerations; `enumerate_forests` and `enumerate_nested_sets` call
+    this before they build a tree or a block.
     """
     if cap is None:
         cap = inst.cap_nested

@@ -17,19 +17,23 @@ children gives the functional equation
 
     lambda_bar = (1/r) * (exp(r*B) - 1 - r*B),
 
-which `lambda_bar` solves by an integer recurrence on the EGF coefficients
-of lambda_bar and exp(r*B), read off from the derivatives of both sides
-(O(trunc^2) big-integer steps).  The same counts arise from weighted
-partitions: trees with l leaves and k internal vertices biject with
-partitions of an (l+k-1)-set into k blocks of size >= 2, a block of size i
-weighing r^(i-1); partition_oracle recursion pins that down independently.
+which `_lambda_counts` solves by an integer recurrence on the EGF
+coefficients of lambda_bar and exp(r*B), read off from the derivatives of
+both sides (O(trunc^2) big-integer steps).  The same recurrence, with any
+series U in place of t, gives lambda_bar(U) directly.  The counts also
+arise from weighted partitions: trees with l leaves and k internal vertices
+biject with partitions of an (l+k-1)-set into k blocks of size >= 2, a
+block of size i weighing r^(i-1); partition_oracle recursion pins that down
+independently.
 
-The forest series `gamma_tilde` applies one operator exponential per proper
-closed subgroup H.  `nested_count_via_series` needs only the series at
-s = 1 with every t_K replaced by t, so it runs the same operator schedule
-with s = 1 from the start and merges each t_K into t as soon as no later
-operator differentiates it; both are ring maps that commute with the
-operators still to come (the proof is at `_gamma_tilde_at_s1`).
+The forest series `gamma_tilde` in (s, t, t_K) applies one commuting
+operator exponential per proper closed subgroup H, on `MultiSeries`; the
+`series` command prints it.  `nested_count_via_series` needs only the
+series at s = 1 with every t_K replaced by t.  There each operator
+exp(lam_H(t_H) d/dt_K) is the translation t_K -> t_K + lam_H(t_H), so the
+series is exp(sum over K of lam_K(T_K)) with T_K = t + sum over H strictly
+inside K of lam_H(T_H) (`_gamma_tilde_counts`): univariate series
+composed on plain integers n! [t^n], with no `MultiSeries` built.
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ from collections.abc import Mapping
 from fractions import Fraction
 from functools import cache
 from itertools import chain
+from json.encoder import encode_basestring_ascii
 from math import comb, factorial, gcd, lcm
 from operator import add
 
@@ -370,32 +375,68 @@ class MultiSeries:
 # -- tree series --------------------------------------------------------------------
 
 
-def lambda_bar(r, trunc):
-    """EGF of leaf-labelled rooted trees with all arities >= 2 and edge
-    weight r^(arity-1) per vertex, as a series in 't'.
+def _lambda_counts(r, inner):
+    """n! [t^n] of lambda_bar(r) composed with a series U, U(0) = 0, given
+    and returned as the list of n! [t^n] for n < len(inner).
 
-    With a_n = n![t^n] lambda_bar, e_n = n![t^n] exp(r*B) and
-    b_k = a_k + [k = 1] the coefficients of B = t + lambda_bar, the
-    derivatives lambda_bar' = B'(exp(r*B) - 1) and exp(r*B)' = r*B'exp(r*B)
-    read, coefficient by coefficient,
+    lambda_bar = L solves r L(x) = exp(r (x + L(x))) - 1 - r (x + L(x)).
+    Put x = U(t) and write a_n, b_n and e_n for n! [t^n] of A = L(U),
+    B = U + A and exp(r B).  The derivatives A' = B'(exp(r B) - 1) and
+    exp(r B)' = r B' exp(r B) read, coefficient by coefficient,
 
         a_(n+1) = sum over k < n of C(n, k) b_(k+1) e_(n-k),
         e_(n+1) = r * (sum over k <= n of C(n, k) b_(k+1) e_(n-k)),
 
-    from a_0 = 0 and e_0 = 1.  The k = n summand of a_(n+1) is missing
-    because e_0 - 1 = 0; it is the one that needs b_(n+1).
+    from a_0 = 0 and e_0 = 1, with b_k = a_k + u_k.  The k = n summand of
+    a_(n+1) is missing because e_0 - 1 = 0; it is the one that needs
+    b_(n+1).  U = t gives lambda_bar itself.
     """
+    trunc = len(inner) - 1
     a = [0] * (trunc + 1)
-    b = [0] * (trunc + 1)  # b[k] = a[k] + [k = 1], filled as a[k] is
+    b = [0] * (trunc + 1)  # b[k] = a[k] + inner[k], filled as a[k] is
     e = [1] + [0] * trunc
     for n in range(trunc):
         below = sum(comb(n, k) * b[k + 1] * e[n - k] for k in range(n))
         a[n + 1] = below
-        b[n + 1] = below + (n == 0)
+        b[n + 1] = below + inner[n + 1]
         e[n + 1] = r * (below + b[n + 1])
+    return a
+
+
+def _subgroup_lambda_counts(order, H, inner):
+    """n! [t^n] of lam_H composed with the series `inner`, as in
+    `_lambda_counts`, for a proper subgroup H of an abelian group of the
+    given order (see `lambda_for_subgroup`).
+
+    lam_{e} is lambda_bar(|G|).  For H != {e}, lam_H(x) = L(2x) + x with
+    L = lambda_bar([G:H]): at n leaves that is 2^n a_n, plus the bare
+    root-over-leaf tree.
+    """
+    if len(H) == 1:
+        return _lambda_counts(order, inner)
+    doubled = _lambda_counts(order // len(H), [2 * x for x in inner])
+    return [a + x for a, x in zip(doubled, inner)]
+
+
+def _t_counts(trunc):
+    """n! [t^n] of t, for n <= trunc."""
+    return [int(n == 1) for n in range(trunc + 1)]
+
+
+def _series_in_t(counts):
+    """The series in 't' whose n! [t^n] are `counts`."""
     return MultiSeries(
-        ("t",), trunc, {(n,): Fraction(x, factorial(n)) for n, x in enumerate(a)}
+        ("t",),
+        len(counts) - 1,
+        {(n,): Fraction(x, factorial(n)) for n, x in enumerate(counts)},
     )
+
+
+def lambda_bar(r, trunc):
+    """EGF of leaf-labelled rooted trees with all arities >= 2 and edge
+    weight r^(arity-1) per vertex, as a series in 't'; the coefficients come
+    from the integer recurrence of `_lambda_counts`."""
+    return _series_in_t(_lambda_counts(r, _t_counts(trunc)))
 
 
 def partition_oracle(n, k, r):
@@ -428,15 +469,7 @@ def lambda_for_subgroup(inst, H, trunc):
     order = inst.group.order
     if len(H) == order:
         raise AbelianOnly("no tree series is attached to the full group")
-    if len(H) == 1:
-        return lambda_bar(order, trunc)
-    quotient = order // len(H)
-    base = lambda_bar(quotient, trunc)
-    doubled = {
-        e: c * 2 ** e[0] for e, c in base.coeffs.items()
-    }
-    out = MultiSeries(("t",), trunc, doubled)
-    return out.add(MultiSeries.monomial(("t",), trunc, "t"))
+    return _series_in_t(_subgroup_lambda_counts(order, H, _t_counts(trunc)))
 
 
 # -- the forest series -----------------------------------------------------------------
@@ -476,22 +509,12 @@ def admissible_order(inst):
 
 
 def _operator_schedule(inst, trunc, order):
-    """The operators of the forest series, one step per H of `order`.
-
-    Yields (H, lam_H as a series in 't', the K strictly above H, the K
-    whose t_K is finished once H's step is done).  t_K is finished after
-    the last H contained in K, K itself included: every operator that
-    differentiates t_K belongs to a proper closed H strictly inside K, and
-    lam_K enters at K's own step.
-    """
+    """The operators of the forest series, one step per H of `order`:
+    (H, lam_H as a series in 't', the K strictly above H)."""
     proper = closed_subgroups(inst).proper
-    last = {
-        K.elements: i for i, H in enumerate(order) for K in proper if H.is_subset(K)
-    }
-    for i, H in enumerate(order):
+    for H in order:
         above = [K for K in proper if H.is_subset(K) and K.elements != H.elements]
-        finished = [K for K in proper if last[K.elements] == i]
-        yield H, lambda_for_subgroup(inst, H, trunc), above, finished
+        yield H, lambda_for_subgroup(inst, H, trunc), above
 
 
 def _embed_lambda(lam, vars, var):
@@ -534,40 +557,11 @@ def gamma_tilde(inst, trunc, order=None):
     vars = series_variables(inst)
     acc = MultiSeries.constant(vars, trunc)
     s_var = MultiSeries.monomial(vars, trunc, "s")
-    for H, lam, above, _ in _operator_schedule(inst, trunc, order):
+    for H, lam, above in _operator_schedule(inst, trunc, order):
         lam = _embed_lambda(lam, vars, subgroup_variable(H))
         acc = _apply_exp_multiply(acc, s_var.mul(lam))
         for K in above:
             acc = _apply_exp_derive(acc, lam, subgroup_variable(K))
-    return acc
-
-
-def _gamma_tilde_at_s1(inst, trunc):
-    """gamma_tilde(inst, trunc) at s = 1 with every t_K replaced by t.
-
-    Both substitutions are ring maps of truncated series that keep the
-    t-degree (t and the t_K count alike), so they commute with products and
-    with exp.  Setting s = 1 also commutes with every d/dt_K, since s is
-    never differentiated: apply it from the start, and each multiplier is
-    exp(lam_H(t_H)).  Replacing t_K by t commutes with d/dt_L for L != K
-    and with every later multiplier, which lies in some t_H, H != K; it
-    only fails to commute with d/dt_K.  So t_K can be replaced as soon as
-    the last operator that differentiates it has run, which is when the
-    schedule calls it finished.  Every t_K is finished after the last step,
-    leaving a series in t alone.
-    """
-    if not inst.group.is_abelian:
-        raise AbelianOnly("the forest series requires an abelian group")
-    acc = MultiSeries.constant(series_variables(inst)[1:], trunc)
-    for H, lam, above, finished in _operator_schedule(
-        inst, trunc, admissible_order(inst)
-    ):
-        lam = _embed_lambda(lam, acc.vars, subgroup_variable(H))
-        acc = _apply_exp_multiply(acc, lam)
-        for K in above:
-            acc = _apply_exp_derive(acc, lam, subgroup_variable(K))
-        if finished:
-            acc = acc.merge_vars([subgroup_variable(K) for K in finished], "t")
     return acc
 
 
@@ -620,24 +614,61 @@ def _big_g_from(tilde):
     return s_var.mul(phi).mul(gamma_st).add(bar_t)
 
 
+def _exp_counts(b):
+    """n! [t^n] of exp(B) from those of B, B(0) = 0, by E' = B'E."""
+    e = [1]
+    for d in range(len(b) - 1):
+        e.append(sum(comb(d, i) * b[i + 1] * e[d - i] for i in range(d + 1)))
+    return e
+
+
+def _gamma_tilde_counts(inst, trunc):
+    """n! [t^n], n <= trunc, of gamma_tilde at s = 1 with every t_K
+    replaced by t.
+
+    By Taylor's theorem exp(lam * d/dx) f = f(x + lam) when lam does not
+    involve x, so the derivative operators of H's step are the ring map
+    t_K -> t_K + lam_H(t_H) for every K strictly above H.  At s = 1 the
+    multiplier of H's step is exp(lam_H(t_H)).  Of the steps after K's
+    step, the ones that move t_K are those of the H strictly inside K, so
+    lam_K(t_K) ends up as lam_K(T_K), where T_K = t_K + sum over H strictly
+    inside K of lam_H(T_H), and gamma_tilde(1, ...) = exp(sum over K of
+    lam_K(T_K)).  With every t_K replaced by t, each T_K is a series in t
+    alone, built from the T_H of smaller labels first.
+    """
+    if not inst.group.is_abelian:
+        raise AbelianOnly("the forest series requires an abelian group")
+    order = inst.group.order
+    t = _t_counts(trunc)
+    done = []  # (H, lam_H(T_H)) for the labels so far
+    total = [0] * (trunc + 1)
+    for K in reversed(admissible_order(inst)):
+        inner = t
+        for H, lam in done:
+            if H.is_subset(K):
+                inner = [x + y for x, y in zip(inner, lam)]
+        lam = _subgroup_lambda_counts(order, K, inner)
+        done.append((K, lam))
+        total = [x + y for x, y in zip(total, lam)]
+    return _exp_counts(total)
+
+
 def nested_count_via_series(inst, n):
     """n! times the t^n coefficient of the counting series at s = 1.
 
     big_g at s = 1 is G(1,t) = phi*gamma + e^t(gamma~ - 1), where gamma~ is
-    gamma_tilde at s = 1 with every t_K merged into t, gamma = e^t gamma~
-    and phi = 1/(2 - gamma) - 1.  gamma~ comes from `_gamma_tilde_at_s1`,
-    so no series in s or in the t_K is left to be built.
+    gamma_tilde at s = 1 with every t_K merged into t (`_gamma_tilde_counts`),
+    gamma = e^t gamma~ and phi = y - 1 with y = 1/(2 - gamma).  As
+    y (2 - gamma) = 1, this is y gamma - e^t = 2y - 1 - e^t.  Everything is
+    a list of n! [t^k] on plain integers: gamma by a binomial convolution
+    with e^t, and y from y = 1 + (gamma - 1) y, one degree at a time.
     """
-    tilde = _gamma_tilde_at_s1(inst, n)
-    one = MultiSeries.constant(("t",), n)
-    e_t = MultiSeries.monomial(("t",), n, "t").exp()
-    gamma = e_t.mul(tilde)
-    phi = MultiSeries.constant(("t",), n, 2).sub(gamma).inverse().sub(one)
-    series = phi.mul(gamma).add(e_t.mul(tilde.sub(one)))
-    value = series.coefficient(t=n) * factorial(n)
-    if value.denominator != 1:
-        raise ValueError(f"count came out non-integer: {value}")
-    return int(value)
+    tilde = _gamma_tilde_counts(inst, n)
+    gamma = [sum(comb(m, k) * tilde[k] for k in range(m + 1)) for m in range(n + 1)]
+    y = [1]
+    for m in range(1, n + 1):  # gamma_0 = 1, so (gamma - 1)_k = gamma_k for k >= 1
+        y.append(sum(comb(m, k) * gamma[k] * y[m - k] for k in range(1, m + 1)))
+    return 2 * y[n] - 1 - (n == 0)
 
 
 def series_to_json(series):
@@ -658,3 +689,38 @@ def series_to_json(series):
         entry["coeff"] = str(coeff)
         terms.append(entry)
     return {"truncation": series.trunc, "terms": terms}
+
+
+def dumps_series_payload(payload):
+    """json.dumps(payload, sort_keys=True, indent=2) for a nonempty payload
+    {name: series_to_json(series)}, written directly.
+
+    The C encoder does not indent, and the pure-Python one would take most
+    of the time of `series`.  A coefficient is the str of a Fraction (digits, '-'
+    and '/'), so it needs no escaping; names and tH keys are quoted by the
+    function json.dumps uses for them.
+    """
+    blocks = []
+    for name in sorted(payload):
+        body = payload[name]
+        terms = []
+        for term in body["terms"]:
+            tH = term["tH"]
+            if tH:
+                inner = ",\n".join(
+                    f"          {encode_basestring_ascii(k)}: {tH[k]}" for k in sorted(tH)
+                )
+                tH = f"{{\n{inner}\n        }}"
+            else:
+                tH = "{}"
+            terms.append(
+                f'      {{\n        "coeff": "{term["coeff"]}",\n'
+                f'        "s": {term["s"]},\n        "t": {term["t"]},\n'
+                f'        "tH": {tH}\n      }}'
+            )
+        terms = "[\n" + ",\n".join(terms) + "\n    ]" if terms else "[]"
+        blocks.append(
+            f"  {encode_basestring_ascii(name)}: {{\n    \"terms\": {terms},\n"
+            f"    \"truncation\": {body['truncation']}\n  }}"
+        )
+    return "{\n" + ",\n".join(blocks) + "\n}"

@@ -657,3 +657,20 @@ def test_size_cap_raises(z2):
         enumerate_nested_sets(z2, cap=3)
     with pytest.raises(SizeBoundExceeded):
         intersection_lattice(z2, cap=2)
+
+
+def test_nested_enumeration_refuses_by_the_count_before_any_block(monkeypatch):
+    """Z/2 at n=3 has 17 blocks, under a cap of 50, and 93 nested sets,
+    over it: the exact count refuses before a block is built."""
+    from dowlingnest import SizeBoundExceeded, arrangement
+
+    inst = make_abelian_instance([2], [[1]], 3)
+    assert block_count(inst) == 17
+    assert len(enumerate_nested_sets(inst, cap=93)) == 93
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a block was built before the count was checked")
+
+    monkeypatch.setattr(arrangement, "building_blocks", refuse)
+    with pytest.raises(SizeBoundExceeded, match="93 nested sets"):
+        enumerate_nested_sets(inst, cap=50)

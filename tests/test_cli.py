@@ -662,6 +662,8 @@ def test_selftest_bounds_the_work_of_a_nonabelian_instance(capsys, monkeypatch):
         ["count", "--method", "lattice", "--input", "s3.json", "--n", "30"],
         ["forests", "--input", "z2x4_chains.json"],
         ["count", "--method", "forest", "--input", "z2x4_chains.json"],
+        ["nested", "--input", "klein4.json", "--n", "9", "--limit", "1"],
+        ["export", "--what", "nested", "--input", "klein4.json", "--n", "9"],
     ],
     ids=[
         "forests-z2",
@@ -670,6 +672,8 @@ def test_selftest_bounds_the_work_of_a_nonabelian_instance(capsys, monkeypatch):
         "count-lattice-s3",
         "forests-chains8",
         "count-forest-chains8",
+        "nested-klein4",
+        "export-nested-klein4",
     ],
 )
 def test_caps_refuse_before_any_block_is_built(argv):
@@ -679,7 +683,9 @@ def test_caps_refuse_before_any_block_is_built(argv):
     that a regression fails instead of taking the machine's memory.  The
     series host at its file n=8 has 5,586,239 blocks, under the default cap
     of 10^7, but 5.04e16 forests: the forest count refuses it, where the
-    enumeration grew to 7.1 GB over 77 s."""
+    enumeration grew to 7.1 GB over 77 s.  klein4 at n=9 has 508,465
+    blocks and 5.8e14 nested sets: the same count refuses the nested-set
+    enumeration, which ran without end (`--limit` only trims the output)."""
     argv = [str(INSTANCES / a) if a.endswith(".json") else a for a in argv]
     env = dict(os.environ, PYTHONPATH=str(INSTANCES.parent / "src"))
     limit = 1 << 30

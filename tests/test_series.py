@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 from itertools import permutations
 from math import comb, factorial, gcd
@@ -27,12 +28,17 @@ from dowlingnest import (
     nested_count_via_series,
     partition_oracle,
 )
-from dowlingnest.forests import decompose_forest
+from dowlingnest.forests import count_forests, decompose_forest
 from dowlingnest.instancefile import load_instance
 from dowlingnest.series import (
     _apply_exp_derive,
     _apply_exp_multiply,
+    _big_g_from,
+    _gamma_bar_from,
+    _gamma_tilde_counts,
+    _lambda_counts,
     admissible_order,
+    dumps_series_payload,
     series_to_json,
     series_variables,
     subgroup_variable,
@@ -464,6 +470,7 @@ def test_gamma_bar_shape(klein):
 
 def test_series_counts_on_small_instances(z2, z3, z4, klein):
     for inst in (z2, z3, z4, klein):
+        assert nested_count_via_series(inst, 0) == 0
         assert nested_count_via_series(inst, 1) == len(
             enumerate_nested_sets(inst.with_n(1))
         )
@@ -485,7 +492,7 @@ INSTANCES = Path(__file__).resolve().parent.parent / "instances"
     ],
 )
 def test_count_path_matches_the_full_series(name, top):
-    """s = 1 from the start and each t_K merged once finished give the
+    """The translation identity and the univariate composition give the
     coefficient of the full (s, t, t_H) series."""
     inst = load_instance(INSTANCES / f"{name}.json")
     for n in range(1, top + 1):
@@ -502,8 +509,8 @@ def test_count_path_matches_the_full_series_on_random_instances(inst):
 
 
 def test_chains8_count_at_n12(chains8):
-    """Pinned from the full series route; the count path takes well under a
-    second here."""
+    """Pinned from the full series route, which took about a second here;
+    the univariate count path takes about a millisecond."""
     assert (
         nested_count_via_series(chains8.with_n(12), 12)
         == 1207475572661904557098426367
@@ -576,3 +583,86 @@ def test_series_json_shape(z2):
     assert all(set(t) == {"s", "t", "tH", "coeff"} for t in payload["terms"])
     total = [t for t in payload["terms"] if t["s"] == 1 and t["t"] == 2]
     assert total and total[0]["coeff"] == "7/2"
+
+
+# -- the count by substitution --------------------------------------------------------
+
+
+def _merged_tilde_counts(inst, trunc):
+    """n! [t^n] of gamma_tilde at s = 1 with every t_K merged into t, from
+    the operator exponentials on the full series."""
+    tilde = gamma_tilde(inst, trunc).eval_var("s", 1)
+    merged = tilde.merge_vars([v for v in tilde.vars if v != "t"], "t")
+    return [merged.coefficient(t=k) * factorial(k) for k in range(trunc + 1)]
+
+
+@pytest.mark.parametrize(
+    "name, top",
+    [
+        ("z2", 6),
+        ("z3", 5),
+        ("z4", 5),
+        ("klein4", 5),
+        ("z4_plane", 5),
+        ("z2x4_chains", 4),
+    ],
+)
+def test_translations_give_the_merged_forest_series(name, top):
+    inst = load_instance(INSTANCES / f"{name}.json")
+    assert _gamma_tilde_counts(inst, top) == _merged_tilde_counts(inst, top)
+
+
+@settings(max_examples=25, deadline=None)
+@given(small_abelian_instances())
+def test_translations_give_the_merged_forest_series_on_random_instances(inst):
+    assert _gamma_tilde_counts(inst, inst.n) == _merged_tilde_counts(inst, inst.n)
+
+
+@pytest.mark.parametrize("r", [1, 2, 4])
+def test_lambda_counts_compose(r):
+    """lambda_bar(U) from the recurrence equals the sum of a_k U^k / k!."""
+    trunc = 7
+    inner = [0, 1, 3, 0, 5, 2, 0, 11]
+    U = MultiSeries(
+        ("t",), trunc, {(n,): Fraction(x, factorial(n)) for n, x in enumerate(inner)}
+    )
+    lam = lambda_bar(r, trunc)
+    composed = MultiSeries(("t",), trunc, {})
+    power = MultiSeries.constant(("t",), trunc)
+    for k in range(1, trunc + 1):
+        power = power.mul(U)
+        composed = composed.add(power.scale(lam.coefficient(t=k)))
+    assert _lambda_counts(r, inner) == [
+        composed.coefficient(t=n) * factorial(n) for n in range(trunc + 1)
+    ]
+
+
+@pytest.mark.parametrize(
+    "name, top", [("z2x4_chains", 24), ("klein4", 20), ("z2", 40)]
+)
+def test_series_count_matches_the_forest_count(name, top):
+    """Two independent routes, both fast: translations of univariate series
+    and forests counted by part size."""
+    inst = load_instance(INSTANCES / f"{name}.json")
+    for n in range(1, top + 1):
+        sub = inst.with_n(n)
+        assert nested_count_via_series(sub, n) == count_forests(sub, cap=10**100), n
+
+
+@pytest.mark.parametrize("name", ["z2", "klein4", "z4_plane", "z2x4_chains"])
+def test_series_payload_writer_matches_json_dumps(name):
+    inst = load_instance(INSTANCES / f"{name}.json")
+    empty_terms = empty_tH = False
+    for degree in range(5):
+        tilde = gamma_tilde(inst, degree)
+        payload = {
+            "gamma_tilde": series_to_json(tilde),
+            "gamma_bar": series_to_json(_gamma_bar_from(tilde)),
+            "g": series_to_json(_big_g_from(tilde)),
+        }
+        expected = json.dumps(payload, sort_keys=True, indent=2)
+        assert dumps_series_payload(payload) == expected, degree
+        terms = [t for body in payload.values() for t in body["terms"]]
+        empty_terms |= any(not body["terms"] for body in payload.values())
+        empty_tH |= any(not t["tH"] for t in terms)
+    assert empty_terms and empty_tH

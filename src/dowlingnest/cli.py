@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from functools import cache
 
 from . import export
 from .arrangement import (
@@ -31,10 +32,10 @@ from .selftest import run_selftest
 from .series import (
     _big_g_from,
     _gamma_bar_from,
-    dumps_series_payload,
+    dumps_series,
     gamma_tilde,
     nested_count_via_series,
-    series_to_json,
+    series_cost,
 )
 
 EXIT_OK = 0
@@ -50,7 +51,11 @@ def _add_common(parser):
     parser.add_argument("--cap-nested", type=int, default=None)
 
 
+@cache
 def build_parser():
+    """The command-line parser, built on first use and then reused: building
+    it takes far longer than parsing one argv, and parsing leaves it as it
+    was."""
     parser = argparse.ArgumentParser(
         prog="dowlingnest",
         description=(
@@ -198,13 +203,21 @@ def cmd_series(inst, args, out):
     degree = args.max_degree if args.max_degree is not None else inst.n
     if degree < 0:
         raise InstanceError("--max-degree must be nonnegative")
+    if not inst.group.is_abelian:
+        raise AbelianOnly("the forest series requires an abelian group")
+    cost = series_cost(inst, degree)
+    if cost > inst.cap_nested:
+        raise SizeBoundExceeded(
+            f"series cost estimate {cost} at --max-degree {degree} exceeds the "
+            f"cap of {inst.cap_nested}; lower --max-degree or raise --cap-nested"
+        )
     tilde = gamma_tilde(inst, degree)
-    payload = {
-        "gamma_tilde": series_to_json(tilde),
-        "gamma_bar": series_to_json(_gamma_bar_from(tilde)),
-        "g": series_to_json(_big_g_from(tilde)),
+    series = {
+        "gamma_tilde": tilde,
+        "gamma_bar": _gamma_bar_from(tilde),
+        "g": _big_g_from(tilde),
     }
-    out(dumps_series_payload(payload))
+    out(dumps_series(series))
     return EXIT_OK
 
 

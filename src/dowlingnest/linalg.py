@@ -70,6 +70,12 @@ class RMatrix:
             )
         )
 
+    def integer_form(self):
+        """(integer rows, den) with entries = rows / den, den the lcm of the
+        entries' denominators; equal matrices have equal forms."""
+        rows, den = _over_one_denominator(self.entries)
+        return tuple(map(tuple, rows)), den
+
     def sub(self, other):
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise AmbientMismatch("matrix difference shape mismatch")

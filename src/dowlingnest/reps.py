@@ -21,6 +21,7 @@ Two input styles are supported:
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 
 from .errors import InstanceError
 from .groups import Subgroup, subgroup_closure
@@ -210,21 +211,37 @@ class Representation:
             rho(a) rho(b) = rho(a) rho(b') rho(s)    (check at the pair b', s)
                           = rho(ab') rho(s)          (induction)
                           = rho(ab's) = rho(ab)      (check at the pair ab', s).
+        The homomorphism, identity and faithfulness rules are decided on the
+        integer forms (rows, den) of the matrices, with no Fraction built:
+        rho(a) rho(b) = rho(ab) exactly when
+        den_ab * (rows_a rows_b) = den_a * den_b * rows_ab, and as the form of
+        a matrix is unique, two matrices are equal exactly when their forms
+        are.
         """
         G = self.group
         n = G.order
         if len(self.matrices) != n:
             raise InstanceError("need one matrix per group element")
+        forms = [m.integer_form() for m in self.matrices]
         for b in _generating_set(G):
+            rows_b, den_b = forms[b]
+            cols_b = tuple(zip(*rows_b))
             for a in range(n):
-                if self.matrices[a].mul(self.matrices[b]) != self.matrices[G.mul(a, b)]:
+                rows_a, den_a = forms[a]
+                rows_ab, den_ab = forms[G.mul(a, b)]
+                scale = den_a * den_b
+                if any(
+                    den_ab * sum(map(mul, row, col)) != scale * x
+                    for row, row_ab in zip(rows_a, rows_ab)
+                    for col, x in zip(cols_b, row_ab)
+                ):
                     raise InstanceError(
                         f"matrices are not a homomorphism at the pair ({a},{b})"
                     )
         # a homomorphism can still send e to an idempotent other than I
-        if self.matrices[G.identity] != RMatrix.identity(self.matrix_dim):
+        if forms[G.identity] != RMatrix.identity(self.matrix_dim).integer_form():
             raise InstanceError("the identity element must act as the identity matrix")
-        if len({m.entries for m in self.matrices}) != n:
+        if len(set(forms)) != n:
             raise InstanceError("representation not faithful")
         if fix_subspace(self, range(n)).dim != 0:
             raise InstanceError(

@@ -26,14 +26,17 @@ biject with partitions of an (l+k-1)-set into k blocks of size >= 2, a
 block of size i weighing r^(i-1); partition_oracle recursion pins that down
 independently.
 
-The forest series `gamma_tilde` in (s, t, t_K) applies one commuting
-operator exponential per proper closed subgroup H, on `MultiSeries`; the
-`series` command prints it.  `nested_count_via_series` needs only the
-series at s = 1 with every t_K replaced by t.  There each operator
-exp(lam_H(t_H) d/dt_K) is the translation t_K -> t_K + lam_H(t_H), so the
-series is exp(sum over K of lam_K(T_K)) with T_K = t + sum over H strictly
-inside K of lam_H(T_H) (`_gamma_tilde_counts`): univariate series
-composed on plain integers n! [t^n], with no `MultiSeries` built.
+The forest series `gamma_tilde` in (s, t, t_K) is defined by one commuting
+operator exponential per proper closed subgroup H.  Each operator
+exp(lam_H(t_H) d/dt_K) is, by Taylor's theorem, the translation
+t_K -> t_K + lam_H(t_H), so the series is exp(s * sum over K of lam_K(T_K))
+with T_K = t_K + sum over H strictly inside K of lam_H(T_H), smallest label
+first (the proof is in `gamma_tilde`).  Each lam_K(T_K) comes from the tree
+recurrence with T_K in place of t, so `gamma_tilde` builds no operator: it
+composes graded integer series once per label and takes one exponential.
+`nested_count_via_series` needs only the series at s = 1 with every t_K
+replaced by t: there the same composition runs on univariate series, on
+plain integers n! [t^n] (`_gamma_tilde_counts`).
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ from functools import cache
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 from math import comb, factorial, gcd, lcm
-from operator import add
+from operator import add, itemgetter
 
 from .arrangement import closed_subgroups
 from .errors import (
@@ -335,15 +338,15 @@ class MultiSeries:
 
     def merge_vars(self, sources, target):
         """Substitute target for every source variable (exponents add up)."""
-        src = {self.vars.index(v) for v in sources}
-        new_vars = tuple(v for i, v in enumerate(self.vars) if i not in src)
+        src = [self.vars.index(v) for v in sources]
+        keep = [i for i in range(len(self.vars)) if i not in src]
+        new_vars = tuple(self.vars[i] for i in keep)
         t_idx = new_vars.index(target)
         out = {}
         for b in self._terms:
             for e, c in b.items():
-                moved = sum(x for i, x in enumerate(e) if i in src)
-                base = [x for i, x in enumerate(e) if i not in src]
-                base[t_idx] += moved
+                base = [e[i] for i in keep]
+                base[t_idx] += sum([e[i] for i in src])
                 key = tuple(base)
                 out[key] = out.get(key, 0) + c
         return self._make(_graded(new_vars, self.trunc, out), self._den, new_vars)
@@ -485,13 +488,11 @@ def subgroup_variable(K):
     return f"t{K.label()}"
 
 
-def _apply_exp_multiply(series, factor):
-    """e^(factor) * series for a multiplication operator."""
-    return series.mul(factor.exp())
-
-
 def _apply_exp_derive(series, lam, var):
-    """exp(lam * d/d var) applied to the series; lam must not involve var."""
+    """exp(lam * d/d var) applied to the series; lam must not involve var.
+
+    `gamma_tilde` composes instead; the operator form is kept for the
+    reference construction the tests compare it with."""
     result = series
     term = series
     for m in range(1, series.trunc + 1):
@@ -508,72 +509,179 @@ def admissible_order(inst):
     return tuple(sorted(cs.proper, key=lambda K: (-len(K), K.elements)))
 
 
-def _operator_schedule(inst, trunc, order):
-    """The operators of the forest series, one step per H of `order`:
-    (H, lam_H as a series in 't', the K strictly above H)."""
-    proper = closed_subgroups(inst).proper
-    for H in order:
-        above = [K for K in proper if H.is_subset(K) and K.elements != H.elements]
-        yield H, lambda_for_subgroup(inst, H, trunc), above
+# A graded series is a list whose entry d is a bucket {packed exponents:
+# integer} holding d! times the coefficients of t-degree d.  The exponent
+# vector (e_0, ..., e_(v-1)) over the series' variables is packed into the
+# integer sum of e_i * base^(v-1-i), base = trunc + 1, so exponents add as
+# integers and the packed order is the tuple order.  A product only pairs
+# degrees d1 + d2 <= trunc, so every t-exponent stays below the base, and so
+# does the exponent of s, which never exceeds the t-degree here.  Buckets are
+# shared between lists and never changed once built.
 
 
-def _embed_lambda(lam, vars, var):
-    """A series in 't' as the same series in `var` inside `vars`."""
-    exps = {_single_exp(vars, var, e[0]): c for e, c in lam.coeffs.items()}
-    return MultiSeries(vars, lam.trunc, exps)
+def _bucket_sum(x, y):
+    """x + y for buckets; an empty one gives back the other itself."""
+    if not x:
+        return y
+    if not y:
+        return x
+    out = dict(x)
+    get = out.get
+    for k, c in y.items():
+        out[k] = get(k, 0) + c
+    return out
 
 
-def gamma_tilde(inst, trunc, order=None):
+def _bucket_product_into(acc, x, y, m):
+    """acc += m * x * y for buckets."""
+    get = acc.get
+    for k1, c1 in x.items():
+        c1 *= m
+        for k2, c2 in y.items():
+            k = k1 + k2
+            acc[k] = get(k, 0) + c1 * c2
+
+
+def _graded_lambda(r, inner):
+    """lambda_bar(r) composed with the graded series `inner` (no degree-0
+    term): the recurrence of `_lambda_counts`, run on buckets.
+
+    With a graded series the derivative is the Euler operator, sum of
+    t_i d/dt_i, which multiplies the degree-d part by d; it obeys the chain
+    rule, so the two derivative identities of `_lambda_counts` hold with it,
+    and d! times their degree-d parts give the same binomial recurrence.
+    """
+    trunc = len(inner) - 1
+    a = [{}] * (trunc + 1)
+    b = [{}] * (trunc + 1)  # b[k] = a[k] + inner[k], filled as a[k] is
+    e = [{0: 1}] + [{}] * trunc
+    for n in range(trunc):
+        below = {}
+        for k in range(n):
+            if b[k + 1] and e[n - k]:
+                _bucket_product_into(below, b[k + 1], e[n - k], comb(n, k))
+        a[n + 1] = below
+        b[n + 1] = _bucket_sum(below, inner[n + 1])
+        e[n + 1] = {k: r * c for k, c in _bucket_sum(below, b[n + 1]).items()}
+    return a
+
+
+def _graded_exp(b):
+    """exp(B) for a graded series B with no degree-0 term: the Euler
+    operator turns E' = B'E into d E_d = sum over k of k B_k E_(d-k), which
+    on d! times each part is the recurrence of `_exp_counts`."""
+    e = [{0: 1}]
+    for d in range(1, len(b)):
+        acc = {}
+        for k in range(1, d + 1):
+            if b[k] and e[d - k]:
+                _bucket_product_into(acc, b[k], e[d - k], comb(d - 1, k - 1))
+        e.append(acc)
+    return e
+
+
+def gamma_tilde(inst, trunc):
     """Forest series over proper closed subgroups: no fallen leaves, no
     full-group vertices.
 
-    Built by applying, for each H (largest labels first), the commuting
-    operator exponential of  lam_H(t_H) * (s + sum over K strictly above H
-    of d/dt_K); the derivative summands graft an H-rooted subtree onto a
-    leaf slot of a K-tree.
+    The series is defined by applying to 1, for each H with every strict
+    supergroup of H before it, the operator exponential of
+    lam_H(t_H) * (s + sum over K strictly above H of d/dt_K); the
+    derivative summands graft an H-rooted subtree onto a leaf slot of a
+    K-tree.  It is computed as
+
+        exp(s * sum over K of lam_K(T_K)),
+        T_K = t_K + sum over H strictly inside K of lam_H(T_H).
+
+    Proof.  lam_H(t_H) does not involve any t_K with K strictly above H, so
+    the summands of H's exponent commute, and by Taylor's theorem
+    exp(lam d/dx) f = f(x + lam) when lam does not involve x.  So H's step
+    maps f to m_H * sigma_H(f), where m_H = exp(s lam_H(t_H)) and sigma_H is
+    the ring map t_K -> t_K + lam_H(t_H) for every K strictly above H.
+    Unrolled from acc = 1, the steps give the product over H of
+    sigma_H'(m_H), where sigma_H' is the composite of the ring maps of the
+    steps after H's; a ring map sends an exponential to the exponential of
+    the image, so this is exp(s * sum over H of lam_H(sigma_H'(t_H))).  The
+    maps after K's step that move t_K are those of the H strictly inside K,
+    as a supergroup's step comes first.  Each adds lam_H(t_H) to t_K, and
+    the maps after it turn t_H into sigma_H'(t_H) (those between K's step
+    and H's move no t_H).  So, by induction on the size of the label,
+    sigma_K'(t_K) = t_K + sum over H strictly inside K of lam_H(T_H) = T_K.
+    Nothing here depends on the order of the steps beyond that rule.
+
+    The T_K are built smallest label first, each lam_K(T_K) by
+    `_graded_lambda`, and exp by `_graded_exp`: every coefficient is an
+    integer d! [monomial of t-degree d], with no operator and no `Fraction`.
     """
     if not inst.group.is_abelian:
         raise AbelianOnly("the forest series requires an abelian group")
-    cs = closed_subgroups(inst)
-    proper = cs.proper
-    if order is None:
-        order = admissible_order(inst)
-    else:
-        order = tuple(order)
-        seen = set()
-        for H in order:
-            for K in proper:
-                if (
-                    H.is_subset(K)
-                    and K.elements != H.elements
-                    and K.elements not in seen
-                ):
-                    raise ValueError(
-                        "processing order must place every supergroup first"
-                    )
-            seen.add(H.elements)
-        if {H.elements for H in order} != {K.elements for K in proper}:
-            raise ValueError("processing order must cover the proper closed subgroups")
     vars = series_variables(inst)
-    acc = MultiSeries.constant(vars, trunc)
-    s_var = MultiSeries.monomial(vars, trunc, "s")
-    for H, lam, above in _operator_schedule(inst, trunc, order):
-        lam = _embed_lambda(lam, vars, subgroup_variable(H))
-        acc = _apply_exp_multiply(acc, s_var.mul(lam))
-        for K in above:
-            acc = _apply_exp_derive(acc, lam, subgroup_variable(K))
-    return acc
+    base = trunc + 1
+    weight = {v: base ** (len(vars) - 1 - i) for i, v in enumerate(vars)}
+    order = inst.group.order
+    done = []  # (H, lam_H(T_H)) for the labels so far
+    total = [{}] * (trunc + 1)
+    for K in reversed(admissible_order(inst)):
+        inner = [{}] * (trunc + 1)
+        if trunc:
+            inner[1] = {weight[subgroup_variable(K)]: 1}
+        for H, lam in done:
+            if H.is_subset(K):
+                inner = list(map(_bucket_sum, inner, lam))
+        if len(K) == 1:
+            lam = _graded_lambda(order, inner)
+        else:  # lam_K(x) = lambda_bar([G:K])(2x) + x, as in `_subgroup_lambda_counts`
+            doubled = [{k: 2 * c for k, c in x.items()} for x in inner]
+            lam = list(map(_bucket_sum, _graded_lambda(order // len(K), doubled), inner))
+        done.append((K, lam))
+        total = list(map(_bucket_sum, total, lam))
+    s = weight["s"]
+    tilde = _graded_exp([{k + s: c for k, c in x.items()} for x in total])
+    return _from_graded(vars, tilde)
 
 
-def _single_exp(vars, var, power):
-    exps = [0] * len(vars)
-    exps[vars.index(var)] = power
-    return tuple(exps)
+def _from_graded(vars, graded):
+    """The MultiSeries of a graded series over `vars`."""
+    trunc = len(graded) - 1
+    base = trunc + 1
+    lead = base ** (len(vars) - 1)  # the weight of the first variable
+    rest = {}  # packed exponents of the other variables -> their tuple
+    top = factorial(trunc)
+    terms = []
+    for d, bucket in enumerate(graded):
+        f = top // factorial(d)
+        out = {}
+        for k, c in bucket.items():
+            first, low = divmod(k, lead)
+            tail = rest.get(low)
+            if tail is None:
+                digits = []
+                x = low
+                for _ in range(len(vars) - 1):
+                    x, e = divmod(x, base)
+                    digits.append(e)
+                tail = rest[low] = tuple(reversed(digits))
+            out[(first,) + tail] = c * f
+        terms.append(out)
+    return MultiSeries(vars, trunc, _terms=terms, _den=top)
 
 
-def gamma_bar(inst, trunc, order=None):
+def series_cost(inst, trunc):
+    """Cost estimate of the `series` output at t-degree <= trunc:
+    (d + 1) * C(d + v, v) * max(d, 1) for d = trunc and v t-variables.
+
+    C(d + v, v) counts the monomials of t-degree <= d in v variables, d + 1
+    bounds the power of s, so their product bounds the terms of each printed
+    series; max(d, 1) is the number of degree pairs a term of the
+    exponential meets.  `series` refuses an estimate above `cap_nested`.
+    """
+    v = len(series_variables(inst)) - 1
+    return (trunc + 1) * comb(trunc + v, v) * max(trunc, 1)
+
+
+def gamma_bar(inst, trunc):
     """Fallen leaves allowed: e^(s t) times (gamma_tilde - 1)."""
-    return _gamma_bar_from(gamma_tilde(inst, trunc, order=order))
+    return _gamma_bar_from(gamma_tilde(inst, trunc))
 
 
 def _gamma_bar_from(tilde):
@@ -626,14 +734,8 @@ def _gamma_tilde_counts(inst, trunc):
     """n! [t^n], n <= trunc, of gamma_tilde at s = 1 with every t_K
     replaced by t.
 
-    By Taylor's theorem exp(lam * d/dx) f = f(x + lam) when lam does not
-    involve x, so the derivative operators of H's step are the ring map
-    t_K -> t_K + lam_H(t_H) for every K strictly above H.  At s = 1 the
-    multiplier of H's step is exp(lam_H(t_H)).  Of the steps after K's
-    step, the ones that move t_K are those of the H strictly inside K, so
-    lam_K(t_K) ends up as lam_K(T_K), where T_K = t_K + sum over H strictly
-    inside K of lam_H(T_H), and gamma_tilde(1, ...) = exp(sum over K of
-    lam_K(T_K)).  With every t_K replaced by t, each T_K is a series in t
+    By the composition proved in `gamma_tilde` this is exp(sum over K of
+    lam_K(T_K)); with every t_K replaced by t, each T_K is a series in t
     alone, built from the T_H of smaller labels first.
     """
     if not inst.group.is_abelian:
@@ -691,36 +793,47 @@ def series_to_json(series):
     return {"truncation": series.trunc, "terms": terms}
 
 
-def dumps_series_payload(payload):
-    """json.dumps(payload, sort_keys=True, indent=2) for a nonempty payload
-    {name: series_to_json(series)}, written directly.
+def dumps_series(series_by_name):
+    """json.dumps({name: series_to_json(series)}, sort_keys=True, indent=2)
+    for a nonempty dict of series over ('s', 't', t_K ...), written in one
+    pass from each series' integer numerators.
 
     The C encoder does not indent, and the pure-Python one would take most
-    of the time of `series`.  A coefficient is the str of a Fraction (digits, '-'
-    and '/'), so it needs no escaping; names and tH keys are quoted by the
-    function json.dumps uses for them.
+    of the time of `series`; neither is needed.  The terms are sorted by
+    exponent vector, as `MultiSeries.terms` sorts them, and a coefficient c
+    over the denominator D is written as str(Fraction(c, D)) is: c/g, then
+    "/" and D/g unless D/g = 1, with g = gcd(c, D).  Digits, "-" and "/"
+    need no escaping; names and tH keys are quoted by the function
+    json.dumps uses for them.
     """
-    blocks = []
-    for name in sorted(payload):
-        body = payload[name]
-        terms = []
-        for term in body["terms"]:
-            tH = term["tH"]
-            if tH:
-                inner = ",\n".join(
-                    f"          {encode_basestring_ascii(k)}: {tH[k]}" for k in sorted(tH)
-                )
-                tH = f"{{\n{inner}\n        }}"
-            else:
-                tH = "{}"
-            terms.append(
-                f'      {{\n        "coeff": "{term["coeff"]}",\n'
-                f'        "s": {term["s"]},\n        "t": {term["t"]},\n'
-                f'        "tH": {tH}\n      }}'
-            )
-        terms = "[\n" + ",\n".join(terms) + "\n    ]" if terms else "[]"
-        blocks.append(
-            f"  {encode_basestring_ascii(name)}: {{\n    \"terms\": {terms},\n"
-            f"    \"truncation\": {body['truncation']}\n  }}"
+    return "{\n" + ",\n".join(
+        f"  {encode_basestring_ascii(name)}: {_series_block(series_by_name[name])}"
+        for name in sorted(series_by_name)
+    ) + "\n}"
+
+
+def _series_block(series):
+    # (quoted tH key, position in exps[2:]) in the order of the keys
+    keys = sorted(
+        (encode_basestring_ascii(v[1:]), i) for i, v in enumerate(series.vars[2:])
+    )
+    tH_text = {}  # many terms share their t_K exponents
+    den = series._den
+    terms = []
+    for exps, c in sorted(
+        chain.from_iterable(b.items() for b in series._terms), key=itemgetter(0)
+    ):
+        g = gcd(c, den)
+        coeff = f"{c // g}" if g == den else f"{c // g}/{den // g}"
+        tH = exps[2:]
+        text = tH_text.get(tH)
+        if text is None:
+            inner = ",\n".join(f"          {key}: {tH[i]}" for key, i in keys if tH[i])
+            text = tH_text[tH] = f"{{\n{inner}\n        }}" if inner else "{}"
+        terms.append(
+            f'      {{\n        "coeff": "{coeff}",\n'
+            f'        "s": {exps[0]},\n        "t": {exps[1]},\n'
+            f'        "tH": {text}\n      }}'
         )
-    return "{\n" + ",\n".join(blocks) + "\n}"
+    terms = "[\n" + ",\n".join(terms) + "\n    ]" if terms else "[]"
+    return f'{{\n    "terms": {terms},\n    "truncation": {series.trunc}\n  }}'

@@ -20,7 +20,15 @@ from dowlingnest.groups import Subgroup, left_cosets
 from dowlingnest.linalg import RMatrix, Subspace, kernel
 from dowlingnest.poset import Poset
 from dowlingnest.reps import companion_matrix, cyclotomic_polynomial
-from dowlingnest.series import MultiSeries, big_g
+from dowlingnest.series import (
+    MultiSeries,
+    _apply_exp_derive,
+    _big_g_from,
+    admissible_order,
+    lambda_for_subgroup,
+    series_variables,
+    subgroup_variable,
+)
 
 
 def set_partitions(items):
@@ -96,10 +104,53 @@ def lambda_bar_fixed_point(r, trunc):
 
 
 def count_via_full_series(inst, n):
-    """n! times the t^n coefficient of the full (s, t) series at s = 1."""
-    value = big_g(inst, n).eval_var("s", 1).coefficient(t=n) * factorial(n)
+    """n! times the t^n coefficient of the full (s, t) series at s = 1,
+    with the forest series built by its operator exponentials."""
+    full = _big_g_from(gamma_tilde_by_operators(inst, n))
+    value = full.eval_var("s", 1).coefficient(t=n) * factorial(n)
     assert value.denominator == 1, value
     return int(value)
+
+
+def _apply_exp_multiply(series, factor):
+    """e^(factor) * series for a multiplication operator."""
+    return series.mul(factor.exp())
+
+
+def gamma_tilde_by_operators(inst, trunc, order=None):
+    """The forest series from its definition: for each H of `order`
+    (default: largest labels first), the commuting operator exponential of
+    lam_H(t_H) * (s + sum over K strictly above H of d/dt_K) applied to
+    the series so far, starting from 1.  `order` must list the proper closed
+    subgroups with every strict supergroup before its subgroups."""
+    proper = closed_subgroups(inst).proper
+    if order is None:
+        order = admissible_order(inst)
+    order = tuple(order)
+    seen = set()
+    for H in order:
+        for K in proper:
+            if H.is_subset(K) and K.elements != H.elements and K.elements not in seen:
+                raise ValueError("processing order must place every supergroup first")
+        seen.add(H.elements)
+    if {H.elements for H in order} != {K.elements for K in proper}:
+        raise ValueError("processing order must cover the proper closed subgroups")
+    vars = series_variables(inst)
+    acc = MultiSeries.constant(vars, trunc)
+    s_var = MultiSeries.monomial(vars, trunc, "s")
+    for H in order:
+        var = subgroup_variable(H)
+        lam = lambda_for_subgroup(inst, H, trunc)
+        lam = MultiSeries(
+            vars,
+            trunc,
+            {tuple(e[0] if v == var else 0 for v in vars): c for e, c in lam.coeffs.items()},
+        )
+        acc = _apply_exp_multiply(acc, s_var.mul(lam))
+        for K in proper:
+            if H.is_subset(K) and K.elements != H.elements:
+                acc = _apply_exp_derive(acc, lam, subgroup_variable(K))
+    return acc
 
 
 _NO_LEAF = 10**9

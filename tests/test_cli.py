@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -18,7 +19,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dowlingnest import selftest
-from dowlingnest.cli import main
+from dowlingnest.cli import build_parser, main
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 
@@ -168,6 +169,53 @@ def test_negative_limit_is_exit_2(capsys, command):
     assert out.splitlines()[1:] == ["  ... 9 more"]
 
 
+def _main_in_this_process(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse ends a bad argv this way
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _main_in_a_new_process(argv):
+    env = dict(os.environ, PYTHONPATH=str(INSTANCES.parent / "src"))
+    done = subprocess.run(
+        [sys.executable, "-m", "dowlingnest.cli", *argv],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    return done.returncode, done.stdout, done.stderr
+
+
+def test_one_parser_serves_every_call_of_main():
+    """The parser is built once per process; each call of main through it
+    prints what a fresh process prints (the count timings aside)."""
+    klein = str(INSTANCES / "klein4.json")
+    runs = [
+        ["count", "--input", klein, "--method", "egf"],
+        ["series", "--input", klein, "--max-degree", "2"],
+        ["count", "--input", klein, "--all-methods"],
+        ["count", "--input", klein, "--method", "bogus"],
+        ["count", "--input", klein, "--method", "forest"],
+    ]
+    timing = re.compile(r" \(\d+\.\d+s\)$", re.M)
+
+    def untimed(result):
+        code, out, err = result
+        return code, timing.sub("", out), err
+
+    results = [untimed(_main_in_this_process(argv)) for argv in runs]
+    assert build_parser() is build_parser()
+    assert [code for code, _, _ in results] == [0, 0, 0, 2, 0]
+    assert "invalid choice" in results[3][2]
+    for argv, result in zip(runs, results):
+        assert result == untimed(_main_in_a_new_process(argv)), argv
+
+
 def test_series_output_and_determinism(capsys):
     args = (
         "series",
@@ -205,6 +253,43 @@ def test_series_stdout_is_byte_stable(capsys, name, n):
     )
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == SERIES_DIGESTS[(name, n)]
+
+
+# sha256 of `series --max-degree d` stdout for d from 0 to the file's n
+# (chains8 to 5), as the operator-product construction printed it.
+SERIES_DEGREE_DIGESTS = {
+    ("z2.json", 0): "5bf230b3b001f8508581bd0c3651cf37ea6648a9f62d8322ccf7c54e05936207",
+    ("z2.json", 1): "78cb91e6af2290d835c0a0db94b16bbc967e25731545dda956878102c627224e",
+    ("z2.json", 2): "0acb9a9c4112d097cf3c0c0d58a3d46fe78f83df52c247972f6ee26cd985c61a",
+    ("z3.json", 0): "5bf230b3b001f8508581bd0c3651cf37ea6648a9f62d8322ccf7c54e05936207",
+    ("z3.json", 1): "78cb91e6af2290d835c0a0db94b16bbc967e25731545dda956878102c627224e",
+    ("z3.json", 2): "496b4b33aace935e536b4eb2d60620d69022edcd9e27d3cbf1c7f9bbbd8e4c3b",
+    ("z4.json", 0): "5bf230b3b001f8508581bd0c3651cf37ea6648a9f62d8322ccf7c54e05936207",
+    ("z4.json", 1): "78cb91e6af2290d835c0a0db94b16bbc967e25731545dda956878102c627224e",
+    ("z4.json", 2): "516aba4ecc24cfa107ef902ed22eee5f1b300e094025fc5b45235d1238261fbf",
+    ("klein4.json", 0): "5bf230b3b001f8508581bd0c3651cf37ea6648a9f62d8322ccf7c54e05936207",
+    ("klein4.json", 1): "06e90baad859522325eca6d4ebfdb6fad1852415ece72b56232178257bf7d60a",
+    ("klein4.json", 2): "37405b46c7c4eb903279d9bfdb1a29f722ca4c4f9d546a3f5b370c2368023e4b",
+    ("z4_plane.json", 0): "5bf230b3b001f8508581bd0c3651cf37ea6648a9f62d8322ccf7c54e05936207",
+    ("z4_plane.json", 1): "cf7ad3f02dc5abfbbb877e0680b6a4a83163c2e2ecbe4a4016fd8a33b415d3ff",
+    ("z4_plane.json", 2): "278d77cde10048394b860c15974002bfcb09df5bff4a5e74a5a12aa763a3fcbd",
+    ("z2x4_chains.json", 0): "5bf230b3b001f8508581bd0c3651cf37ea6648a9f62d8322ccf7c54e05936207",
+    ("z2x4_chains.json", 1): "be67f598a8083b870f67a4a1235a906aa2638c229c752ee03bce25e03879c83c",
+    ("z2x4_chains.json", 2): "da9f81c7f320c626ac70073ed2bb945a77fee0f89d6171bb7b5797b09e2881cb",
+    ("z2x4_chains.json", 3): "272bddd26e4e88b70b2aae33e235432f81bad5f86327cb5d09f4e2a08c363fb5",
+    ("z2x4_chains.json", 4): "59557586f6e8a72442fd4190ba8fd3faffb66b29b089cdc96cd78ce19b3e4ff7",
+    ("z2x4_chains.json", 5): "e0268a13744d01af7ba097c462c0e8c30268fb611546eb03af422a3517651475",
+}
+
+
+@pytest.mark.parametrize("name, degree", sorted(SERIES_DEGREE_DIGESTS))
+def test_series_stdout_at_every_degree_is_byte_stable(capsys, name, degree):
+    code, out, _ = run_cli(
+        capsys, "series", "--input", str(INSTANCES / name), "--max-degree", str(degree)
+    )
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == SERIES_DEGREE_DIGESTS[(name, degree)]
 
 
 # sha256 of `lattice` stdout and of the `export --what lattice` json and dot;
@@ -664,6 +749,7 @@ def test_selftest_bounds_the_work_of_a_nonabelian_instance(capsys, monkeypatch):
         ["count", "--method", "forest", "--input", "z2x4_chains.json"],
         ["nested", "--input", "klein4.json", "--n", "9", "--limit", "1"],
         ["export", "--what", "nested", "--input", "klein4.json", "--n", "9"],
+        ["series", "--input", "z2.json", "--max-degree", "200"],
     ],
     ids=[
         "forests-z2",
@@ -674,6 +760,7 @@ def test_selftest_bounds_the_work_of_a_nonabelian_instance(capsys, monkeypatch):
         "count-forest-chains8",
         "nested-klein4",
         "export-nested-klein4",
+        "series-z2",
     ],
 )
 def test_caps_refuse_before_any_block_is_built(argv):
@@ -685,7 +772,9 @@ def test_caps_refuse_before_any_block_is_built(argv):
     of 10^7, but 5.04e16 forests: the forest count refuses it, where the
     enumeration grew to 7.1 GB over 77 s.  klein4 at n=9 has 508,465
     blocks and 5.8e14 nested sets: the same count refuses the nested-set
-    enumeration, which ran without end (`--limit` only trims the output)."""
+    enumeration, which ran without end (`--limit` only trims the output).
+    `series` on Z/2 at degree 200 ran past 20 s; its cost estimate,
+    (d + 1) * C(d + v, v) * d = 8.2e8 for v = 2 t-variables, refuses it."""
     argv = [str(INSTANCES / a) if a.endswith(".json") else a for a in argv]
     env = dict(os.environ, PYTHONPATH=str(INSTANCES.parent / "src"))
     limit = 1 << 30

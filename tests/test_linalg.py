@@ -308,22 +308,23 @@ def test_matrix_extension_needs_generators():
 @pytest.mark.parametrize("name", ["klein", "s3", "chains8"])
 def test_every_corrupted_matrix_is_rejected(request, name):
     """The homomorphism check runs only on a generating set, yet a change
-    to any one element's matrix is caught."""
+    to any one element's matrix is caught, in its first or its last row."""
     rep = request.getfixturevalue(name).rep
     for g in range(rep.group.order):
-        matrices = list(rep.matrices)
-        entries = [list(r) for r in matrices[g].entries]
-        entries[0][0] += 1
-        matrices[g] = RMatrix(entries)
-        with pytest.raises(InstanceError, match="homomorphism"):
-            Representation(
-                rep.group,
-                rep.dim_v,
-                rep.scalar_degree,
-                matrices,
-                rep.characters,
-                rep.char_exponents,
-            )
+        for corner in (0, -1):
+            matrices = list(rep.matrices)
+            entries = [list(r) for r in matrices[g].entries]
+            entries[corner][corner] += 1
+            matrices[g] = RMatrix(entries)
+            with pytest.raises(InstanceError, match="homomorphism"):
+                Representation(
+                    rep.group,
+                    rep.dim_v,
+                    rep.scalar_degree,
+                    matrices,
+                    rep.characters,
+                    rep.char_exponents,
+                )
 
 
 @pytest.mark.parametrize("a_first", [True, False])
@@ -353,3 +354,32 @@ def test_non_homomorphic_matrices_rejected():
             scalar_degree=1,
             matrices=(RMatrix(((1,),)), RMatrix(((2,),))),
         )
+
+
+def _rational_klein_generators(G, twist=0):
+    """diag(1, -1) and diag(-1, 1) conjugated by ((1, 1), (0, 3)), given on
+    the two generators of the Klein group: entries with denominator 3."""
+    P = RMatrix(((1, 1), (0, 3)))
+    P_inv = RMatrix(((1, Fraction(-1, 3)), (0, Fraction(1, 3))))
+    a = P.mul(RMatrix(((1, 0), (0, -1)))).mul(P_inv)
+    b = P.mul(RMatrix(((-1, 0), (0, 1)))).mul(P_inv)
+    if twist:
+        b = RMatrix(((b.entries[0][0] + twist, b.entries[0][1]), b.entries[1]))
+    ids = {G.id_to_tuple(g): g for g in range(G.order)}
+    return {ids[(1, 0)]: a, ids[(0, 1)]: b}
+
+
+def test_rational_matrices_are_checked_over_their_denominators():
+    G = FiniteGroup.from_abelian([2, 2])
+    rep = Representation.from_matrices(G, _rational_klein_generators(G))
+    assert any(x.denominator == 3 for m in rep.matrices for row in m.entries for x in row)
+    for twist in (Fraction(1, 3), 1):
+        with pytest.raises(InstanceError, match="homomorphism"):
+            Representation.from_matrices(G, _rational_klein_generators(G, twist))
+
+
+def test_non_homomorphic_generator_is_rejected_by_from_matrices():
+    """rho(g)^2 = 1/4 for the generator of Z/2, not rho(e) = 1."""
+    G = FiniteGroup.from_abelian([2])
+    with pytest.raises(InstanceError, match="homomorphism"):
+        Representation.from_matrices(G, {1: RMatrix(((Fraction(1, 2),),))})

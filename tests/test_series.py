@@ -32,13 +32,12 @@ from dowlingnest.forests import count_forests, decompose_forest
 from dowlingnest.instancefile import load_instance
 from dowlingnest.series import (
     _apply_exp_derive,
-    _apply_exp_multiply,
     _big_g_from,
     _gamma_bar_from,
     _gamma_tilde_counts,
     _lambda_counts,
     admissible_order,
-    dumps_series_payload,
+    dumps_series,
     series_to_json,
     series_variables,
     subgroup_variable,
@@ -47,9 +46,11 @@ from dowlingnest.series import (
 from conftest import make_abelian_instance, small_abelian_instances
 from oracles import (
     FractionSeries,
+    _apply_exp_multiply,
     count_arity2_trees,
     count_trees_with_unary_leaf_vertices,
     count_via_full_series,
+    gamma_tilde_by_operators,
     lambda_bar_fixed_point,
 )
 
@@ -398,6 +399,8 @@ def test_two_subgroup_chain_reproduces_the_binomial_expansion(z4_plane):
 
 
 def test_gamma_tilde_order_independent(klein):
+    """The operator construction gives the composed series in every order
+    that puts each strict supergroup first."""
     default = gamma_tilde(klein, 3)
     proper = list(admissible_order(klein))
     admissible = []
@@ -413,14 +416,39 @@ def test_gamma_tilde_order_independent(klein):
             admissible.append(perm)
     assert len(admissible) >= 2
     for perm in admissible:
-        assert gamma_tilde(klein, 3, order=perm) == default
+        assert gamma_tilde_by_operators(klein, 3, order=perm) == default
 
 
 def test_inadmissible_order_rejected(klein):
     proper = admissible_order(klein)
     reversed_order = tuple(reversed(proper))
     with pytest.raises(ValueError):
-        gamma_tilde(klein, 3, order=reversed_order)
+        gamma_tilde_by_operators(klein, 3, order=reversed_order)
+
+
+@pytest.mark.parametrize(
+    "name, top",
+    [
+        ("z2", 4),
+        ("z3", 4),
+        ("z4", 4),
+        ("klein4", 4),
+        ("z4_plane", 4),
+        ("z2x4_chains", 3),
+    ],
+)
+def test_composition_gives_the_operator_series(name, top):
+    """The forest series composed once per label equals the product of its
+    operator exponentials, at every truncation."""
+    inst = load_instance(INSTANCES / f"{name}.json")
+    for trunc in range(top + 1):
+        assert gamma_tilde(inst, trunc) == gamma_tilde_by_operators(inst, trunc), trunc
+
+
+@settings(max_examples=25, deadline=None)
+@given(small_abelian_instances())
+def test_composition_gives_the_operator_series_on_random_instances(inst):
+    assert gamma_tilde(inst, inst.n) == gamma_tilde_by_operators(inst, inst.n)
 
 
 def test_operator_summands_commute(klein):
@@ -591,7 +619,7 @@ def test_series_json_shape(z2):
 def _merged_tilde_counts(inst, trunc):
     """n! [t^n] of gamma_tilde at s = 1 with every t_K merged into t, from
     the operator exponentials on the full series."""
-    tilde = gamma_tilde(inst, trunc).eval_var("s", 1)
+    tilde = gamma_tilde_by_operators(inst, trunc).eval_var("s", 1)
     merged = tilde.merge_vars([v for v in tilde.vars if v != "t"], "t")
     return [merged.coefficient(t=k) * factorial(k) for k in range(trunc + 1)]
 
@@ -655,13 +683,14 @@ def test_series_payload_writer_matches_json_dumps(name):
     empty_terms = empty_tH = False
     for degree in range(5):
         tilde = gamma_tilde(inst, degree)
-        payload = {
-            "gamma_tilde": series_to_json(tilde),
-            "gamma_bar": series_to_json(_gamma_bar_from(tilde)),
-            "g": series_to_json(_big_g_from(tilde)),
+        series = {
+            "gamma_tilde": tilde,
+            "gamma_bar": _gamma_bar_from(tilde),
+            "g": _big_g_from(tilde),
         }
+        payload = {name: series_to_json(x) for name, x in series.items()}
         expected = json.dumps(payload, sort_keys=True, indent=2)
-        assert dumps_series_payload(payload) == expected, degree
+        assert dumps_series(series) == expected, degree
         terms = [t for body in payload.values() for t in body["terms"]]
         empty_terms |= any(not body["terms"] for body in payload.values())
         empty_tH |= any(not t["tH"] for t in terms)

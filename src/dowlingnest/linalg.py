@@ -6,8 +6,9 @@ is canonically represented by the RREF basis of its row space, which makes
 set-equality of subspaces the same as equality of the dataclass fields.
 There is one elimination, the fraction-free `integer_echelon`: `rref` and
 `kernel` scale their rows to integers, eliminate there, and divide each row
-by its pivot only at the end, and `RMatrix.mul` takes integer dot products
-over one denominator.  Fractions are built only for what is returned.
+by its pivot only at the end, and `RMatrix.mul` and
+`RMatrix.forms_multiply_to` take integer dot products over one denominator.
+Fractions are built only for what is returned.
 """
 
 from __future__ import annotations
@@ -62,11 +63,9 @@ class RMatrix:
         a, da = _over_one_denominator(self.entries)
         b, db = _over_one_denominator(other.entries)
         den = da * db
-        bt = tuple(zip(*b))
         return RMatrix(
             tuple(
-                tuple(Fraction(sum(map(operator.mul, row, col)), den) for col in bt)
-                for row in a
+                tuple(Fraction(x, den) for x in row) for row in _integer_product(a, b)
             )
         )
 
@@ -75,6 +74,21 @@ class RMatrix:
         entries' denominators; equal matrices have equal forms."""
         rows, den = _over_one_denominator(self.entries)
         return tuple(map(tuple, rows)), den
+
+    @staticmethod
+    def forms_multiply_to(a, b, c):
+        """Whether A B = C, for A, B and C given by their `integer_form`s
+        (rows, den), with no Fraction built: rows_a rows_b / (den_a den_b)
+        equals rows_c / den_c exactly when
+        den_c (rows_a rows_b) = den_a den_b rows_c."""
+        (rows_a, den_a), (rows_b, den_b), (rows_c, den_c) = a, b, c
+        if any(len(row) != len(rows_b) for row in rows_a):
+            raise AmbientMismatch("matrix product shape mismatch")
+        scale = den_a * den_b
+        product = _integer_product(rows_a, rows_b)
+        return [[den_c * x for x in row] for row in product] == [
+            [scale * y for y in row] for row in rows_c
+        ]
 
     def sub(self, other):
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -100,6 +114,12 @@ def _over_one_denominator(rows):
     rows = tuple(rows)
     den = lcm(*(x.denominator for row in rows for x in row))
     return [[x.numerator * (den // x.denominator) for x in row] for row in rows], den
+
+
+def _integer_product(a, b):
+    """The product of two integer matrices given as rows."""
+    cols = tuple(zip(*b))
+    return [[sum(map(operator.mul, row, col)) for col in cols] for row in a]
 
 
 def _unit_pivots(echelon):

@@ -21,7 +21,6 @@ Two input styles are supported:
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import mul
 
 from .errors import InstanceError
 from .groups import Subgroup, subgroup_closure
@@ -213,10 +212,9 @@ class Representation:
                           = rho(ab's) = rho(ab)      (check at the pair ab', s).
         The homomorphism, identity and faithfulness rules are decided on the
         integer forms (rows, den) of the matrices, with no Fraction built:
-        rho(a) rho(b) = rho(ab) exactly when
-        den_ab * (rows_a rows_b) = den_a * den_b * rows_ab, and as the form of
-        a matrix is unique, two matrices are equal exactly when their forms
-        are.
+        the products by `RMatrix.forms_multiply_to`, and, as the form of a
+        matrix is unique, equality of two matrices by equality of their
+        forms.
         """
         G = self.group
         n = G.order
@@ -224,17 +222,8 @@ class Representation:
             raise InstanceError("need one matrix per group element")
         forms = [m.integer_form() for m in self.matrices]
         for b in _generating_set(G):
-            rows_b, den_b = forms[b]
-            cols_b = tuple(zip(*rows_b))
             for a in range(n):
-                rows_a, den_a = forms[a]
-                rows_ab, den_ab = forms[G.mul(a, b)]
-                scale = den_a * den_b
-                if any(
-                    den_ab * sum(map(mul, row, col)) != scale * x
-                    for row, row_ab in zip(rows_a, rows_ab)
-                    for col, x in zip(cols_b, row_ab)
-                ):
+                if not RMatrix.forms_multiply_to(forms[a], forms[b], forms[G.mul(a, b)]):
                     raise InstanceError(
                         f"matrices are not a homomorphism at the pair ({a},{b})"
                     )

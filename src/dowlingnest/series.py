@@ -17,7 +17,7 @@ children gives the functional equation
 
     lambda_bar = (1/r) * (exp(r*B) - 1 - r*B),
 
-which `_lambda_counts` solves by an integer recurrence on the EGF
+which `_graded_lambda` solves by an integer recurrence on the EGF
 coefficients of lambda_bar and exp(r*B), read off from the derivatives of
 both sides (O(trunc^2) big-integer steps).  The same recurrence, with any
 series U in place of t, gives lambda_bar(U) directly.  The counts also
@@ -35,8 +35,8 @@ first (the proof is in `gamma_tilde`).  Each lam_K(T_K) comes from the tree
 recurrence with T_K in place of t, so `gamma_tilde` builds no operator: it
 composes graded integer series once per label and takes one exponential.
 `nested_count_via_series` needs only the series at s = 1 with every t_K
-replaced by t: there the same composition runs on univariate series, on
-plain integers n! [t^n] (`_gamma_tilde_counts`).
+replaced by t: the same composition gives it when every t_K is packed as t
+and s as 1 (`_gamma_tilde_counts`).
 """
 
 from __future__ import annotations
@@ -378,14 +378,57 @@ class MultiSeries:
 # -- tree series --------------------------------------------------------------------
 
 
-def _lambda_counts(r, inner):
-    """n! [t^n] of lambda_bar(r) composed with a series U, U(0) = 0, given
-    and returned as the list of n! [t^n] for n < len(inner).
+# A graded series is a list whose entry d is a bucket {packed exponents:
+# integer} holding d! times the coefficients of t-degree d.  The exponent
+# vector (e_0, ..., e_(v-1)) over the series' variables is packed into the
+# integer sum of e_i * base^(v-1-i), base = trunc + 1, so exponents add as
+# integers and the packed order is the tuple order.  A product only pairs
+# degrees d1 + d2 <= trunc, so every t-exponent stays below the base, and so
+# does the exponent of s, which never exceeds the t-degree here.  A series in
+# t alone packs t^n as n.  Buckets are shared between lists and never
+# changed once built.
+
+
+def _bucket_sum(x, y):
+    """x + y for buckets; an empty one gives back the other itself."""
+    if not x:
+        return y
+    if not y:
+        return x
+    out = dict(x)
+    get = out.get
+    for k, c in y.items():
+        out[k] = get(k, 0) + c
+    return out
+
+
+def _bucket_product_into(acc, x, y, m):
+    """acc += m * x * y for buckets."""
+    get = acc.get
+    for k1, c1 in x.items():
+        c1 *= m
+        for k2, c2 in y.items():
+            k = k1 + k2
+            acc[k] = get(k, 0) + c1 * c2
+
+
+def _variable(key, trunc):
+    """The graded series of the t-variable packed as `key`."""
+    out = [{}] * (trunc + 1)
+    if trunc:
+        out[1] = {key: 1}
+    return out
+
+
+def _graded_lambda(r, inner):
+    """lambda_bar(r) composed with a graded series U with no degree-0 term.
 
     lambda_bar = L solves r L(x) = exp(r (x + L(x))) - 1 - r (x + L(x)).
-    Put x = U(t) and write a_n, b_n and e_n for n! [t^n] of A = L(U),
-    B = U + A and exp(r B).  The derivatives A' = B'(exp(r B) - 1) and
-    exp(r B)' = r B' exp(r B) read, coefficient by coefficient,
+    Put x = U and write a_n, b_n and e_n for n! times the degree-n parts of
+    A = L(U), B = U + A and exp(r B).  The Euler operator D, the sum of
+    t_i d/dt_i, multiplies the degree-n part by n and obeys the chain rule,
+    so D A = D B (exp(r B) - 1) and D exp(r B) = r D B exp(r B); n! times
+    their degree-(n+1) parts read
 
         a_(n+1) = sum over k < n of C(n, k) b_(k+1) e_(n-k),
         e_(n+1) = r * (sum over k <= n of C(n, k) b_(k+1) e_(n-k)),
@@ -395,51 +438,79 @@ def _lambda_counts(r, inner):
     b_(n+1).  U = t gives lambda_bar itself.
     """
     trunc = len(inner) - 1
-    a = [0] * (trunc + 1)
-    b = [0] * (trunc + 1)  # b[k] = a[k] + inner[k], filled as a[k] is
-    e = [1] + [0] * trunc
+    a = [{}] * (trunc + 1)
+    b = [{}] * (trunc + 1)  # b[k] = a[k] + inner[k], filled as a[k] is
+    e = [{0: 1}] + [{}] * trunc
     for n in range(trunc):
-        below = sum(comb(n, k) * b[k + 1] * e[n - k] for k in range(n))
+        below = {}
+        for k in range(n):
+            if b[k + 1] and e[n - k]:
+                _bucket_product_into(below, b[k + 1], e[n - k], comb(n, k))
         a[n + 1] = below
-        b[n + 1] = below + inner[n + 1]
-        e[n + 1] = r * (below + b[n + 1])
+        b[n + 1] = _bucket_sum(below, inner[n + 1])
+        e[n + 1] = {k: r * c for k, c in _bucket_sum(below, b[n + 1]).items()}
     return a
 
 
-def _subgroup_lambda_counts(order, H, inner):
-    """n! [t^n] of lam_H composed with the series `inner`, as in
-    `_lambda_counts`, for a proper subgroup H of an abelian group of the
-    given order (see `lambda_for_subgroup`).
+def _subgroup_lambda(order, H, inner):
+    """lam_H composed with the graded series `inner`, for a proper subgroup
+    H of an abelian group of the given order (see `lambda_for_subgroup`).
 
     lam_{e} is lambda_bar(|G|).  For H != {e}, lam_H(x) = L(2x) + x with
-    L = lambda_bar([G:H]): at n leaves that is 2^n a_n, plus the bare
+    L = lambda_bar([G:H]): every leaf slot doubled, plus the bare
     root-over-leaf tree.
     """
     if len(H) == 1:
-        return _lambda_counts(order, inner)
-    doubled = _lambda_counts(order // len(H), [2 * x for x in inner])
-    return [a + x for a, x in zip(doubled, inner)]
+        return _graded_lambda(order, inner)
+    doubled = [{k: 2 * c for k, c in x.items()} for x in inner]
+    return list(map(_bucket_sum, _graded_lambda(order // len(H), doubled), inner))
 
 
-def _t_counts(trunc):
-    """n! [t^n] of t, for n <= trunc."""
-    return [int(n == 1) for n in range(trunc + 1)]
+def _graded_exp(b):
+    """exp(B) for a graded series B with no degree-0 term: D E = D B E for
+    the Euler operator D reads n E_n = sum over k of k B_k E_(n-k), which on
+    n! times each part is e_n = sum over k of C(n-1, k-1) b_k e_(n-k)."""
+    e = [{0: 1}]
+    for d in range(1, len(b)):
+        acc = {}
+        for k in range(1, d + 1):
+            if b[k] and e[d - k]:
+                _bucket_product_into(acc, b[k], e[d - k], comb(d - 1, k - 1))
+        e.append(acc)
+    return e
 
 
-def _series_in_t(counts):
-    """The series in 't' whose n! [t^n] are `counts`."""
-    return MultiSeries(
-        ("t",),
-        len(counts) - 1,
-        {(n,): Fraction(x, factorial(n)) for n, x in enumerate(counts)},
-    )
+def _from_graded(vars, graded):
+    """The MultiSeries of a graded series over `vars`."""
+    trunc = len(graded) - 1
+    base = trunc + 1
+    lead = base ** (len(vars) - 1)  # the weight of the first variable
+    rest = {}  # packed exponents of the other variables -> their tuple
+    top = factorial(trunc)
+    terms = []
+    for d, bucket in enumerate(graded):
+        f = top // factorial(d)
+        out = {}
+        for k, c in bucket.items():
+            first, low = divmod(k, lead)
+            tail = rest.get(low)
+            if tail is None:
+                digits = []
+                x = low
+                for _ in range(len(vars) - 1):
+                    x, e = divmod(x, base)
+                    digits.append(e)
+                tail = rest[low] = tuple(reversed(digits))
+            out[(first,) + tail] = c * f
+        terms.append(out)
+    return MultiSeries(vars, trunc, _terms=terms, _den=top)
 
 
 def lambda_bar(r, trunc):
     """EGF of leaf-labelled rooted trees with all arities >= 2 and edge
     weight r^(arity-1) per vertex, as a series in 't'; the coefficients come
-    from the integer recurrence of `_lambda_counts`."""
-    return _series_in_t(_lambda_counts(r, _t_counts(trunc)))
+    from the integer recurrence of `_graded_lambda`."""
+    return _from_graded(("t",), _graded_lambda(r, _variable(1, trunc)))
 
 
 def partition_oracle(n, k, r):
@@ -472,7 +543,7 @@ def lambda_for_subgroup(inst, H, trunc):
     order = inst.group.order
     if len(H) == order:
         raise AbelianOnly("no tree series is attached to the full group")
-    return _series_in_t(_subgroup_lambda_counts(order, H, _t_counts(trunc)))
+    return _from_graded(("t",), _subgroup_lambda(order, H, _variable(1, trunc)))
 
 
 # -- the forest series -----------------------------------------------------------------
@@ -509,77 +580,6 @@ def admissible_order(inst):
     return tuple(sorted(cs.proper, key=lambda K: (-len(K), K.elements)))
 
 
-# A graded series is a list whose entry d is a bucket {packed exponents:
-# integer} holding d! times the coefficients of t-degree d.  The exponent
-# vector (e_0, ..., e_(v-1)) over the series' variables is packed into the
-# integer sum of e_i * base^(v-1-i), base = trunc + 1, so exponents add as
-# integers and the packed order is the tuple order.  A product only pairs
-# degrees d1 + d2 <= trunc, so every t-exponent stays below the base, and so
-# does the exponent of s, which never exceeds the t-degree here.  Buckets are
-# shared between lists and never changed once built.
-
-
-def _bucket_sum(x, y):
-    """x + y for buckets; an empty one gives back the other itself."""
-    if not x:
-        return y
-    if not y:
-        return x
-    out = dict(x)
-    get = out.get
-    for k, c in y.items():
-        out[k] = get(k, 0) + c
-    return out
-
-
-def _bucket_product_into(acc, x, y, m):
-    """acc += m * x * y for buckets."""
-    get = acc.get
-    for k1, c1 in x.items():
-        c1 *= m
-        for k2, c2 in y.items():
-            k = k1 + k2
-            acc[k] = get(k, 0) + c1 * c2
-
-
-def _graded_lambda(r, inner):
-    """lambda_bar(r) composed with the graded series `inner` (no degree-0
-    term): the recurrence of `_lambda_counts`, run on buckets.
-
-    With a graded series the derivative is the Euler operator, sum of
-    t_i d/dt_i, which multiplies the degree-d part by d; it obeys the chain
-    rule, so the two derivative identities of `_lambda_counts` hold with it,
-    and d! times their degree-d parts give the same binomial recurrence.
-    """
-    trunc = len(inner) - 1
-    a = [{}] * (trunc + 1)
-    b = [{}] * (trunc + 1)  # b[k] = a[k] + inner[k], filled as a[k] is
-    e = [{0: 1}] + [{}] * trunc
-    for n in range(trunc):
-        below = {}
-        for k in range(n):
-            if b[k + 1] and e[n - k]:
-                _bucket_product_into(below, b[k + 1], e[n - k], comb(n, k))
-        a[n + 1] = below
-        b[n + 1] = _bucket_sum(below, inner[n + 1])
-        e[n + 1] = {k: r * c for k, c in _bucket_sum(below, b[n + 1]).items()}
-    return a
-
-
-def _graded_exp(b):
-    """exp(B) for a graded series B with no degree-0 term: the Euler
-    operator turns E' = B'E into d E_d = sum over k of k B_k E_(d-k), which
-    on d! times each part is the recurrence of `_exp_counts`."""
-    e = [{0: 1}]
-    for d in range(1, len(b)):
-        acc = {}
-        for k in range(1, d + 1):
-            if b[k] and e[d - k]:
-                _bucket_product_into(acc, b[k], e[d - k], comb(d - 1, k - 1))
-        e.append(acc)
-    return e
-
-
 def gamma_tilde(inst, trunc):
     """Forest series over proper closed subgroups: no fallen leaves, no
     full-group vertices.
@@ -613,57 +613,40 @@ def gamma_tilde(inst, trunc):
     `_graded_lambda`, and exp by `_graded_exp`: every coefficient is an
     integer d! [monomial of t-degree d], with no operator and no `Fraction`.
     """
-    if not inst.group.is_abelian:
-        raise AbelianOnly("the forest series requires an abelian group")
     vars = series_variables(inst)
     base = trunc + 1
     weight = {v: base ** (len(vars) - 1 - i) for i, v in enumerate(vars)}
+    graded = _graded_tilde(
+        inst, trunc, lambda K: weight[subgroup_variable(K)], weight["s"]
+    )
+    return _from_graded(vars, graded)
+
+
+def _graded_tilde(inst, trunc, key, s_key):
+    """exp(s * sum over K of lam_K(T_K)) (see `gamma_tilde`) as a graded
+    series, with t_K packed as key(K) and s packed as s_key."""
+    if not inst.group.is_abelian:
+        raise AbelianOnly("the forest series requires an abelian group")
     order = inst.group.order
     done = []  # (H, lam_H(T_H)) for the labels so far
     total = [{}] * (trunc + 1)
     for K in reversed(admissible_order(inst)):
-        inner = [{}] * (trunc + 1)
-        if trunc:
-            inner[1] = {weight[subgroup_variable(K)]: 1}
+        inner = _variable(key(K), trunc)
         for H, lam in done:
             if H.is_subset(K):
                 inner = list(map(_bucket_sum, inner, lam))
-        if len(K) == 1:
-            lam = _graded_lambda(order, inner)
-        else:  # lam_K(x) = lambda_bar([G:K])(2x) + x, as in `_subgroup_lambda_counts`
-            doubled = [{k: 2 * c for k, c in x.items()} for x in inner]
-            lam = list(map(_bucket_sum, _graded_lambda(order // len(K), doubled), inner))
+        lam = _subgroup_lambda(order, K, inner)
         done.append((K, lam))
         total = list(map(_bucket_sum, total, lam))
-    s = weight["s"]
-    tilde = _graded_exp([{k + s: c for k, c in x.items()} for x in total])
-    return _from_graded(vars, tilde)
+    return _graded_exp([{k + s_key: c for k, c in x.items()} for x in total])
 
 
-def _from_graded(vars, graded):
-    """The MultiSeries of a graded series over `vars`."""
-    trunc = len(graded) - 1
-    base = trunc + 1
-    lead = base ** (len(vars) - 1)  # the weight of the first variable
-    rest = {}  # packed exponents of the other variables -> their tuple
-    top = factorial(trunc)
-    terms = []
-    for d, bucket in enumerate(graded):
-        f = top // factorial(d)
-        out = {}
-        for k, c in bucket.items():
-            first, low = divmod(k, lead)
-            tail = rest.get(low)
-            if tail is None:
-                digits = []
-                x = low
-                for _ in range(len(vars) - 1):
-                    x, e = divmod(x, base)
-                    digits.append(e)
-                tail = rest[low] = tuple(reversed(digits))
-            out[(first,) + tail] = c * f
-        terms.append(out)
-    return MultiSeries(vars, trunc, _terms=terms, _den=top)
+def _gamma_tilde_counts(inst, trunc):
+    """n! [t^n], n <= trunc, of gamma_tilde at s = 1 with every t_K
+    replaced by t: the composition of `gamma_tilde` with every t_K packed
+    as t^1 and s as s^0 = 1, so that bucket n holds the one key n."""
+    graded = _graded_tilde(inst, trunc, lambda K: 1, 0)
+    return [bucket.get(n, 0) for n, bucket in enumerate(graded)]
 
 
 def series_cost(inst, trunc):
@@ -720,39 +703,6 @@ def _big_g_from(tilde):
     bar_t = st.exp().mul(tilde_t.sub(one))
     s_var = MultiSeries.monomial(vars, trunc, "s")
     return s_var.mul(phi).mul(gamma_st).add(bar_t)
-
-
-def _exp_counts(b):
-    """n! [t^n] of exp(B) from those of B, B(0) = 0, by E' = B'E."""
-    e = [1]
-    for d in range(len(b) - 1):
-        e.append(sum(comb(d, i) * b[i + 1] * e[d - i] for i in range(d + 1)))
-    return e
-
-
-def _gamma_tilde_counts(inst, trunc):
-    """n! [t^n], n <= trunc, of gamma_tilde at s = 1 with every t_K
-    replaced by t.
-
-    By the composition proved in `gamma_tilde` this is exp(sum over K of
-    lam_K(T_K)); with every t_K replaced by t, each T_K is a series in t
-    alone, built from the T_H of smaller labels first.
-    """
-    if not inst.group.is_abelian:
-        raise AbelianOnly("the forest series requires an abelian group")
-    order = inst.group.order
-    t = _t_counts(trunc)
-    done = []  # (H, lam_H(T_H)) for the labels so far
-    total = [0] * (trunc + 1)
-    for K in reversed(admissible_order(inst)):
-        inner = t
-        for H, lam in done:
-            if H.is_subset(K):
-                inner = [x + y for x, y in zip(inner, lam)]
-        lam = _subgroup_lambda_counts(order, K, inner)
-        done.append((K, lam))
-        total = [x + y for x, y in zip(total, lam)]
-    return _exp_counts(total)
 
 
 def nested_count_via_series(inst, n):

@@ -35,7 +35,7 @@ from dowlingnest.series import (
     _big_g_from,
     _gamma_bar_from,
     _gamma_tilde_counts,
-    _lambda_counts,
+    _graded_lambda,
     admissible_order,
     dumps_series,
     series_to_json,
@@ -660,7 +660,8 @@ def test_lambda_counts_compose(r):
     for k in range(1, trunc + 1):
         power = power.mul(U)
         composed = composed.add(power.scale(lam.coefficient(t=k)))
-    assert _lambda_counts(r, inner) == [
+    graded = _graded_lambda(r, [{n: x} if x else {} for n, x in enumerate(inner)])
+    assert [bucket.get(n, 0) for n, bucket in enumerate(graded)] == [
         composed.coefficient(t=n) * factorial(n) for n in range(trunc + 1)
     ]
 

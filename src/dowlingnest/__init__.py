@@ -36,7 +36,6 @@ from .errors import (
     NotRealizable,
     OrderBoundExceeded,
     SizeBoundExceeded,
-    TruncationUnderflow,
 )
 from .forests import (
     LabelledForest,
@@ -97,7 +96,6 @@ __all__ = [
     "SizeBoundExceeded",
     "Subgroup",
     "Subspace",
-    "TruncationUnderflow",
     "Vertex",
     "big_g",
     "block_leq",

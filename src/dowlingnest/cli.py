@@ -30,12 +30,13 @@ from .forests import Leaf, count_forests, enumerate_forests
 from .instancefile import load_instance
 from .selftest import run_selftest
 from .series import (
-    _big_g_from,
     _gamma_bar_from,
+    big_g,
     dumps_series,
     gamma_tilde,
     nested_count_via_series,
     series_cost,
+    series_variables,
 )
 
 EXIT_OK = 0
@@ -188,6 +189,7 @@ def cmd_count(inst, args, out):
                 if args.all_methods:
                     continue
                 raise AbelianOnly("the egf method requires an abelian group")
+            _check_series_cost(inst, inst.n, 1, "--n")
             value = nested_count_via_series(inst, inst.n)
         elapsed = time.perf_counter() - start
         results[method] = value
@@ -199,23 +201,28 @@ def cmd_count(inst, args, out):
     return EXIT_OK
 
 
+def _check_series_cost(inst, degree, v, flag):
+    """SizeBoundExceeded when `series_cost` of the degree is above cap_nested."""
+    cost = series_cost(degree, v)
+    if cost > inst.cap_nested:
+        raise SizeBoundExceeded(
+            f"series cost estimate {cost} at {flag} {degree} exceeds the "
+            f"cap of {inst.cap_nested}; lower {flag} or raise --cap-nested"
+        )
+
+
 def cmd_series(inst, args, out):
     degree = args.max_degree if args.max_degree is not None else inst.n
     if degree < 0:
         raise InstanceError("--max-degree must be nonnegative")
     if not inst.group.is_abelian:
         raise AbelianOnly("the forest series requires an abelian group")
-    cost = series_cost(inst, degree)
-    if cost > inst.cap_nested:
-        raise SizeBoundExceeded(
-            f"series cost estimate {cost} at --max-degree {degree} exceeds the "
-            f"cap of {inst.cap_nested}; lower --max-degree or raise --cap-nested"
-        )
+    _check_series_cost(inst, degree, len(series_variables(inst)) - 1, "--max-degree")
     tilde = gamma_tilde(inst, degree)
     series = {
         "gamma_tilde": tilde,
         "gamma_bar": _gamma_bar_from(tilde),
-        "g": _big_g_from(tilde),
+        "g": big_g(inst, degree),
     }
     out(dumps_series(series))
     return EXIT_OK

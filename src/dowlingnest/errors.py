@@ -29,10 +29,6 @@ class NonInvertibleConstantTerm(DowlingNestError):
     """Series inversion needs a nonzero rational constant term."""
 
 
-class TruncationUnderflow(DowlingNestError):
-    """Integration would push a stored term past the truncation bound."""
-
-
 class MalformedForest(DowlingNestError):
     """Structurally broken forest: duplicate/missing leaf labels, bad node data."""
 

@@ -34,9 +34,18 @@ with T_K = t_K + sum over H strictly inside K of lam_H(T_H), smallest label
 first (the proof is in `gamma_tilde`).  Each lam_K(T_K) comes from the tree
 recurrence with T_K in place of t, so `gamma_tilde` builds no operator: it
 composes graded integer series once per label and takes one exponential.
-`nested_count_via_series` needs only the series at s = 1 with every t_K
-replaced by t: the same composition gives it when every t_K is packed as t
-and s as 1 (`_gamma_tilde_counts`).
+
+The counting series is written once, on the same graded integers:
+
+    G = (s phi + 1) Gamma_st - e^(s t),   phi = 1/(2 - Gamma(1, t)) - 1,
+
+with Gamma_st = e^(s t) Gamma~_t and Gamma~_t the forest series with every
+t_K replaced by t.  This is s phi Gamma_st + e^(s t) (Gamma~_t - 1), as
+e^(s t) (Gamma~_t - 1) = Gamma_st - e^(s t).  The packed weight of s
+selects the use: trunc + 1 keeps s apart and gives G (`big_g`), and 0 is
+the ring map s -> 1, which gives G(1, t) with one key per degree
+(`nested_count_via_series`); the proof is in `big_g`.  `gamma_bar` shifts
+the numerators of the forest series instead of multiplying by e^(s t).
 """
 
 from __future__ import annotations
@@ -50,24 +59,9 @@ from math import comb, factorial, gcd, lcm
 from operator import add, itemgetter
 
 from .arrangement import closed_subgroups
-from .errors import (
-    AbelianOnly,
-    NonInvertibleConstantTerm,
-    TruncationUnderflow,
-)
+from .errors import AbelianOnly, NonInvertibleConstantTerm
 
 ZERO = Fraction(0)
-
-
-def _graded(vars, trunc, nums):
-    """Split {exponents: numerator} by t-degree, dropping terms past trunc."""
-    s_index = vars.index("s") if "s" in vars else None
-    terms = [{} for _ in range(trunc + 1)]
-    for exps, c in nums.items():
-        degree = sum(exps) - (exps[s_index] if s_index is not None else 0)
-        if degree <= trunc:
-            terms[degree][exps] = c
-    return terms
 
 
 class _Coefficients(Mapping):
@@ -123,11 +117,11 @@ class MultiSeries:
         if _terms is None:
             fracs = {tuple(e): Fraction(c) for e, c in (coeffs or {}).items()}
             _den = lcm(*(c.denominator for c in fracs.values()))
-            _terms = _graded(
-                self.vars,
-                trunc,
-                {e: c.numerator * (_den // c.denominator) for e, c in fracs.items()},
-            )
+            _terms = [{} for _ in range(trunc + 1)]
+            for e, c in fracs.items():
+                degree = self.t_degree(e)
+                if degree <= trunc:  # terms past the bound are dropped
+                    _terms[degree][e] = c.numerator * (_den // c.denominator)
         g = _den
         for d, bucket in enumerate(_terms):
             if 0 in bucket.values():
@@ -300,69 +294,6 @@ class MultiSeries:
         if shifts:
             out.append({})
         return self._make(out, self._den)
-
-    def integrate(self, var):
-        idx = self.vars.index(var)
-        if self._terms[self.trunc]:
-            raise TruncationUnderflow(
-                "integration would push a term past the truncation bound"
-            )
-        m = lcm(*(e[idx] + 1 for b in self._terms for e in b))
-        out = []
-        for b in self._terms:
-            nb = {}
-            for e, c in b.items():
-                k = e[idx] + 1
-                nb[e[:idx] + (k,) + e[idx + 1 :]] = c * (m // k)
-            out.append(nb)
-        if idx != self._s_index:
-            out = [{}] + out[:-1]
-        return self._make(out, self._den * m)
-
-    def eval_var(self, var, value):
-        """Substitute a rational value for one variable."""
-        idx = self.vars.index(var)
-        value = Fraction(value)
-        p, q = value.numerator, value.denominator
-        new_vars = tuple(v for v in self.vars if v != var)
-        top = max((e[idx] for b in self._terms for e in b), default=0)
-        out = {}
-        for b in self._terms:
-            for e, c in b.items():
-                k = e[idx]
-                reduced = e[:idx] + e[idx + 1 :]
-                out[reduced] = out.get(reduced, 0) + c * p**k * q ** (top - k)
-        return self._make(
-            _graded(new_vars, self.trunc, out), self._den * q**top, new_vars
-        )
-
-    def merge_vars(self, sources, target):
-        """Substitute target for every source variable (exponents add up)."""
-        src = [self.vars.index(v) for v in sources]
-        keep = [i for i in range(len(self.vars)) if i not in src]
-        new_vars = tuple(self.vars[i] for i in keep)
-        t_idx = new_vars.index(target)
-        out = {}
-        for b in self._terms:
-            for e, c in b.items():
-                base = [e[i] for i in keep]
-                base[t_idx] += sum([e[i] for i in src])
-                key = tuple(base)
-                out[key] = out.get(key, 0) + c
-        return self._make(_graded(new_vars, self.trunc, out), self._den, new_vars)
-
-    def embed(self, vars):
-        """View the series inside a larger variable context."""
-        vars = tuple(vars)
-        positions = [vars.index(v) for v in self.vars]
-        out = {}
-        for b in self._terms:
-            for e, c in b.items():
-                exps = [0] * len(vars)
-                for p, x in zip(positions, e):
-                    exps[p] = x
-                out[tuple(exps)] = c
-        return self._make(_graded(vars, self.trunc, out), self._den, vars)
 
     def terms(self):
         """Sorted (exponents, coefficient) pairs."""
@@ -616,15 +547,13 @@ def gamma_tilde(inst, trunc):
     vars = series_variables(inst)
     base = trunc + 1
     weight = {v: base ** (len(vars) - 1 - i) for i, v in enumerate(vars)}
-    graded = _graded_tilde(
-        inst, trunc, lambda K: weight[subgroup_variable(K)], weight["s"]
-    )
-    return _from_graded(vars, graded)
+    total = _graded_forest_sum(inst, trunc, lambda K: weight[subgroup_variable(K)])
+    return _from_graded(vars, _graded_exp(_times_s(total, weight["s"])))
 
 
-def _graded_tilde(inst, trunc, key, s_key):
-    """exp(s * sum over K of lam_K(T_K)) (see `gamma_tilde`) as a graded
-    series, with t_K packed as key(K) and s packed as s_key."""
+def _graded_forest_sum(inst, trunc, key):
+    """The sum over K of lam_K(T_K) (see `gamma_tilde`) as a graded series,
+    with t_K packed as key(K)."""
     if not inst.group.is_abelian:
         raise AbelianOnly("the forest series requires an abelian group")
     order = inst.group.order
@@ -638,27 +567,25 @@ def _graded_tilde(inst, trunc, key, s_key):
         lam = _subgroup_lambda(order, K, inner)
         done.append((K, lam))
         total = list(map(_bucket_sum, total, lam))
-    return _graded_exp([{k + s_key: c for k, c in x.items()} for x in total])
+    return total
 
 
-def _gamma_tilde_counts(inst, trunc):
-    """n! [t^n], n <= trunc, of gamma_tilde at s = 1 with every t_K
-    replaced by t: the composition of `gamma_tilde` with every t_K packed
-    as t^1 and s as s^0 = 1, so that bucket n holds the one key n."""
-    graded = _graded_tilde(inst, trunc, lambda K: 1, 0)
-    return [bucket.get(n, 0) for n, bucket in enumerate(graded)]
+def _times_s(b, s_key):
+    """s * B for a graded series B, with s packed as s_key."""
+    return [{k + s_key: c for k, c in x.items()} for x in b]
 
 
-def series_cost(inst, trunc):
-    """Cost estimate of the `series` output at t-degree <= trunc:
-    (d + 1) * C(d + v, v) * max(d, 1) for d = trunc and v t-variables.
+def series_cost(trunc, v):
+    """Cost estimate of a series at t-degree <= trunc in v t-variables:
+    (d + 1) * C(d + v, v) * max(d, 1) for d = trunc.
 
     C(d + v, v) counts the monomials of t-degree <= d in v variables, d + 1
-    bounds the power of s, so their product bounds the terms of each printed
-    series; max(d, 1) is the number of degree pairs a term of the
-    exponential meets.  `series` refuses an estimate above `cap_nested`.
+    bounds the power of s, so their product bounds the terms of a series;
+    max(d, 1) is the number of degree pairs a term of the exponential meets.
+    `series` passes its own v; `count --method egf` packs every t-variable
+    as t and passes v = 1, which gives (n + 1)^2 * n.  Both refuse an
+    estimate above `cap_nested`.
     """
-    v = len(series_variables(inst)) - 1
     return (trunc + 1) * comb(trunc + v, v) * max(trunc, 1)
 
 
@@ -668,12 +595,55 @@ def gamma_bar(inst, trunc):
 
 
 def _gamma_bar_from(tilde):
-    vars, trunc = tilde.vars, tilde.trunc
-    st = MultiSeries.monomial(vars, trunc, "s").mul(
-        MultiSeries.monomial(vars, trunc, "t")
-    )
-    one = MultiSeries.constant(vars, trunc)
-    return st.exp().mul(tilde.sub(one))
+    """e^(s t) (tilde - 1) for a series over ('s', 't', t_K ...).
+
+    The term s^k t^k / k! of e^(s t) moves every term of tilde - 1 by k in
+    s and in t, so each numerator c is shifted once per k, as c * trunc!/k!
+    over the denominator of tilde times trunc!; no series is multiplied.
+    """
+    vars, trunc, den = tilde.vars, tilde.trunc, tilde._den
+    zero = (0,) * len(vars)
+    head = dict(tilde._terms[0])
+    c0 = head.pop(zero, 0) - den  # minus 1
+    if c0:
+        head[zero] = c0
+    terms = [head] + tilde._terms[1:]
+    top = factorial(trunc)
+    out = [{} for _ in range(trunc + 1)]
+    for k in range(trunc + 1):
+        f = top // factorial(k)
+        for d in range(trunc + 1 - k):
+            acc = out[d + k]
+            get = acc.get
+            for e, c in terms[d].items():
+                e = (e[0] + k, e[1] + k) + e[2:]
+                acc[e] = get(e, 0) + c * f
+    return MultiSeries(vars, trunc, _terms=out, _den=den * top)
+
+
+def _graded_big_g(inst, trunc, s_key):
+    """G = (s phi + 1) Gamma_st - e^(s t) (see `big_g`) as a graded series,
+    with t and every t_K packed as 1 and s packed as s_key.  Gamma_st is
+    one exponential, exp(s (t + sum over K of lam_K(T_K))): a fallen leaf is
+    one more component, a tree of one leaf."""
+    total = _graded_forest_sum(inst, trunc, lambda K: 1)
+    if trunc:
+        total[1] = _bucket_sum(total[1], {1: 1})
+    gamma = _graded_exp(_times_s(total, s_key))
+    at_one = [sum(bucket.values()) for bucket in gamma]  # Gamma(1, t)
+    y = [1]  # y = 1/(2 - Gamma(1, t)) = 1 + (Gamma(1, t) - 1) y, so phi = y - 1
+    for m in range(1, trunc + 1):
+        y.append(sum(comb(m, k) * at_one[k] * y[m - k] for k in range(1, m + 1)))
+    g = []
+    for n in range(trunc + 1):
+        acc = dict(gamma[n])
+        for k in range(1, n + 1):  # the degree-k part of s phi is s y_k t^k
+            if gamma[n - k]:
+                _bucket_product_into(acc, {s_key + k: y[k]}, gamma[n - k], comb(n, k))
+        key = n * (s_key + 1)  # minus (s t)^n
+        acc[key] = acc.get(key, 0) - 1
+        g.append(acc)
+    return g
 
 
 def big_g(inst, trunc):
@@ -682,45 +652,35 @@ def big_g(inst, trunc):
     Gamma(s,t) collapses every t_H to t and allows fallen leaves; the trees
     holding full-group vertices are counted by Phi(t) = 1/(2 - Gamma(1,t)) - 1
     (a chain of full-group vertices with arbitrary hanging forests), and a
-    forest has at most one such tree.
+    forest has at most one such tree.  So
+
+        G = s Phi Gamma_st + e^(s t) (Gamma~_t - 1) = (s Phi + 1) Gamma_st - e^(s t),
+
+    where Gamma~_t is `gamma_tilde` with every t_K replaced by t and
+    Gamma_st = e^(s t) Gamma~_t: the two forms agree because
+    e^(s t) (Gamma~_t - 1) = Gamma_st - e^(s t).
+
+    `_graded_big_g` computes the second form once, on graded integers, with
+    s packed at a weight w; `nested_count_via_series` calls it with w = 0.
+    Proof that this gives G for w = trunc + 1 and G(1, t) for w = 0.
+    Packing maps s^a t^b t_K1^c1 ... to the key a w + b + c1 + ..., which
+    is the substitution s -> x^w, t -> x, t_K -> x in each t-degree bucket.
+    A substitution is a ring map and it keeps the t-degree, so it commutes
+    with every sum, product and graded recurrence the formula is made of:
+    the lam_K(T_K), the exponential, e^(s t), Gamma(1, t) and y, which sums
+    a bucket and so is s = 1 for every w.  The result is therefore the image
+    of G.  For w = trunc + 1 every t-exponent b <= trunc is below w, so the
+    key a w + b gives back (a, b) and the image is G itself.  For w = 0 the
+    substitution is s -> 1 and t -> x, so the image is G(1, t), and bucket
+    n holds the one key n.
     """
-    return _big_g_from(gamma_tilde(inst, trunc))
-
-
-def _big_g_from(tilde):
-    trunc = tilde.trunc
-    t_vars = [v for v in tilde.vars if v not in ("s", "t")]
-    tilde_t = tilde.merge_vars(t_vars, "t")
-    vars = tilde_t.vars
-    one = MultiSeries.constant(vars, trunc)
-    st = MultiSeries.monomial(vars, trunc, "s").mul(
-        MultiSeries.monomial(vars, trunc, "t")
-    )
-    gamma_st = st.exp().mul(tilde_t)
-    gamma_1t = gamma_st.eval_var("s", 1).embed(vars)
-    two = MultiSeries.constant(vars, trunc, 2)
-    phi = two.sub(gamma_1t).inverse().sub(one)
-    bar_t = st.exp().mul(tilde_t.sub(one))
-    s_var = MultiSeries.monomial(vars, trunc, "s")
-    return s_var.mul(phi).mul(gamma_st).add(bar_t)
+    return _from_graded(("s", "t"), _graded_big_g(inst, trunc, trunc + 1))
 
 
 def nested_count_via_series(inst, n):
-    """n! times the t^n coefficient of the counting series at s = 1.
-
-    big_g at s = 1 is G(1,t) = phi*gamma + e^t(gamma~ - 1), where gamma~ is
-    gamma_tilde at s = 1 with every t_K merged into t (`_gamma_tilde_counts`),
-    gamma = e^t gamma~ and phi = y - 1 with y = 1/(2 - gamma).  As
-    y (2 - gamma) = 1, this is y gamma - e^t = 2y - 1 - e^t.  Everything is
-    a list of n! [t^k] on plain integers: gamma by a binomial convolution
-    with e^t, and y from y = 1 + (gamma - 1) y, one degree at a time.
-    """
-    tilde = _gamma_tilde_counts(inst, n)
-    gamma = [sum(comb(m, k) * tilde[k] for k in range(m + 1)) for m in range(n + 1)]
-    y = [1]
-    for m in range(1, n + 1):  # gamma_0 = 1, so (gamma - 1)_k = gamma_k for k >= 1
-        y.append(sum(comb(m, k) * gamma[k] * y[m - k] for k in range(1, m + 1)))
-    return 2 * y[n] - 1 - (n == 0)
+    """n! times the t^n coefficient of the counting series at s = 1: the
+    formula of `big_g` with s packed at weight 0, which evaluates s = 1."""
+    return _graded_big_g(inst, n, 0)[n].get(n, 0)
 
 
 def series_to_json(series):

@@ -23,7 +23,6 @@ from dowlingnest.reps import companion_matrix, cyclotomic_polynomial
 from dowlingnest.series import (
     MultiSeries,
     _apply_exp_derive,
-    _big_g_from,
     admissible_order,
     lambda_for_subgroup,
     series_variables,
@@ -106,10 +105,45 @@ def lambda_bar_fixed_point(r, trunc):
 def count_via_full_series(inst, n):
     """n! times the t^n coefficient of the full (s, t) series at s = 1,
     with the forest series built by its operator exponentials."""
-    full = _big_g_from(gamma_tilde_by_operators(inst, n))
-    value = full.eval_var("s", 1).coefficient(t=n) * factorial(n)
+    full = big_g_by_operators(inst, n)
+    value = full.eval_var("s", 1).coeffs.get((n,), 0) * factorial(n)
     assert value.denominator == 1, value
     return int(value)
+
+
+def _tilde_by_operators(inst, trunc):
+    """`gamma_tilde_by_operators` as a `FractionSeries`."""
+    tilde = gamma_tilde_by_operators(inst, trunc)
+    return FractionSeries(tilde.vars, trunc, tilde.coeffs)
+
+
+def _monomial(vars, trunc, *names):
+    return FractionSeries(vars, trunc, {tuple(int(v in names) for v in vars): 1})
+
+
+def gamma_bar_by_operators(inst, trunc):
+    """e^(s t) (gamma_tilde - 1) on `FractionSeries`, from the operator
+    exponentials."""
+    tilde = _tilde_by_operators(inst, trunc)
+    one = tilde._constant()
+    st = _monomial(tilde.vars, trunc, "s", "t")
+    return st.exp().mul(tilde.add(one.scale(-1)))
+
+
+def big_g_by_operators(inst, trunc):
+    """G = s phi Gamma + e^(s t) (Gamma~_t - 1) on `FractionSeries`, from the
+    operator exponentials: every t_K merged into t, Gamma = e^(s t) Gamma~_t
+    and phi = 1/(2 - Gamma(1, t)) - 1."""
+    tilde = _tilde_by_operators(inst, trunc)
+    tilde_t = tilde.merge_vars([v for v in tilde.vars if v not in ("s", "t")], "t")
+    vars = tilde_t.vars
+    one = tilde_t._constant()
+    est = _monomial(vars, trunc, "s", "t").exp()
+    gamma_st = est.mul(tilde_t)
+    gamma_1t = gamma_st.eval_var("s", 1).embed(vars)
+    phi = one.scale(2).add(gamma_1t.scale(-1)).inverse().add(one.scale(-1))
+    bar_t = est.mul(tilde_t.add(one.scale(-1)))
+    return _monomial(vars, trunc, "s").mul(phi).mul(gamma_st).add(bar_t)
 
 
 def _apply_exp_multiply(series, factor):
@@ -494,3 +528,7 @@ class FractionSeries:
                 exps[p] = x
             out[tuple(exps)] = c
         return self._new(out, tuple(vars))
+
+    def terms(self):
+        """Sorted (exponents, coefficient) pairs, as `series_to_json` reads them."""
+        return sorted(self.coeffs.items())

@@ -18,7 +18,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from dowlingnest import selftest
+from dowlingnest import cli, selftest
+from dowlingnest import series as series_module
 from dowlingnest.cli import build_parser, main
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
@@ -750,6 +751,8 @@ def test_selftest_bounds_the_work_of_a_nonabelian_instance(capsys, monkeypatch):
         ["nested", "--input", "klein4.json", "--n", "9", "--limit", "1"],
         ["export", "--what", "nested", "--input", "klein4.json", "--n", "9"],
         ["series", "--input", "z2.json", "--max-degree", "200"],
+        ["count", "--method", "egf", "--input", "z2.json", "--n", "3000"],
+        ["count", "--method", "egf", "--input", "z2.json", "--n", "3000", "--cap-nested", "0"],
     ],
     ids=[
         "forests-z2",
@@ -761,6 +764,8 @@ def test_selftest_bounds_the_work_of_a_nonabelian_instance(capsys, monkeypatch):
         "nested-klein4",
         "export-nested-klein4",
         "series-z2",
+        "count-egf-z2",
+        "count-egf-z2-cap-0",
     ],
 )
 def test_caps_refuse_before_any_block_is_built(argv):
@@ -774,7 +779,10 @@ def test_caps_refuse_before_any_block_is_built(argv):
     blocks and 5.8e14 nested sets: the same count refuses the nested-set
     enumeration, which ran without end (`--limit` only trims the output).
     `series` on Z/2 at degree 200 ran past 20 s; its cost estimate,
-    (d + 1) * C(d + v, v) * d = 8.2e8 for v = 2 t-variables, refuses it."""
+    (d + 1) * C(d + v, v) * d = 8.2e8 for v = 2 t-variables, refuses it.
+    `count --method egf` on Z/2 at n=3000 ran past 20 s, with or without a
+    cap; it packs every t-variable as t, so its estimate is that of v = 1,
+    (n + 1)^2 * n = 2.7e10."""
     argv = [str(INSTANCES / a) if a.endswith(".json") else a for a in argv]
     env = dict(os.environ, PYTHONPATH=str(INSTANCES.parent / "src"))
     limit = 1 << 30
@@ -796,3 +804,38 @@ def test_caps_refuse_before_any_block_is_built(argv):
     assert done.stdout == ""
     assert "bound exceeded" in done.stderr
     assert "Traceback" not in done.stderr
+
+
+def test_egf_count_is_refused_past_its_estimate(capsys):
+    """The estimate of the count at n is (n + 1)^2 * n: 1210 at n = 10."""
+    z2 = str(INSTANCES / "z2.json")
+    argv = ("count", "--method", "egf", "--input", z2, "--n", "10")
+    code, out, _ = run_cli(capsys, *argv, "--cap-nested", "1210")
+    assert code == 0
+    assert out.endswith("count 1080730282569\n")
+    code, out, err = run_cli(capsys, *argv, "--cap-nested", "1209")
+    assert code == 3
+    assert out == ""
+    assert "series cost estimate 1210 at --n 10" in err
+
+
+def test_series_builds_the_forest_series_and_g_once(capsys, monkeypatch):
+    """`series` composes the full forest series once and takes G from its own
+    packed composition, so `gamma_tilde` and `big_g` are each reached once,
+    whichever namespace the call goes through (the traced benchmark run
+    wraps both names in both modules the same way)."""
+    calls = dict.fromkeys(("gamma_tilde", "big_g"), 0)
+    for name in calls:
+        original = getattr(series_module, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        for module in (series_module, cli):
+            monkeypatch.setattr(module, name, counted)
+    chains = str(INSTANCES / "z2x4_chains.json")
+    code, out, _ = run_cli(capsys, "series", "--input", chains, "--max-degree", "3")
+    assert code == 0
+    assert set(json.loads(out)) == {"gamma_tilde", "gamma_bar", "g"}
+    assert calls == {"gamma_tilde": 1, "big_g": 1}

@@ -17,7 +17,6 @@ from dowlingnest import (
     MultiSeries,
     NonInvertibleConstantTerm,
     Subgroup,
-    TruncationUnderflow,
     big_g,
     enumerate_forests,
     enumerate_nested_sets,
@@ -32,9 +31,9 @@ from dowlingnest.forests import count_forests, decompose_forest
 from dowlingnest.instancefile import load_instance
 from dowlingnest.series import (
     _apply_exp_derive,
-    _big_g_from,
     _gamma_bar_from,
-    _gamma_tilde_counts,
+    _graded_exp,
+    _graded_forest_sum,
     _graded_lambda,
     admissible_order,
     dumps_series,
@@ -47,9 +46,12 @@ from conftest import make_abelian_instance, small_abelian_instances
 from oracles import (
     FractionSeries,
     _apply_exp_multiply,
+    _tilde_by_operators,
+    big_g_by_operators,
     count_arity2_trees,
     count_trees_with_unary_leaf_vertices,
     count_via_full_series,
+    gamma_bar_by_operators,
     gamma_tilde_by_operators,
     lambda_bar_fixed_point,
 )
@@ -70,17 +72,6 @@ def test_geometric_inverse():
     assert inv == MultiSeries(
         ("t",), 5, {(k,): Fraction(1) for k in range(6)}
     )
-
-
-def test_derive_after_integrate_is_identity():
-    A = MultiSeries(("s", "t"), 4, {(1, 2): Fraction(3, 7), (0, 0): 2})
-    assert A.integrate("t").derive("t") == A
-
-
-def test_integrate_past_bound_raises():
-    A = MultiSeries(("t",), 3, {(3,): 1})
-    with pytest.raises(TruncationUnderflow):
-        A.integrate("t")
 
 
 def test_exp_needs_vanishing_t_constant():
@@ -125,14 +116,6 @@ def test_inverse_of_one_plus(A):
     one = MultiSeries.constant(("s", "t"), 4)
     B = one.add(A)
     assert B.mul(B.inverse()) == one
-
-
-def test_merge_and_eval():
-    A = MultiSeries(("s", "t", "tx"), 3, {(1, 1, 2): 5})
-    merged = A.merge_vars(["tx"], "t")
-    assert merged.coeffs == {(1, 3): Fraction(5)}
-    at_one = merged.eval_var("s", 1)
-    assert at_one.coeffs == {(3,): Fraction(5)}
 
 
 # -- integer numerators against the dict-of-Fraction reference --------------------
@@ -197,18 +180,6 @@ def test_operators_match_the_fraction_oracle(pair, value, data):
     _assert_matches(fx.scale(value), sx.scale(value))
     var = data.draw(st.sampled_from(vars))
     _assert_matches(fx.derive(var), sx.derive(var))
-    if any(sx.t_degree(e) >= trunc for e in sx.coeffs):
-        with pytest.raises(TruncationUnderflow):
-            fx.integrate(var)
-    else:
-        _assert_matches(fx.integrate(var), sx.integrate(var))
-    _assert_matches(fx.eval_var(var, value), sx.eval_var(var, value))
-    others = [v for v in vars if v != var]
-    if others:
-        sources = data.draw(st.lists(st.sampled_from(others), min_size=1, unique=True))
-        _assert_matches(fx.merge_vars(sources, var), sx.merge_vars(sources, var))
-    wider = tuple(data.draw(st.permutations(VARS + ("ty",))))
-    _assert_matches(fx.embed(wider), sx.embed(wider))
 
 
 @settings(max_examples=60, deadline=None)
@@ -491,8 +462,9 @@ def test_gamma_bar_shape(klein):
     zero = tuple(0 for _ in bar.vars)
     assert zero not in bar.coeffs  # constant term vanishes
     one = MultiSeries.constant(tilde.vars, 3)
-    at_t0 = bar.eval_var("t", 0)
-    expected = tilde.sub(one).eval_var("t", 0)
+    t = bar.vars.index("t")
+    at_t0 = {e: c for e, c in bar.coeffs.items() if e[t] == 0}
+    expected = {e: c for e, c in tilde.sub(one).coeffs.items() if e[t] == 0}
     assert at_t0 == expected
 
 
@@ -520,8 +492,8 @@ INSTANCES = Path(__file__).resolve().parent.parent / "instances"
     ],
 )
 def test_count_path_matches_the_full_series(name, top):
-    """The translation identity and the univariate composition give the
-    coefficient of the full (s, t, t_H) series."""
+    """The formula of `big_g` with s packed at weight 0 gives the
+    coefficient of the full series built from operator exponentials."""
     inst = load_instance(INSTANCES / f"{name}.json")
     for n in range(1, top + 1):
         sub = inst.with_n(n)
@@ -538,7 +510,7 @@ def test_count_path_matches_the_full_series_on_random_instances(inst):
 
 def test_chains8_count_at_n12(chains8):
     """Pinned from the full series route, which took about a second here;
-    the univariate count path takes about a millisecond."""
+    the count at s = 1 takes about a millisecond."""
     assert (
         nested_count_via_series(chains8.with_n(12), 12)
         == 1207475572661904557098426367
@@ -619,9 +591,16 @@ def test_series_json_shape(z2):
 def _merged_tilde_counts(inst, trunc):
     """n! [t^n] of gamma_tilde at s = 1 with every t_K merged into t, from
     the operator exponentials on the full series."""
-    tilde = gamma_tilde_by_operators(inst, trunc).eval_var("s", 1)
+    tilde = _tilde_by_operators(inst, trunc).eval_var("s", 1)
     merged = tilde.merge_vars([v for v in tilde.vars if v != "t"], "t")
-    return [merged.coefficient(t=k) * factorial(k) for k in range(trunc + 1)]
+    return [merged.coeffs.get((k,), 0) * factorial(k) for k in range(trunc + 1)]
+
+
+def _packed_tilde_counts(inst, trunc):
+    """The composition of `gamma_tilde` with every t_K packed as t and s at
+    weight 0, the packing the count at s = 1 uses: bucket n holds one key."""
+    graded = _graded_exp(_graded_forest_sum(inst, trunc, lambda K: 1))
+    return [bucket.get(n, 0) for n, bucket in enumerate(graded)]
 
 
 @pytest.mark.parametrize(
@@ -637,13 +616,13 @@ def _merged_tilde_counts(inst, trunc):
 )
 def test_translations_give_the_merged_forest_series(name, top):
     inst = load_instance(INSTANCES / f"{name}.json")
-    assert _gamma_tilde_counts(inst, top) == _merged_tilde_counts(inst, top)
+    assert _packed_tilde_counts(inst, top) == _merged_tilde_counts(inst, top)
 
 
 @settings(max_examples=25, deadline=None)
 @given(small_abelian_instances())
 def test_translations_give_the_merged_forest_series_on_random_instances(inst):
-    assert _gamma_tilde_counts(inst, inst.n) == _merged_tilde_counts(inst, inst.n)
+    assert _packed_tilde_counts(inst, inst.n) == _merged_tilde_counts(inst, inst.n)
 
 
 @pytest.mark.parametrize("r", [1, 2, 4])
@@ -670,8 +649,8 @@ def test_lambda_counts_compose(r):
     "name, top", [("z2x4_chains", 24), ("klein4", 20), ("z2", 40)]
 )
 def test_series_count_matches_the_forest_count(name, top):
-    """Two independent routes, both fast: translations of univariate series
-    and forests counted by part size."""
+    """Two independent routes, both fast: the series formula at s = 1 and
+    forests counted by part size."""
     inst = load_instance(INSTANCES / f"{name}.json")
     for n in range(1, top + 1):
         sub = inst.with_n(n)
@@ -680,6 +659,8 @@ def test_series_count_matches_the_forest_count(name, top):
 
 @pytest.mark.parametrize("name", ["z2", "klein4", "z4_plane", "z2x4_chains"])
 def test_series_payload_writer_matches_json_dumps(name):
+    """`dumps_series` of the printed series writes what json.dumps writes
+    for the oracle series built from operator exponentials."""
     inst = load_instance(INSTANCES / f"{name}.json")
     empty_terms = empty_tH = False
     for degree in range(5):
@@ -687,12 +668,54 @@ def test_series_payload_writer_matches_json_dumps(name):
         series = {
             "gamma_tilde": tilde,
             "gamma_bar": _gamma_bar_from(tilde),
-            "g": _big_g_from(tilde),
+            "g": big_g(inst, degree),
         }
-        payload = {name: series_to_json(x) for name, x in series.items()}
+        oracle = {
+            "gamma_tilde": _tilde_by_operators(inst, degree),
+            "gamma_bar": gamma_bar_by_operators(inst, degree),
+            "g": big_g_by_operators(inst, degree),
+        }
+        payload = {name: series_to_json(x) for name, x in oracle.items()}
         expected = json.dumps(payload, sort_keys=True, indent=2)
         assert dumps_series(series) == expected, degree
         terms = [t for body in payload.values() for t in body["terms"]]
         empty_terms |= any(not body["terms"] for body in payload.values())
         empty_tH |= any(not t["tH"] for t in terms)
     assert empty_terms and empty_tH
+
+
+# -- G and gamma_bar against the operator formula --------------------------------------
+
+
+def _assert_matches_the_oracle(inst, trunc):
+    for fast, slow in (
+        (big_g(inst, trunc), big_g_by_operators(inst, trunc)),
+        (gamma_bar(inst, trunc), gamma_bar_by_operators(inst, trunc)),
+    ):
+        assert (fast.vars, fast.trunc) == (slow.vars, slow.trunc)
+        assert fast.coeffs == slow.coeffs, trunc
+
+
+@pytest.mark.parametrize(
+    "name, top",
+    [
+        ("z2", 4),
+        ("z3", 4),
+        ("z4", 4),
+        ("klein4", 4),
+        ("z4_plane", 4),
+        ("z2x4_chains", 3),
+    ],
+)
+def test_graded_formula_gives_the_operator_series(name, top):
+    """`big_g` and `gamma_bar` equal the formula of products, exponentials
+    and an inverse on `FractionSeries`, at every truncation."""
+    inst = load_instance(INSTANCES / f"{name}.json")
+    for trunc in range(top + 1):
+        _assert_matches_the_oracle(inst, trunc)
+
+
+@settings(max_examples=25, deadline=None)
+@given(small_abelian_instances())
+def test_graded_formula_gives_the_operator_series_on_random_instances(inst):
+    _assert_matches_the_oracle(inst, inst.n)

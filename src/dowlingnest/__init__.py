@@ -21,6 +21,7 @@ from .arrangement import (
     closed_subgroups,
     closure_phi,
     enumerate_nested_sets,
+    flat_counts,
     intersection_lattice,
     is_block_subspace,
     is_nested,
@@ -111,6 +112,7 @@ __all__ = [
     "enumerate_nested_sets",
     "enumerate_subgroups",
     "fix_subspace",
+    "flat_counts",
     "forest_to_nested",
     "gamma_bar",
     "gamma_tilde",

@@ -15,6 +15,12 @@ with K a closed subgroup (K != {e} when k = 1).  Conjugating K moves a
 block to an equal subspace, so blocks are stored in the normal form whose
 first coset is eK; for closed K that normal form is unique per subspace.
 
+The flats of the lattice are read from the blocks, with no subspace met:
+a flat is one set of blocks with pairwise disjoint index sets, at most one
+labelled G (Hanlon's generalized Dowling lattice).  `flat_counts` counts
+them by dimension with a recurrence over set partitions, and
+`intersection_lattice` lists them with their order (proofs there).
+
 Everything downstream (compatibility, nestedness) is phrased dually to the
 annihilator picture: a family of annihilators is in direct sum exactly when
 the codimension of the intersection of the blocks equals the sum of their
@@ -26,7 +32,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations, product
-from operator import attrgetter
+from math import comb, lcm
+from operator import attrgetter, mul
 
 from .errors import InstanceError, SizeBoundExceeded
 from .groups import (
@@ -42,10 +49,7 @@ from .linalg import (
     ONE,
     ZERO,
     Subspace,
-    in_row_space,
     integer_echelon,
-    kernel_echelon,
-    pivot_columns,
 )
 from .poset import Poset
 from .reps import pointwise_stabilizer
@@ -216,7 +220,7 @@ def _check_closed_set(inst, cs):
                 raise InstanceError("closed subgroups are not conjugation-stable")
 
 
-# -- raw arrangement and intersection lattice ---------------------------------
+# -- raw arrangement ------------------------------------------------------------
 
 
 def free_factor_subspace(inst, W, factors, elements):
@@ -226,23 +230,32 @@ def free_factor_subspace(inst, W, factors, elements):
     is free.  Every raw subspace and every block has this shape: H(i, j, g)
     is (V, (i, j), (e, g)), H(i, i, g) is (Fix<g>, (i,), (e,)), and
     H^K(i_1^{g_1 K}, ...) is (Fix(K), (i_1 - 1, ...), (g_1, ...)).
+
+    Only the span matters, so each spanning vector is scaled to integers:
+    with rho(g) = rows_g / den_g and w = w_int / den_w, the vector holds
+    (L / den_g) rows_g w_int at factor f, L the lcm of the den_g, which is
+    L den_w times the true one.  No Fraction is built before the result.
     """
     b = inst.block_width
     d = inst.ambient_dim
-    mats = [inst.rep.matrix(g) for g in elements]
+    forms = [inst.rep.matrix(g).integer_form() for g in elements]
+    scale = lcm(*(den for _, den in forms))
     vectors = []
     for w in W.basis:
-        v = [ZERO] * d
-        for f, mat in zip(factors, mats):
-            v[f * b : (f + 1) * b] = mat.apply(w)
+        den_w = lcm(*(x.denominator for x in w))
+        w_int = [x.numerator * (den_w // x.denominator) for x in w]
+        v = [0] * d
+        for f, (rows, den) in zip(factors, forms):
+            k = scale // den
+            v[f * b : (f + 1) * b] = [k * sum(map(mul, row, w_int)) for row in rows]
         vectors.append(v)
     for f in range(inst.n):
         if f not in factors:
             for c in range(f * b, (f + 1) * b):
-                v = [ZERO] * d
-                v[c] = ONE
+                v = [0] * d
+                v[c] = 1
                 vectors.append(v)
-    return Subspace.from_spanning(d, vectors)
+    return Subspace.from_echelon(d, integer_echelon(vectors))
 
 
 def raw_arrangement(inst):
@@ -262,72 +275,6 @@ def raw_arrangement(inst):
                 s = free_factor_subspace(inst, fix_g, (i,), (e,))
                 seen[s.basis] = s
     return sorted(seen.values(), key=lambda s: s.sort_key)
-
-
-def intersection_lattice(inst, cap=None):
-    """Closure of the raw arrangement under intersection, as a Poset.
-
-    Ordered by reverse inclusion, with the ambient space as bottom.  Each
-    element of the closure is an intersection of raw subspaces, so it is
-    enough to meet the flats found so far with the raw generators.
-
-    A flat A is held as its constraint rows, the `integer_echelon` of its
-    annihilator, and as mask(A), the set (a bitmask over `raw`) of the raw
-    subspaces that contain it.  Meeting A with a raw H stacks their rows;
-    when H is already in mask(A) the meet is A itself and is skipped.  A raw
-    subspace contains a flat exactly when its rows lie in the flat's row
-    space, and whatever contains A contains every meet below A, so a new
-    flat's mask is its parent's mask, plus H, plus the other raw subspaces
-    whose rows pass `in_row_space`.
-
-    The order needs no subspace comparison.  Write meet(M) for the
-    intersection of the raw subspaces in M (the ambient space when M is
-    empty).  A = meet(S) for some S, and S is a subset of mask(A), so
-    A <= meet(mask(A)) <= meet(S) = A: every flat is the meet of its mask.
-    Hence A contains B exactly when mask(A) is a subset of mask(B): if it
-    is, B = meet(mask(B)) <= meet(mask(A)) = A; conversely a raw subspace
-    containing A contains B, so it lies in mask(B).  Only at the end is
-    each flat turned into its rational Subspace, by one `kernel_echelon` of
-    its rows.
-    """
-    if cap is None:
-        cap = inst.cap_lattice
-    d = inst.ambient_dim
-    raw = raw_arrangement(inst)
-    gens = [kernel_echelon(s.basis, d) for s in raw]
-    flats = {}  # constraint rows -> mask
-
-    def admit(rows, mask):
-        if len(flats) >= cap:
-            raise SizeBoundExceeded(
-                f"intersection lattice exceeded the cap of {cap} elements"
-            )
-        pivots = pivot_columns(rows)
-        for k, gen in enumerate(gens):
-            if not mask >> k & 1 and all(in_row_space(rows, pivots, r) for r in gen):
-                mask |= 1 << k
-        flats[rows] = mask
-        return mask
-
-    for rows in ((), *gens):
-        admit(rows, 0)
-    worklist = list(flats.items())
-    while worklist:
-        rows, mask = worklist.pop()
-        for k, gen in enumerate(gens):
-            if mask >> k & 1:
-                continue
-            meet = integer_echelon(rows + gen)
-            if meet not in flats:
-                worklist.append((meet, admit(meet, mask | 1 << k)))
-    spaces = [
-        (Subspace.from_echelon(d, kernel_echelon(rows, d)), mask)
-        for rows, mask in flats.items()
-    ]
-    spaces.sort(key=lambda sm: (-sm[0].dim, sm[0].basis))
-    masks = [m for _, m in spaces]
-    matrix = [[a & ~b == 0 for b in masks] for a in masks]
-    return Poset([s for s, _ in spaces], matrix)
 
 
 # -- blocks -------------------------------------------------------------------
@@ -558,6 +505,187 @@ def _reconstruct_block(inst, W):
     if block_subspace(inst, candidate).basis != W.basis:
         return None
     return candidate
+
+
+# -- intersection lattice ---------------------------------------------------------
+
+
+def flat_counts(inst, cap=None):
+    """The flats of the intersection lattice counted by dimension, as
+    {dim: count} by decreasing dim, found without building a block or a
+    subspace.
+
+    A flat is a set of blocks with pairwise disjoint index sets, at most one
+    labelled G (proof in `intersection_lattice`), so it is a set partition
+    of {1..n} into free indices and blocks, and its codimension is the sum
+    of its blocks' codimensions.  With m = `block_width`, the indices of a
+    part of size k carry [G:K]^(k-1) blocks labelled K != G, each of
+    codimension k m - dim Fix(K) (none when k = 1 and K = {e}, the whole
+    space), and one block labelled G, of codimension k m as Fix(G) = 0.
+    Let p_k be the polynomial in x, by codimension, of a part of size k
+    that is not labelled G (x^0 for a free index), and P0[j] and P1[j] that
+    of the flats on j indices with no part labelled G and with one.  The
+    part holding the smallest index is completed to size k in
+    C(j-1, k-1) ways, so
+      P0[j] = sum_k C(j-1, k-1) p_k P0[j-k],
+      P1[j] = sum_k C(j-1, k-1) (p_k P1[j-k] + x^(k m) P0[j-k]),
+    and the flats are P0[n] + P1[n].
+
+    Raises SizeBoundExceeded when the total is above the cap (default: the
+    instance's lattice cap).  A G block on any nonempty set of indices is a
+    flat, and so is the whole space, so there are at least 2^n flats: an n
+    with 2^n above the cap is refused without the count.
+    """
+    if cap is None:
+        cap = inst.cap_lattice
+    n, m = inst.n, inst.block_width
+    if n >= cap.bit_length():
+        raise SizeBoundExceeded(
+            f"the intersection lattice at n={n} has at least 2^{n} elements, "
+            f"above the cap of {cap}"
+        )
+    order = inst.group.order
+    labels = [
+        (len(K) == 1, order // len(K), inst.fix(K).dim)
+        for K in closed_subgroups(inst).members
+        if len(K) != order
+    ]
+    plain = [None]
+    for k in range(1, n + 1):
+        p = {0: 1} if k == 1 else {}
+        for trivial, r, fix_dim in labels:
+            if k > 1 or not trivial:
+                c = k * m - fix_dim
+                p[c] = p.get(c, 0) + r ** (k - 1)
+        plain.append(p)
+
+    def add_product(into, ways, p, q):
+        for c, a in p.items():
+            for c2, b in q.items():
+                into[c + c2] = into.get(c + c2, 0) + ways * a * b
+
+    no_g, one_g = [{0: 1}], [{}]
+    for j in range(1, n + 1):
+        p0, p1 = {}, {}
+        for k in range(1, j + 1):
+            ways = comb(j - 1, k - 1)
+            add_product(p0, ways, plain[k], no_g[j - k])
+            add_product(p1, ways, plain[k], one_g[j - k])
+            add_product(p1, ways, {k * m: 1}, no_g[j - k])
+        no_g.append(p0)
+        one_g.append(p1)
+    counts = {}
+    for c, x in (*no_g[n].items(), *one_g[n].items()):
+        counts[n * m - c] = counts.get(n * m - c, 0) + x
+    total = sum(counts.values())
+    if total > cap:
+        raise SizeBoundExceeded(
+            f"the intersection lattice at n={n} has {total} elements, "
+            f"above the cap of {cap}"
+        )
+    return dict(sorted(counts.items(), reverse=True))
+
+
+def intersection_lattice(inst, cap=None):
+    """The flats of the arrangement ordered by reverse inclusion, as a Poset
+    with the ambient space as bottom and the elements sorted by
+    (-dim, basis).  The flats are listed as block sets, the generalized
+    Dowling lattice of Hanlon ("The generalized Dowling lattices", Trans.
+    AMS 325, 1991).
+
+    Every flat is one set S of blocks with pairwise disjoint index sets, at
+    most one labelled G, the flat being the intersection of S.
+      - Such an intersection is a flat: a block H^K(i_1^{e K}, ...,
+        i_k^{g_k K}) is the intersection of the raw H(i_1, i_r, g_r) and
+        H(i_1, i_1, h) for h in K, as Fix(K) is the meet of the Fix<h>.
+      - Every flat is one: H(i, j, g) is the block H^{e}(i^e, j^g) and
+        H(i, i, g) the block H^phi<g>(i).  Two blocks sharing an index meet
+        in one block on the union of their indices: the tied vectors w of
+        the first that the second admits form Fix(L), L generated by the
+        first label, a conjugate of the second and the coset mismatches at
+        the shared indices, and Fix(L) = Fix(phi(L)).  Two blocks labelled
+        G on disjoint indices meet in the G block on the union, as
+        Fix(G) = 0.  So any intersection merges into such a set.
+      - S is unique, by the lemma: a block c containing the intersection
+        W of S contains a block of S.  Write T_b for the tied part of b in
+        S, of dim Fix(K_b) on the coordinates of its indices I_b and
+        injective onto each of their factors, so W is the sum of the T_b
+        and the coordinates of the free indices.  The indices J of c hold
+        no free index, whose coordinates lie in W but not all in c.  Were
+        j in J within I_b and j' in J within I_b', b != b', a nonzero t in
+        T_b would lie in W, so in c, nonzero at j and zero at j'; the tied
+        part of c is injective onto the factor j' (or 0 when c is labelled
+        G), so T_b = 0, likewise T_b' = 0, and b, b' would both be labelled
+        G.  Hence J lies within one I_b, and c contains b: a vector of b is
+        t + u with t in T_b, so in W, and u zero on I_b, so in c.  Distinct
+        blocks of S have disjoint indices and contain neither other, so S
+        is the set of minimal blocks containing W.
+
+    The order.  Let mask(A) be the bit mask of the blocks that contain the
+    flat A.  By the lemma it is the union, over the blocks b of A's set, of
+    up(b), the blocks c with `block_leq`(c, b); those have their indices
+    among b's, so only such c are tried.  A is the intersection of mask(A),
+    as its own blocks are in it.  So A contains B exactly when mask(A) is a
+    subset of mask(B): if it is, B is the intersection of a larger set;
+    conversely a block containing A contains B.
+
+    The basis.  The flat is a direct sum on disjoint coordinates, so its
+    RREF basis is the RREF rows of each T_b, which are the rows of
+    `block_subspace`(b) supported on I_b, and the unit rows of the free
+    coordinates.  T_b projects injectively onto its smallest index, so its
+    pivots lie there; the walk below takes the parts by smallest index, so
+    the rows come already sorted by pivot and no `rref` runs per flat.
+
+    The walk places the smallest index not yet placed: free, or the
+    smallest index of a block on indices not yet placed, G only if no block
+    labelled G is placed, as `count_forests` and `enumerate_forests` place
+    leaves.  Raises SizeBoundExceeded by `flat_counts` before any block is
+    built when the flats are more than the cap (default: the instance's
+    lattice cap).
+    """
+    flat_counts(inst, cap)
+    d, m, n = inst.ambient_dim, inst.block_width, inst.n
+    whole = inst.group.order
+    blocks = building_blocks(inst)
+    spans = [sum(1 << i for i in b.indices) for b in blocks]
+    # parts[i]: (index bits, labelled G, RREF rows, up mask) of each part
+    # whose smallest index is i, the free index i first
+    parts = [[] for _ in range(n + 1)]
+    for i in range(1, n + 1):
+        units = []
+        for c in range((i - 1) * m, i * m):
+            row = [ZERO] * d
+            row[c] = ONE
+            units.append(tuple(row))
+        parts[i].append((1 << i, False, tuple(units), 0))
+    for b, span in zip(blocks, spans):
+        up = 0
+        for k, other in enumerate(blocks):
+            if spans[k] & ~span == 0 and block_leq(inst, other, b):
+                up |= 1 << k
+        own = {c for i in b.indices for c in range((i - 1) * m, i * m)}
+        tied = tuple(
+            row
+            for row in block_subspace(inst, b).basis
+            if all(c in own for c, x in enumerate(row) if x)
+        )
+        parts[b.indices[0]].append((span, len(b.subgroup) == whole, tied, up))
+    flats = []
+
+    def walk(rest, g_free, rows, mask):
+        if not rest:
+            flats.append((Subspace(ambient_dim=d, basis=rows), mask))
+            return
+        i = (rest & -rest).bit_length() - 1
+        for span, labelled_g, more, up in parts[i]:
+            if span & rest == span and (g_free or not labelled_g):
+                walk(rest ^ span, g_free and not labelled_g, rows + more, mask | up)
+
+    walk((1 << (n + 1)) - 2, True, (), 0)
+    flats.sort(key=lambda flat: (-flat[0].dim, flat[0].basis))
+    masks = [mask for _, mask in flats]
+    matrix = [[a & ~b == 0 for b in masks] for a in masks]
+    return Poset([space for space, _ in flats], matrix)
 
 
 # -- nested sets ----------------------------------------------------------------

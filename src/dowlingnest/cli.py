@@ -17,7 +17,7 @@ from .arrangement import (
     closed_subgroups,
     closure_phi,
     enumerate_nested_sets,
-    intersection_lattice,
+    flat_counts,
 )
 from .errors import (
     AbelianOnly,
@@ -124,13 +124,10 @@ def cmd_closed_subgroups(inst, args, out):
 
 
 def cmd_lattice(inst, args, out):
-    poset = intersection_lattice(inst)
-    dims = {}
-    for s in poset.elements:
-        dims[s.dim] = dims.get(s.dim, 0) + 1
-    out(f"lattice size {len(poset)} in ambient dim {inst.ambient_dim}")
-    for d in sorted(dims, reverse=True):
-        out(f"dim {d}: {dims[d]} elements")
+    counts = flat_counts(inst)
+    out(f"lattice size {sum(counts.values())} in ambient dim {inst.ambient_dim}")
+    for d, count in counts.items():
+        out(f"dim {d}: {count} elements")
     return EXIT_OK
 
 

@@ -309,18 +309,3 @@ def integer_echelon(rows):
 def pivot_columns(echelon):
     """The pivot column of each row of an `integer_echelon` result."""
     return tuple(map(_lead, echelon))
-
-
-def in_row_space(echelon, pivots, v):
-    """Whether the integer vector v lies in the row space of `echelon`.
-
-    `echelon` is an `integer_echelon` result and `pivots` its
-    `pivot_columns`, found once for the many vectors tested against it.  Its
-    rows are 0 at each other's pivots, so clearing v at every pivot in turn
-    leaves 0 exactly when v is a combination of the rows.
-    """
-    for row, c in zip(echelon, pivots):
-        a = v[c]
-        if a:
-            v = [row[c] * x - a * y for x, y in zip(v, row)]
-    return not any(v)

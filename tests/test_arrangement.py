@@ -8,10 +8,11 @@ from itertools import combinations
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dowlingnest import (
+    SizeBoundExceeded,
     Subgroup,
     Subspace,
     block_leq,
@@ -23,6 +24,7 @@ from dowlingnest import (
     conjugate_subgroup,
     enumerate_forests,
     enumerate_nested_sets,
+    flat_counts,
     intersection_lattice,
     is_block_subspace,
     is_nested,
@@ -252,9 +254,9 @@ def test_every_lattice_element_is_a_transversal_block_intersection(z2, z3, klein
 
 
 def test_lattice_matches_the_subspace_meet_oracle():
-    """The closure over integer constraint rows, ordered by generator masks,
-    gives the elements and order matrix of perp -> sum -> perp meets and
-    `Subspace.contains`."""
+    """The block sets, ordered by the masks of the blocks containing them,
+    give the elements and order matrix of the closure by perp -> sum -> perp
+    meets and `Subspace.contains`."""
     instances = make_n3_grid() + [
         make_s3_instance(2),
         make_abelian_instance([4], [[1], [2]], 2),
@@ -265,6 +267,88 @@ def test_lattice_matches_the_subspace_meet_oracle():
         oracle = lattice_oracle(inst)
         assert mine.elements == oracle.elements
         assert mine.leq_matrix == oracle.leq_matrix
+
+
+def _check_against_the_oracle(inst):
+    oracle = lattice_oracle(inst)
+    mine = intersection_lattice(inst)
+    assert mine.elements == oracle.elements
+    assert mine.leq_matrix == oracle.leq_matrix
+    dims = {}
+    for flat in oracle.elements:
+        dims[flat.dim] = dims.get(flat.dim, 0) + 1
+    counts = flat_counts(inst)
+    assert counts == dims
+    assert list(counts) == sorted(dims, reverse=True)
+
+
+@settings(max_examples=25, deadline=None)
+@given(small_abelian_instances())
+def test_block_sets_match_the_oracle_on_random_instances(inst):
+    """The block-set poset and the counting recurrence against the closure
+    by subspace meets.  Instances past 200 flats are left out: the oracle
+    takes seconds there (16 s on Z/2 x Z/4 at n = 3), and the n = 3 grid
+    above is checked in full."""
+    assume(sum(flat_counts(inst, cap=10**6).values()) <= 200)
+    _check_against_the_oracle(inst)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_block_sets_match_the_oracle_on_s3(n):
+    """A nonabelian G: 413 flats at n = 3."""
+    _check_against_the_oracle(make_s3_instance(n))
+
+
+def _dowling_whitney_numbers(r, n):
+    """W(n, k), the flats of dimension k of the Dowling lattice of Z/r:
+    W(n, k) = W(n-1, k-1) + (1 + r k) W(n-1, k), from W(0, 0) = 1."""
+    w = [1]
+    for _ in range(n):
+        w = [
+            (w[k - 1] if k else 0) + (1 + r * k) * (w[k] if k < len(w) else 0)
+            for k in range(len(w) + 1)
+        ]
+    return w
+
+
+@pytest.mark.parametrize("r", [2, 3, 4, 5])
+def test_flat_counts_are_dowlings_whitney_numbers(r):
+    """One faithful character of Z/r, n <= 12: the recurrence over block
+    sets gives Dowling's Whitney numbers (Z/2 at n = 12 has 1,606,879,040
+    flats), and the exact total is the largest cap it passes."""
+    for n in range(1, 13):
+        inst = make_abelian_instance([r], [[1]], n)
+        degree = inst.rep.scalar_degree
+        expected = {
+            k * degree: w for k, w in enumerate(_dowling_whitney_numbers(r, n))
+        }
+        total = sum(expected.values())
+        assert flat_counts(inst, cap=total) == expected
+        with pytest.raises(SizeBoundExceeded, match=f"above the cap of {total - 1}$"):
+            flat_counts(inst, cap=total - 1)
+    assert total == sum(_dowling_whitney_numbers(r, 12))
+    if r == 2:
+        assert total == 1_606_879_040
+
+
+def test_flat_counts_build_no_block_or_subspace(monkeypatch):
+    """The recurrence needs only the closed subgroups and their fixed
+    dimensions: with the block and subspace builders made to raise it still
+    counts, and it refuses an n with 2^n above the cap without counting."""
+    from dowlingnest import arrangement
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a block or a subspace of V^n was built")
+
+    inst = make_abelian_instance([2], [[1]], 4)
+    closed_subgroups(inst)
+    for name in ("building_blocks", "block_subspace", "free_factor_subspace"):
+        monkeypatch.setattr(arrangement, name, refuse)
+    assert flat_counts(inst) == {4: 1, 3: 16, 2: 58, 1: 40, 0: 1}
+    with pytest.raises(SizeBoundExceeded, match="116 elements"):
+        intersection_lattice(inst, cap=115)
+    with pytest.raises(SizeBoundExceeded, match="at least 2\\^4"):
+        flat_counts(inst, cap=15)
 
 
 def _characteristic_polynomial(inst):
@@ -289,7 +373,7 @@ def _characteristic_polynomial(inst):
 )
 def test_lattice_characteristic_polynomial_is_dowlings(order, n):
     """Dowling: chi(t) = prod_{i<n} (t - 1 - i |G|) for the lattice of G
-    acting by one faithful character.  This checks the mask order of
+    acting by one faithful character.  This checks the block-mask order of
     `intersection_lattice` without any subspace comparison."""
     inst = make_abelian_instance([order], [[1]], n)
     expected = [1]

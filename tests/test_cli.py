@@ -18,7 +18,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from dowlingnest import cli, selftest
+from dowlingnest import arrangement, cli, selftest
 from dowlingnest import series as series_module
 from dowlingnest.cli import build_parser, main
 
@@ -529,6 +529,47 @@ def test_lattice_summary(capsys):
     code, out, _ = run_cli(capsys, "lattice", "--input", str(INSTANCES / "z4.json"))
     assert code == 0
     assert "lattice size" in out
+
+
+def test_lattice_cap_is_the_exact_count(capsys):
+    """Z/2 at n = 4 has 116 flats: a cap of 116 passes and 115 is exit 3."""
+    z2 = str(INSTANCES / "z2.json")
+    code, out, _ = run_cli(
+        capsys, "lattice", "--input", z2, "--n", "4", "--cap-lattice", "116"
+    )
+    assert code == 0
+    assert out.startswith("lattice size 116 ")
+    code, out, err = run_cli(
+        capsys, "lattice", "--input", z2, "--n", "4", "--cap-lattice", "115"
+    )
+    assert code == 3
+    assert out == ""
+    assert "has 116 elements, above the cap of 115" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("lattice",),
+        ("export", "--what", "lattice"),
+        ("export", "--what", "lattice", "--format", "dot"),
+    ],
+    ids=["lattice", "export-json", "export-dot"],
+)
+def test_lattice_is_refused_by_its_exact_count(capsys, monkeypatch, argv):
+    """chains8 at n = 6 has 4,929,983 flats, above the default cap of 10^6:
+    `flat_counts` refuses it before a block is built, where a closure would
+    build 10^6 flats first."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a block was built before the count was checked")
+
+    monkeypatch.setattr(arrangement, "building_blocks", refuse)
+    chains = str(INSTANCES / "z2x4_chains.json")
+    code, out, err = run_cli(capsys, *argv, "--input", chains, "--n", "6")
+    assert code == 3
+    assert out == ""
+    assert "has 4929983 elements, above the cap of 1000000" in err
 
 
 def _z2_with(tmp_path, **extra):

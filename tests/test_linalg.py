@@ -21,7 +21,7 @@ from dowlingnest import (
     kernel,
     parse_instance,
 )
-from dowlingnest.linalg import in_row_space, integer_echelon, pivot_columns, rref
+from dowlingnest.linalg import integer_echelon, pivot_columns, rref
 from dowlingnest.reps import (
     cyclotomic_polynomial,
     fix_subspace,
@@ -97,23 +97,16 @@ small_ints = st.integers(min_value=-4, max_value=4)
 
 
 @st.composite
-def rows_and_vectors(draw):
+def integer_rows(draw):
     ambient = draw(st.integers(min_value=1, max_value=5))
-    row = st.tuples(*[small_ints] * ambient)
-    rows = draw(st.lists(row, max_size=4))
-    coeffs = [draw(small_ints) for _ in rows]
-    combination = tuple(
-        sum(c * r[j] for c, r in zip(coeffs, rows)) for j in range(ambient)
-    )
-    return ambient, rows, combination, draw(row)
+    return draw(st.lists(st.tuples(*[small_ints] * ambient), max_size=4))
 
 
 @settings(max_examples=150, deadline=None)
-@given(rows_and_vectors())
-def test_integer_echelon_scales_the_rref(case):
+@given(integer_rows())
+def test_integer_echelon_scales_the_rref(rows):
     """Each row is the Gauss-Jordan RREF row times a positive integer, and
-    the rows are primitive; membership agrees with `contains_vector`."""
-    ambient, rows, combination, other = case
+    the rows are primitive."""
     echelon = integer_echelon(rows)
     reduced, pivots = gauss_jordan_rref(rows)
     assert len(echelon) == len(reduced)
@@ -121,10 +114,7 @@ def test_integer_echelon_scales_the_rref(case):
         assert all(type(x) is int for x in row)
         assert row[p] > 0 and gcd(*row) == 1
         assert row == tuple(row[p] * x for x in ref)
-    space = Subspace.from_spanning(ambient, rows)
     assert pivot_columns(echelon) == tuple(pivots)
-    assert in_row_space(echelon, pivots, combination)
-    assert in_row_space(echelon, pivots, other) == space.contains_vector(other)
 
 
 @st.composite

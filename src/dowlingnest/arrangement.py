@@ -375,18 +375,6 @@ def block_count(inst):
     return total
 
 
-def check_block_cap(inst, cap):
-    """Refuse, before any block is built, an enumeration whose building
-    blocks alone pass the cap: every block is a nested set of one block,
-    and nested sets and forests are in bijection.  K = G alone gives
-    2^n - 1 blocks, so an n past the bit length of the cap is refused
-    without computing the count."""
-    if inst.n > cap.bit_length() or block_count(inst) > cap:
-        raise SizeBoundExceeded(
-            f"the building blocks at n={inst.n} exceed the cap of {cap}"
-        )
-
-
 # -- order and compatibility ----------------------------------------------------
 
 
@@ -510,7 +498,7 @@ def _reconstruct_block(inst, W):
 # -- intersection lattice ---------------------------------------------------------
 
 
-def flat_counts(inst, cap=None):
+def flat_counts(inst):
     """The flats of the intersection lattice counted by dimension, as
     {dim: count} by decreasing dim, found without building a block or a
     subspace.
@@ -531,14 +519,12 @@ def flat_counts(inst, cap=None):
       P1[j] = sum_k C(j-1, k-1) (p_k P1[j-k] + x^(k m) P0[j-k]),
     and the flats are P0[n] + P1[n].
 
-    Raises SizeBoundExceeded when the total is above the cap (default: the
-    instance's lattice cap).  A G block on any nonempty set of indices is a
-    flat, and so is the whole space, so there are at least 2^n flats: an n
-    with 2^n above the cap is refused without the count.
+    Raises SizeBoundExceeded when the total is above the instance's lattice
+    cap.  A G block on any nonempty set of indices is a flat, and so is the
+    whole space, so there are at least 2^n flats: an n with 2^n above the
+    cap is refused without the count.
     """
-    if cap is None:
-        cap = inst.cap_lattice
-    n, m = inst.n, inst.block_width
+    n, m, cap = inst.n, inst.block_width, inst.cap_lattice
     if n >= cap.bit_length():
         raise SizeBoundExceeded(
             f"the intersection lattice at n={n} has at least 2^{n} elements, "
@@ -586,7 +572,7 @@ def flat_counts(inst, cap=None):
     return dict(sorted(counts.items(), reverse=True))
 
 
-def intersection_lattice(inst, cap=None):
+def intersection_lattice(inst):
     """The flats of the arrangement ordered by reverse inclusion, as a Poset
     with the ambient space as bottom and the elements sorted by
     (-dim, basis).  The flats are listed as block sets, the generalized
@@ -640,10 +626,9 @@ def intersection_lattice(inst, cap=None):
     smallest index of a block on indices not yet placed, G only if no block
     labelled G is placed, as `count_forests` and `enumerate_forests` place
     leaves.  Raises SizeBoundExceeded by `flat_counts` before any block is
-    built when the flats are more than the cap (default: the instance's
-    lattice cap).
+    built when the flats are more than the instance's lattice cap.
     """
-    flat_counts(inst, cap)
+    flat_counts(inst)
     d, m, n = inst.ambient_dim, inst.block_width, inst.n
     whole = inst.group.order
     blocks = building_blocks(inst)
@@ -763,7 +748,7 @@ def is_nested(inst, blocks):
     return not _antichain_violation(inst, blocks, leq, subspaces)
 
 
-def enumerate_nested_sets(inst, cap=None):
+def enumerate_nested_sets(inst):
     """All nonempty nested sets, in depth-first lexicographic block order.
 
     The nested sets are exactly the cliques of the compatibility graph (the
@@ -787,13 +772,13 @@ def enumerate_nested_sets(inst, cap=None):
     `is_nested` (the definition, over every antichain) stays the oracle
     for this search in `selftest` and the tests.
 
-    Raises SizeBoundExceeded before any block is built when the blocks, or
-    the nested sets counted by `count_forests` (in bijection with the
-    forests), pass the cap (default: the instance's nested-set cap).
+    Raises SizeBoundExceeded before any block is built when the nested sets
+    counted by `count_forests` (in bijection with the forests) pass the
+    instance's nested-set cap.
     """
     from .forests import count_forests  # forests imports this module
 
-    count_forests(inst, cap)  # `check_block_cap` first, then the exact count
+    count_forests(inst)
     blocks = building_blocks(inst)
     m = len(blocks)
     compat = [0] * m

@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 cross-check disagreement, 2 input error, 3 size or
 group-order bound exceeded.  Output for a fixed input file and flags is
-byte-stable.
+byte-stable, except the elapsed time `count` prints after each method's
+count ("lattice 93 (0.004s)").
 """
 
 from __future__ import annotations

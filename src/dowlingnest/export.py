@@ -23,8 +23,8 @@ def _subspace_json(space):
     }
 
 
-def lattice_json(inst, cap=None):
-    poset = intersection_lattice(inst, cap=cap)
+def lattice_json(inst):
+    poset = intersection_lattice(inst)
     return {
         "ambient_dim": inst.ambient_dim,
         "elements": [_subspace_json(s) for s in poset.elements],
@@ -32,8 +32,8 @@ def lattice_json(inst, cap=None):
     }
 
 
-def lattice_dot(inst, cap=None):
-    poset = intersection_lattice(inst, cap=cap)
+def lattice_dot(inst):
+    poset = intersection_lattice(inst)
     lines = ["digraph lattice {"]
     for i, s in enumerate(poset.elements):
         lines.append(f'  n{i} [label="dim {s.dim}"];')
@@ -71,8 +71,8 @@ def nested_covers(sets):
     return sorted(pairs)
 
 
-def nested_json(inst, cap=None):
-    sets = enumerate_nested_sets(inst, cap=cap)
+def nested_json(inst):
+    sets = enumerate_nested_sets(inst)
     return {
         "count": len(sets),
         "nested_sets": [
@@ -82,8 +82,8 @@ def nested_json(inst, cap=None):
     }
 
 
-def nested_dot(inst, cap=None):
-    sets = enumerate_nested_sets(inst, cap=cap)
+def nested_dot(inst):
+    sets = enumerate_nested_sets(inst)
     lines = ["digraph nested {"]
     for i, ns in enumerate(sets):
         label = "; ".join(b.describe(inst) for b in ns.blocks)
@@ -94,16 +94,16 @@ def nested_dot(inst, cap=None):
     return "\n".join(lines) + "\n"
 
 
-def forests_json(inst, cap=None):
-    forests = enumerate_forests(inst, cap=cap)
+def forests_json(inst):
+    forests = enumerate_forests(inst)
     return {
         "count": len(forests),
         "forests": [forest_to_json(f) for f in forests],
     }
 
 
-def forests_dot(inst, cap=None):
-    forests = enumerate_forests(inst, cap=cap)
+def forests_dot(inst):
+    forests = enumerate_forests(inst)
     chunks = []
     for fi, forest in enumerate(forests):
         lines = [f"digraph forest_{fi} {{"]

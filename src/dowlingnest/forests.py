@@ -34,7 +34,7 @@ from itertools import combinations, product as iter_product
 from math import comb
 from operator import attrgetter
 
-from .arrangement import Block, NestedSet, check_block_cap, closed_subgroups
+from .arrangement import Block, NestedSet, closed_subgroups
 from .errors import MalformedForest, NotRealizable, SizeBoundExceeded
 from .groups import Subgroup, coset_rep, left_cosets
 
@@ -107,15 +107,6 @@ def min_leaf(node):
     return node.smallest
 
 
-def leaves_below(node):
-    if isinstance(node, Leaf):
-        return (node.label,) if node.label is not None else ()
-    out = []
-    for _, child in node.children:
-        out.extend(leaves_below(child))
-    return tuple(sorted(out))
-
-
 def internal_vertices(node):
     if isinstance(node, Leaf):
         return
@@ -141,13 +132,6 @@ class LabelledForest:
         return tuple(
             t.label for t in self.trees if isinstance(t, Leaf) and t.label is not None
         )
-
-    @property
-    def leaf_labels(self):
-        out = []
-        for t in self.trees:
-            out.extend(leaves_below(t))
-        return tuple(sorted(out))
 
     def internal_count(self):
         return sum(1 for t in self.trees for _ in internal_vertices(t))
@@ -350,8 +334,8 @@ def _extend_exp(e, b):
     e.append(sum(comb(d, i) * b[i + 1] * e[d - i] for i in range(d + 1)))
 
 
-def count_forests(inst, cap=None):
-    """The number of valid forests, len(enumerate_forests(inst, cap)),
+def count_forests(inst):
+    """The number of valid forests, len(enumerate_forests(inst)),
     found without building a tree, for any finite G.
 
     The edge toward the smallest leaf of a part is pinned and every other
@@ -381,16 +365,18 @@ def count_forests(inst, cap=None):
     `enumerate_forests` is shared, so a wrong labelling rule here shows up
     as a count that differs from the nested-set enumeration.
 
-    Raises SizeBoundExceeded from `check_block_cap` first, then when the
-    count passes the cap (default: the instance's nested-set cap).
-    Nested sets and forests are in bijection, so the count bounds both
-    enumerations; `enumerate_forests` and `enumerate_nested_sets` call
-    this before they build a tree or a block.
+    Raises SizeBoundExceeded when the count passes the instance's
+    nested-set cap.  K = G alone gives 2^n - 1 blocks, each a nested set of
+    one block, so an n past the bit length of the cap is refused without
+    the count.  Nested sets and forests are in bijection, so the count
+    bounds both enumerations; `enumerate_forests` and
+    `enumerate_nested_sets` call this before they build a tree or a block.
     """
-    if cap is None:
-        cap = inst.cap_nested
-    check_block_cap(inst, cap)
-    n = inst.n
+    n, cap = inst.n, inst.cap_nested
+    if n > cap.bit_length():
+        raise SizeBoundExceeded(
+            f"the building blocks at n={n} exceed the cap of {cap}"
+        )
     G = inst.group
     members = closed_subgroups(inst).members
     whole = Subgroup(tuple(range(G.order)))
@@ -486,7 +472,7 @@ def _node_sort_key(node):
     return node.sort_key
 
 
-def enumerate_forests(inst, cap=None):
+def enumerate_forests(inst):
     """Generate every valid forest directly from the labeling rules, each
     once and already in canonical order: by the sort keys of the trees,
     taken in smallest-leaf order.
@@ -514,13 +500,14 @@ def enumerate_forests(inst, cap=None):
     forest of fallen leaves alone, the one forest on {1..n} with no
     internal vertex, so dropping it leaves exactly the valid forests.
 
-    The cap counts valid forests, and `count_forests` refuses an instance
-    past it before a vertex is built.  Nothing built outgrows that count:
-    each tree, with the other leaves fallen, is a distinct valid forest, and
-    so is each entry of a memoised list but the one of fallen leaves alone.
+    The instance's nested-set cap counts valid forests, and `count_forests`
+    refuses an instance past it before a vertex is built.  Nothing built
+    outgrows that count: each tree, with the other leaves fallen, is a
+    distinct valid forest, and so is each entry of a memoised list but the
+    one of fallen leaves alone.
     A run within the cap builds no vertex it does not return.
     """
-    count_forests(inst, cap)
+    count_forests(inst)
     G = inst.group
     members = closed_subgroups(inst).members
     whole = Subgroup(tuple(range(G.order)))

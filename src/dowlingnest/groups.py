@@ -21,13 +21,12 @@ class FiniteGroup:
 
     __slots__ = ("order", "identity", "abelian_spec", "_mul", "_inv", "_abelian")
 
-    def __init__(self, table, abelian_spec=None, validate=True):
+    def __init__(self, table, abelian_spec=None):
         self.order = len(table)
         self.identity = 0
         self._mul = tuple(tuple(row) for row in table)
         self.abelian_spec = tuple(abelian_spec) if abelian_spec is not None else None
-        if validate:
-            self._validate()
+        self._validate()
         self._inv = tuple(self._find_inverse(a) for a in range(self.order))
         self._abelian = all(
             self._mul[a][b] == self._mul[b][a]
@@ -234,20 +233,22 @@ def subgroup_closure(G, gens):
     return Subgroup(tuple(elems))
 
 
-def check_order_bound(order, order_bound=DEFAULT_ORDER_BOUND):
+def check_order_bound(order):
     """Raise OrderBoundExceeded for a group too large to enumerate."""
-    if order > order_bound:
-        raise OrderBoundExceeded(f"group order {order} exceeds the bound {order_bound}")
+    if order > DEFAULT_ORDER_BOUND:
+        raise OrderBoundExceeded(
+            f"group order {order} exceeds the bound {DEFAULT_ORDER_BOUND}"
+        )
 
 
-def enumerate_subgroups(G, order_bound=DEFAULT_ORDER_BOUND):
+def enumerate_subgroups(G):
     """All subgroups of G, sorted by (size, elements).
 
     Breadth-first closure over generator extensions: every subgroup is
     reachable from a smaller one by adjoining a single generator, so the
     search is exhaustive.
     """
-    check_order_bound(G.order, order_bound)
+    check_order_bound(G.order)
     trivial = Subgroup((G.identity,))
     seen = {trivial.elements: trivial}
     frontier = [trivial]

@@ -127,8 +127,6 @@ class Representation:
         ):
             raise InstanceError("each character must be a list of integers")
         chars = tuple(tuple(ch) for ch in characters)
-        if not chars:
-            raise InstanceError("representation must have positive dimension")
         for ch in chars:
             if len(ch) != len(spec):
                 raise InstanceError(
@@ -218,6 +216,8 @@ class Representation:
         """
         G = self.group
         n = G.order
+        if self.matrix_dim == 0:
+            raise InstanceError("representation must have positive dimension")
         if len(self.matrices) != n:
             raise InstanceError("need one matrix per group element")
         forms = [m.integer_form() for m in self.matrices]

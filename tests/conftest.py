@@ -21,6 +21,11 @@ def make_abelian_instance(factors, characters, n, names=None):
     return ProblemInstance(n, G, rep, names=names)
 
 
+def capped(inst, **caps):
+    """The same instance with the given `cap_lattice` or `cap_nested`."""
+    return ProblemInstance(inst.n, inst.group, inst.rep, names=inst.names, **caps)
+
+
 @st.composite
 def small_abelian_instances(draw):
     """One or two cyclic factors of order <= 4, one or two faithful

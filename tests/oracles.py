@@ -379,15 +379,14 @@ def dowling_hyperplane_lattice(r, n):
     return Poset(ordered, matrix)
 
 
-def lattice_oracle(inst, cap=None):
+def lattice_oracle(inst):
     """The intersection lattice closed by rational subspace meets.
 
     Each meet is perp -> sum -> perp (`Subspace.intersect`) and the order
     matrix is N^2 `Subspace.contains` tests; same elements, order and cap
     semantics as `arrangement.intersection_lattice`.
     """
-    if cap is None:
-        cap = inst.cap_lattice
+    cap = inst.cap_lattice
     raw = raw_arrangement(inst)
     elems = {}
 

@@ -44,6 +44,7 @@ from dowlingnest.linalg import RMatrix
 from dowlingnest.selftest import CHECKS, run_selftest
 
 from conftest import (
+    capped,
     make_abelian_instance,
     make_n3_grid,
     make_s3_instance,
@@ -289,7 +290,7 @@ def test_block_sets_match_the_oracle_on_random_instances(inst):
     by subspace meets.  Instances past 200 flats are left out: the oracle
     takes seconds there (16 s on Z/2 x Z/4 at n = 3), and the n = 3 grid
     above is checked in full."""
-    assume(sum(flat_counts(inst, cap=10**6).values()) <= 200)
+    assume(sum(flat_counts(inst).values()) <= 200)
     _check_against_the_oracle(inst)
 
 
@@ -323,9 +324,9 @@ def test_flat_counts_are_dowlings_whitney_numbers(r):
             k * degree: w for k, w in enumerate(_dowling_whitney_numbers(r, n))
         }
         total = sum(expected.values())
-        assert flat_counts(inst, cap=total) == expected
+        assert flat_counts(capped(inst, cap_lattice=total)) == expected
         with pytest.raises(SizeBoundExceeded, match=f"above the cap of {total - 1}$"):
-            flat_counts(inst, cap=total - 1)
+            flat_counts(capped(inst, cap_lattice=total - 1))
     assert total == sum(_dowling_whitney_numbers(r, 12))
     if r == 2:
         assert total == 1_606_879_040
@@ -346,9 +347,9 @@ def test_flat_counts_build_no_block_or_subspace(monkeypatch):
         monkeypatch.setattr(arrangement, name, refuse)
     assert flat_counts(inst) == {4: 1, 3: 16, 2: 58, 1: 40, 0: 1}
     with pytest.raises(SizeBoundExceeded, match="116 elements"):
-        intersection_lattice(inst, cap=115)
+        intersection_lattice(capped(inst, cap_lattice=115))
     with pytest.raises(SizeBoundExceeded, match="at least 2\\^4"):
-        flat_counts(inst, cap=15)
+        flat_counts(capped(inst, cap_lattice=15))
 
 
 def _characteristic_polynomial(inst):
@@ -738,9 +739,9 @@ def test_size_cap_raises(z2):
     from dowlingnest import SizeBoundExceeded
 
     with pytest.raises(SizeBoundExceeded):
-        enumerate_nested_sets(z2, cap=3)
+        enumerate_nested_sets(capped(z2, cap_nested=3))
     with pytest.raises(SizeBoundExceeded):
-        intersection_lattice(z2, cap=2)
+        intersection_lattice(capped(z2, cap_lattice=2))
 
 
 def test_nested_enumeration_refuses_by_the_count_before_any_block(monkeypatch):
@@ -750,11 +751,11 @@ def test_nested_enumeration_refuses_by_the_count_before_any_block(monkeypatch):
 
     inst = make_abelian_instance([2], [[1]], 3)
     assert block_count(inst) == 17
-    assert len(enumerate_nested_sets(inst, cap=93)) == 93
+    assert len(enumerate_nested_sets(capped(inst, cap_nested=93))) == 93
 
     def refuse(*args, **kwargs):
         raise AssertionError("a block was built before the count was checked")
 
     monkeypatch.setattr(arrangement, "building_blocks", refuse)
     with pytest.raises(SizeBoundExceeded, match="93 nested sets"):
-        enumerate_nested_sets(inst, cap=50)
+        enumerate_nested_sets(capped(inst, cap_nested=50))

@@ -658,6 +658,7 @@ def test_good_bounds_in_the_file_still_apply(tmp_path, capsys):
         (None, {"matrices": {"1": [-1]}}),
         (None, {"matrices": {"0": [[2]], "1": [[-1]]}}),
         (None, {"matrices": {"0": [[1, 0], [0, 0]], "1": [[-1, 0], [0, 0]]}}),
+        ({"cayley": [[0]]}, {"matrices": {"0": []}}),
     ],
     ids=[
         "string-character",
@@ -670,6 +671,7 @@ def test_good_bounds_in_the_file_still_apply(tmp_path, capsys):
         "matrix-rows-not-lists",
         "bad-identity-matrix",
         "idempotent-identity-matrix",
+        "zero-dimensional",
     ],
 )
 def test_bad_group_or_representation_is_exit_2(tmp_path, capsys, group, representation):
@@ -810,10 +812,11 @@ def test_selftest_bounds_the_work_of_a_nonabelian_instance(capsys, monkeypatch):
     ],
 )
 def test_caps_refuse_before_any_block_is_built(argv):
-    """Every block is a nested set, so a block count past the cap is exit 3
-    before a block is built.  These ended in a RecursionError, a MemoryError
-    or a run without end; the subprocess has a time and a memory limit so
-    that a regression fails instead of taking the machine's memory.  The
+    """Every block is a nested set, so the forest count (or, past the bit
+    length of the cap, n alone) refuses with exit 3 before a block is
+    built.  These ended in a RecursionError, a MemoryError or a run
+    without end; the subprocess has a time and a memory limit so that a
+    regression fails instead of taking the machine's memory.  The
     series host at its file n=8 has 5,586,239 blocks, under the default cap
     of 10^7, but 5.04e16 forests: the forest count refuses it, where the
     enumeration grew to 7.1 GB over 77 s.  klein4 at n=9 has 508,465

@@ -40,6 +40,7 @@ from dowlingnest.groups import ConjClassPoset, left_cosets
 from dowlingnest.instancefile import load_instance
 
 from conftest import (
+    capped,
     make_abelian_instance,
     make_n3_grid,
     make_s3_instance,
@@ -225,11 +226,11 @@ def test_single_factor_sign_has_one_forest():
 
 def test_forest_cap_raises(z2):
     with pytest.raises(SizeBoundExceeded):
-        enumerate_forests(z2, cap=3)
+        enumerate_forests(capped(z2, cap_nested=3))
 
 
-def _enumerated(inst, cap):
-    return len(enumerate_forests(inst, cap=cap))
+def _enumerated(inst):
+    return len(enumerate_forests(inst))
 
 
 @pytest.mark.parametrize(
@@ -245,9 +246,31 @@ def _enumerated(inst, cap):
 def test_forest_cap_boundary(route, inst, count):
     """The cap counts valid forests only: the forest of fallen leaves alone,
     built on the way, does not count against it."""
-    assert route(inst, count) == count
+    assert route(capped(inst, cap_nested=count)) == count
     with pytest.raises(SizeBoundExceeded):
-        route(inst, count - 1)
+        route(capped(inst, cap_nested=count - 1))
+
+
+def test_count_forests_refuses_by_bit_length_and_exact_count(monkeypatch):
+    """No block count is taken: with `block_count` made to raise, Z/2 at n=3
+    (93 forests) passes a cap of 93 and is refused at 92.  Under the
+    default cap of 10^7, of bit length 24, n=24 is refused by its count and
+    n=25 before the closed subgroups are found."""
+    from dowlingnest import arrangement, forests
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("blocks or closed subgroups were counted")
+
+    inst = make_abelian_instance([2], [[1]], 3)
+    monkeypatch.setattr(arrangement, "block_count", refuse)
+    assert count_forests(capped(inst, cap_nested=93)) == 93
+    with pytest.raises(SizeBoundExceeded, match="^93 nested sets"):
+        count_forests(capped(inst, cap_nested=92))
+    with pytest.raises(SizeBoundExceeded, match="nested sets at n=24"):
+        count_forests(inst.with_n(24))
+    monkeypatch.setattr(forests, "closed_subgroups", refuse)
+    with pytest.raises(SizeBoundExceeded, match="building blocks at n=25"):
+        count_forests(inst.with_n(25))
 
 
 # -- counting by part size -------------------------------------------------------------
@@ -312,18 +335,19 @@ def test_count_forests_matches_the_enumeration_on_random_instances(inst):
 def test_count_forests_matches_the_series_count(name, top):
     """The series route shares no code with the forest rules; agreement at
     every n checks the recurrence well past the sizes enumeration reaches."""
-    inst = load_instance(str(INSTANCE_DIR / f"{name}.json"), n_override=top)
+    path = str(INSTANCE_DIR / f"{name}.json")
+    inst = load_instance(path, n_override=top, cap_nested=10**30)
     for n in range(1, top + 1):
         at_n = inst.with_n(n)
-        assert count_forests(at_n, cap=10**30) == nested_count_via_series(at_n, n)
+        assert count_forests(at_n) == nested_count_via_series(at_n, n)
 
 
 def test_s3_counts_past_the_paper():
     """The paper counts abelian G only.  S3 is pinned to n=20; at n <= 3 both
     enumerations give the pinned count, and n=4 is the 677,183 nested sets
     enumerated when the table was made."""
-    inst = load_instance(str(INSTANCE_DIR / "s3.json"))
-    counts = tuple(count_forests(inst.with_n(n), cap=10**50) for n in range(1, 21))
+    inst = load_instance(str(INSTANCE_DIR / "s3.json"), cap_nested=10**50)
+    counts = tuple(count_forests(inst.with_n(n)) for n in range(1, 21))
     assert counts == S3_COUNTS
     assert counts[3] == 677183
     for n in (1, 2, 3):
@@ -384,12 +408,12 @@ def test_enumeration_builds_only_vertices_it_returns(inst, monkeypatch):
 
 def test_cap_bounds_the_trees_built(monkeypatch):
     """Each tree is a forest once the other leaves fall, so a refusal comes
-    before more trees than the cap are built: chains8 at n=4 passes the
-    block cap at cap 2000 (1263 blocks) and has far more forests."""
-    inst = load_instance(str(CHAINS8), n_override=4)
+    before more trees than the cap are built: chains8 at n=4 has 1263
+    blocks, under a cap of 2000, and far more forests."""
+    inst = load_instance(str(CHAINS8), n_override=4, cap_nested=2000)
     built = _count_vertices(monkeypatch)
     with pytest.raises(SizeBoundExceeded):
-        enumerate_forests(inst, cap=2000)
+        enumerate_forests(inst)
     assert built[0] <= 2001
 
 

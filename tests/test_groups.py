@@ -16,7 +16,12 @@ from dowlingnest import (
     left_cosets,
     subgroup_conj_classes,
 )
-from dowlingnest.groups import check_subgroup, coset_rep, subgroup_closure
+from dowlingnest.groups import (
+    DEFAULT_ORDER_BOUND,
+    check_subgroup,
+    coset_rep,
+    subgroup_closure,
+)
 
 from conftest import s3_cayley_table
 
@@ -55,9 +60,12 @@ def test_s3_subgroups_against_brute_force():
 
 
 def test_order_bound_is_enforced():
-    G = FiniteGroup.from_abelian([3])
+    """Z/64, at the bound, has a subgroup per divisor of 64; Z/65 is refused."""
+    at_bound = FiniteGroup.from_abelian([DEFAULT_ORDER_BOUND])
+    assert len(enumerate_subgroups(at_bound)) == 7
+    G = FiniteGroup.from_abelian([DEFAULT_ORDER_BOUND + 1])
     with pytest.raises(OrderBoundExceeded):
-        enumerate_subgroups(G, order_bound=2)
+        enumerate_subgroups(G)
 
 
 def test_conjugation_identity_and_abelian():

@@ -19,8 +19,8 @@ from dowlingnest import (
     Representation,
     Subgroup,
     big_g,
+    count_nested_sets,
     enumerate_forests,
-    enumerate_nested_sets,
     lambda_bar,
     lambda_for_subgroup,
     nested_count_via_series,
@@ -57,7 +57,7 @@ for factors, chars, name in (
     r = Representation.from_characters(g, chars)
     for n in (1, 2, 3):
         sub = ProblemInstance(n, g, r)
-        a = len(enumerate_nested_sets(sub))
+        a = count_nested_sets(sub)
         b = len(enumerate_forests(sub))
         c = nested_count_via_series(sub, n)
         flag = "" if a == b == c else "   <-- DISAGREE"

@@ -20,6 +20,7 @@ from .arrangement import (
     building_blocks,
     closed_subgroups,
     closure_phi,
+    count_nested_sets,
     enumerate_nested_sets,
     flat_counts,
     intersection_lattice,
@@ -107,6 +108,7 @@ __all__ = [
     "closure_phi",
     "conjugate_subgroup",
     "count_forests",
+    "count_nested_sets",
     "decompose_forest",
     "enumerate_forests",
     "enumerate_nested_sets",

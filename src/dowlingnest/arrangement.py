@@ -424,6 +424,74 @@ def blocks_compatible(inst, b1, b2):
     return not (len(b1.subgroup) == whole and len(b2.subgroup) == whole)
 
 
+def _compatibility(inst, blocks):
+    """`blocks_compatible` and `block_leq` over normal-form `blocks` as bit
+    masks by position: (compat, up), compat[k] the blocks other than
+    blocks[k] compatible with it and up[k] the blocks c with
+    `block_leq`(c, blocks[k]), blocks[k] included.
+
+    Take b = H^K(i^{h_i K}, ...) on the indices I.  A block c =
+    H^L(i_0^{e L}, ...) has a_0 = h_{i_0}^-1, so by the rule stated in
+    `block_leq` it lies in up[b] exactly when its indices lie in I,
+    a_0 L a_0^-1 <= K, and its coset at each further index i lies in
+    h_i K a_0.  Each condition is a mask of blocks; the label test is
+    memoised per (K, a_0) for every L at once.  Comparable pairs are
+    compatible; of the others, index-disjoint pairs are compatible unless
+    both are labelled G, and pairs whose indices overlap never are.
+    """
+    G, n = inst.group, inst.n
+    members = closed_subgroups(inst).members
+    label_of = {K.elements: l for l, K in enumerate(members)}
+    labels = [label_of[b.subgroup.elements] for b in blocks]
+    spans = [sum(1 << i for i in b.indices) for b in blocks]
+    with_label = [0] * len(members)
+    first_at = [0] * (n + 1)
+    at = {}  # (index, coset) -> the blocks with that coset at that index
+    by_span = {}
+    for k, b in enumerate(blocks):
+        bit = 1 << k
+        with_label[labels[k]] |= bit
+        first_at[b.indices[0]] |= bit
+        for i, g in zip(b.indices, b.cosets):
+            at[i, g] = at.get((i, g), 0) | bit
+        by_span[spans[k]] = by_span.get(spans[k], 0) | bit
+    # the blocks on indices inside a span, apart from it, and without index i
+    inside = {s: sum(x for t, x in by_span.items() if not t & ~s) for s in by_span}
+    apart = {s: sum(x for t, x in by_span.items() if not t & s) for s in by_span}
+    off = [sum(x for t, x in by_span.items() if not t >> i & 1) for i in range(n + 1)]
+    label_masks = {}  # (K, a_0) -> the blocks labelled L with a_0 L a_0^-1 <= K
+    up = [0] * len(blocks)
+    down = [0] * len(blocks)
+    for k, b in enumerate(blocks):
+        K = members[labels[k]].elements
+        for r, i0 in enumerate(b.indices):
+            a0 = G.inv(b.cosets[r])
+            key = (labels[k], a0)
+            if key not in label_masks:
+                label_masks[key] = sum(
+                    with_label[l]
+                    for l, L in enumerate(members)
+                    if all(G.conj(a0, x) in K for x in L.elements)
+                )
+            sel = first_at[i0] & inside[spans[k]] & label_masks[key]
+            ka0 = [G.mul(x, a0) for x in K]
+            for i, h in zip(b.indices[r + 1 :], b.cosets[r + 1 :]):
+                sel &= off[i] | sum(at.get((i, G.mul(h, y)), 0) for y in ka0)
+            up[k] |= sel
+        rest = up[k]
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            down[low.bit_length() - 1] |= 1 << k
+    g_blocks = with_label[label_of[tuple(G.elements())]]
+    compat = [
+        (apart[s] & ~(g_blocks if g_blocks >> k & 1 else 0) | up[k] | down[k])
+        & ~(1 << k)
+        for k, s in enumerate(spans)
+    ]
+    return compat, up
+
+
 def is_block_subspace(inst, W):
     """Reconstruct the normal-form block with subspace W, or None.
 
@@ -609,9 +677,8 @@ def intersection_lattice(inst):
 
     The order.  Let mask(A) be the bit mask of the blocks that contain the
     flat A.  By the lemma it is the union, over the blocks b of A's set, of
-    up(b), the blocks c with `block_leq`(c, b); those have their indices
-    among b's, so only such c are tried.  A is the intersection of mask(A),
-    as its own blocks are in it.  So A contains B exactly when mask(A) is a
+    up(b), the blocks c with `block_leq`(c, b), from `_compatibility`.  A is
+    the intersection of mask(A), as its own blocks are in it.  So A contains B exactly when mask(A) is a
     subset of mask(B): if it is, B is the intersection of a larger set;
     conversely a block containing A contains B.
 
@@ -632,7 +699,7 @@ def intersection_lattice(inst):
     d, m, n = inst.ambient_dim, inst.block_width, inst.n
     whole = inst.group.order
     blocks = building_blocks(inst)
-    spans = [sum(1 << i for i in b.indices) for b in blocks]
+    _, ups = _compatibility(inst, blocks)
     # parts[i]: (index bits, labelled G, RREF rows, up mask) of each part
     # whose smallest index is i, the free index i first
     parts = [[] for _ in range(n + 1)]
@@ -643,11 +710,8 @@ def intersection_lattice(inst):
             row[c] = ONE
             units.append(tuple(row))
         parts[i].append((1 << i, False, tuple(units), 0))
-    for b, span in zip(blocks, spans):
-        up = 0
-        for k, other in enumerate(blocks):
-            if spans[k] & ~span == 0 and block_leq(inst, other, b):
-                up |= 1 << k
+    for b, up in zip(blocks, ups):
+        span = sum(1 << i for i in b.indices)
         own = {c for i in b.indices for c in range((i - 1) * m, i * m)}
         tied = tuple(
             row
@@ -753,7 +817,7 @@ def enumerate_nested_sets(inst):
 
     The nested sets are exactly the cliques of the compatibility graph (the
     nested-set complex is a flag complex), so they are listed by a clique
-    search over one bitset of compatible blocks per block.
+    search over one bitset of compatible blocks per block (`_compatibility`).
 
     Proof that a pairwise-compatible set S is nested.  Take an antichain
     B_1, ..., B_r of S with r >= 2, with index sets I_a and labels K_a.
@@ -780,13 +844,7 @@ def enumerate_nested_sets(inst):
 
     count_forests(inst)
     blocks = building_blocks(inst)
-    m = len(blocks)
-    compat = [0] * m
-    for i in range(m):
-        for j in range(i + 1, m):
-            if blocks_compatible(inst, blocks[i], blocks[j]):
-                compat[i] |= 1 << j
-                compat[j] |= 1 << i
+    compat, _ = _compatibility(inst, blocks)
     out = []
 
     def extend(picked, cand):
@@ -798,8 +856,32 @@ def enumerate_nested_sets(inst):
             out.append(NestedSet(chosen))
             extend(chosen, cand & compat[idx])
 
-    extend((), (1 << m) - 1)
+    extend((), (1 << len(blocks)) - 1)
     return out
+
+
+def count_nested_sets(inst):
+    """len(enumerate_nested_sets(inst)), counted by the same clique search
+    with no nested set built: one step per clique, on integers.
+
+    Raises SizeBoundExceeded before any block is built, as
+    `enumerate_nested_sets` does.
+    """
+    from .forests import count_forests  # forests imports this module
+
+    count_forests(inst)
+    compat, _ = _compatibility(inst, building_blocks(inst))
+
+    def cliques(cand):
+        total = 0
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            rest = cand & compat[low.bit_length() - 1]
+            total += 1 + (cliques(rest) if rest else 0)
+        return total
+
+    return cliques((1 << len(compat)) - 1)
 
 
 def nested_sets_poset(nested_sets):

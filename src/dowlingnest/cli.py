@@ -17,6 +17,7 @@ from . import export
 from .arrangement import (
     closed_subgroups,
     closure_phi,
+    count_nested_sets,
     enumerate_nested_sets,
     flat_counts,
 )
@@ -179,7 +180,7 @@ def cmd_count(inst, args, out):
     for method in methods:
         start = time.perf_counter()
         if method == "lattice":
-            value = len(enumerate_nested_sets(inst))
+            value = count_nested_sets(inst)
         elif method == "forest":
             value = count_forests(inst)
         else:

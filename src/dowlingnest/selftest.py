@@ -17,6 +17,7 @@ from .arrangement import (
     closed_subgroups,
     closure_phi,
     conjugate_subgroup,
+    count_nested_sets,
     enumerate_nested_sets,
     is_nested,
     pairwise_compatible,
@@ -76,6 +77,8 @@ def _check_counts(inst, run):
         return False, f"nested {len(nested)} != forests {len(forests)}"
     if run.forest_count != len(nested):
         return False, f"forest count {run.forest_count} != {len(nested)}"
+    if run.clique_count != len(nested):
+        return False, f"clique count {run.clique_count} != {len(nested)}"
     detail = f"nested = forests = forest count = {len(nested)}"
     if run.series_count is not None:
         if run.series_count != len(nested):
@@ -127,6 +130,7 @@ class _Run:
     nested: list
     forests: list
     forest_count: int
+    clique_count: int
     series_count: int | None
 
 
@@ -156,7 +160,11 @@ def run_selftest(inst, emit=print):
     if inst.group.is_abelian:
         series_count = nested_count_via_series(inst, inst.n)
     run = _Run(
-        enumerate_nested_sets(inst), enumerate_forests(inst), count, series_count
+        enumerate_nested_sets(inst),
+        enumerate_forests(inst),
+        count,
+        count_nested_sets(inst),
+        series_count,
     )
     failures = 0
     for name, fn in CHECKS:

@@ -22,6 +22,8 @@ from dowlingnest import (
     closed_subgroups,
     closure_phi,
     conjugate_subgroup,
+    count_forests,
+    count_nested_sets,
     enumerate_forests,
     enumerate_nested_sets,
     flat_counts,
@@ -33,6 +35,7 @@ from dowlingnest import (
     raw_arrangement,
 )
 from dowlingnest.arrangement import (
+    _compatibility,
     block_count,
     free_factor_subspace,
     nested_sets_poset,
@@ -544,6 +547,39 @@ def test_compatibility_rules(klein):
     assert blocks_compatible(inst, g1, g12)     # comparable
 
 
+def assert_table_matches_the_pairwise_oracles(inst):
+    blocks = building_blocks(inst)
+    compat, up = _compatibility(inst, blocks)
+    for k, b in enumerate(blocks):
+        for j, c in enumerate(blocks):
+            assert bool(up[k] >> j & 1) == block_leq(inst, c, b), (k, j)
+            assert bool(compat[k] >> j & 1) == (
+                j != k and blocks_compatible(inst, b, c)
+            ), (k, j)
+
+
+@settings(max_examples=25, deadline=None)
+@given(small_abelian_instances())
+def test_compatibility_table_matches_the_pairwise_oracles(inst):
+    """Every bit of the mask table equals `block_leq` (up) or
+    `blocks_compatible` (compat), pair by pair."""
+    assert_table_matches_the_pairwise_oracles(inst)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: make_s3_instance(1),
+        lambda: make_s3_instance(2),
+        lambda: make_s3_instance(3),
+        lambda: load_instance(INSTANCES / "z2x4_chains.json", n_override=2),
+    ],
+    ids=["s3-n1", "s3-n2", "s3-n3", "chains8-n2"],
+)
+def test_compatibility_table_matches_the_pairwise_oracles_on_fixed_cases(make):
+    assert_table_matches_the_pairwise_oracles(make())
+
+
 # -- nestedness --------------------------------------------------------------------------
 
 
@@ -666,6 +702,7 @@ def test_clique_count_agrees_with_forests_and_series(inst, rng):
     sets = enumerate_nested_sets(inst)
     assert len(sets) == len(enumerate_forests(inst))
     assert len(sets) == nested_count_via_series(inst, inst.n)
+    assert len(sets) == count_nested_sets(inst)
     for ns in rng.sample(sets, min(len(sets), 60)):
         assert is_nested(inst, ns.blocks), ns
     if inst.n <= 2:
@@ -759,3 +796,36 @@ def test_nested_enumeration_refuses_by_the_count_before_any_block(monkeypatch):
     monkeypatch.setattr(arrangement, "building_blocks", refuse)
     with pytest.raises(SizeBoundExceeded, match="93 nested sets"):
         enumerate_nested_sets(capped(inst, cap_nested=50))
+
+
+BUNDLED = ("z2", "z3", "z4", "z4_plane", "klein4", "s3", "z2x4_chains")
+
+
+@pytest.mark.parametrize(
+    "name, n",
+    [(name, n) for name in BUNDLED for n in (1, 2, 3) if (name, n) != ("z2x4_chains", 3)]
+    + [("z2", 6)],
+)
+def test_clique_count_equals_the_enumeration_and_the_forest_count(name, n):
+    """Z/2 at n = 6 has 615,849 nested sets."""
+    inst = load_instance(INSTANCES / f"{name}.json", n_override=n)
+    count = count_nested_sets(inst)
+    assert count == len(enumerate_nested_sets(inst)) == count_forests(inst)
+    if (name, n) == ("z2", 6):
+        assert count == 615849
+
+
+def test_clique_count_refuses_by_the_exact_count_before_any_block(monkeypatch):
+    """Z/2 at n=3 has 93 nested sets: a cap of 93 passes, and 92 is refused
+    before a block is built."""
+    from dowlingnest import arrangement
+
+    inst = make_abelian_instance([2], [[1]], 3)
+    assert count_nested_sets(capped(inst, cap_nested=93)) == 93
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a block was built before the count was checked")
+
+    monkeypatch.setattr(arrangement, "building_blocks", refuse)
+    with pytest.raises(SizeBoundExceeded, match="93 nested sets"):
+        count_nested_sets(capped(inst, cap_nested=92))

@@ -572,6 +572,49 @@ def test_lattice_is_refused_by_its_exact_count(capsys, monkeypatch, argv):
     assert "has 4929983 elements, above the cap of 1000000" in err
 
 
+def test_count_lattice_cap_is_the_exact_count(capsys, monkeypatch):
+    """Z/2 at n = 3 has 93 nested sets: a cap of 93 passes, and 92 is exit 3
+    before a block is built."""
+    z2 = str(INSTANCES / "z2.json")
+    argv = ("count", "--method", "lattice", "--input", z2, "--n", "3")
+    code, out, _ = run_cli(capsys, *argv, "--cap-nested", "93")
+    assert code == 0
+    assert out.endswith("count 93\n")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a block was built before the count was checked")
+
+    monkeypatch.setattr(arrangement, "building_blocks", refuse)
+    code, out, err = run_cli(capsys, *argv, "--cap-nested", "92")
+    assert code == 3
+    assert out == ""
+    assert "93 nested sets at n=3 exceed the cap of 92" in err
+
+
+@pytest.mark.parametrize(
+    "name, n, expected",
+    [
+        ("klein4", 3, "lattice 3493 (T)\nforest 3493 (T)\negf 3493 (T)\ncount 3493\n"),
+        ("s3", 3, "lattice 10159 (T)\nforest 10159 (T)\ncount 10159\n"),
+        ("z2x4_chains", 2, "lattice 1223 (T)\nforest 1223 (T)\negf 1223 (T)\ncount 1223\n"),
+    ],
+)
+def test_count_all_methods_stdout_apart_from_times(capsys, name, n, expected):
+    code, out, _ = run_cli(
+        capsys, "count", "--all-methods", "--input", str(INSTANCES / f"{name}.json"),
+        "--n", str(n),
+    )
+    assert code == 0
+    assert re.sub(r"\(\d+\.\d{3}s\)", "(T)", out) == expected
+
+
+def test_selftest_compares_the_clique_count(capsys, monkeypatch):
+    monkeypatch.setattr(selftest, "count_nested_sets", lambda inst: 8)
+    code, out, _ = run_cli(capsys, "selftest", "--input", str(INSTANCES / "z2.json"))
+    assert code == 1
+    assert "FAIL count-agreement: clique count 8 != 9" in out
+
+
 def _z2_with(tmp_path, **extra):
     data = json.loads((INSTANCES / "z2.json").read_text())
     data.update(extra)

@@ -41,6 +41,7 @@ from .groups import (
     conjugate_subgroup,
     coset_rep,
     enumerate_subgroups,
+    generating_set,
     left_cosets,
     subgroup_closure,
     subgroup_conj_classes,
@@ -50,6 +51,7 @@ from .linalg import (
     ZERO,
     Subspace,
     integer_echelon,
+    integer_form,
 )
 from .poset import Poset
 from .reps import pointwise_stabilizer
@@ -165,15 +167,21 @@ def closure_phi(inst, H):
 class ClosedSubgroupSet:
     members: tuple  # closed subgroups, sorted by (size, elements)
     closure_map: tuple  # pairs (subgroup, phi(subgroup)) over all subgroups
+    _closed: frozenset = field(init=False, compare=False, repr=False)
+    _phi: dict = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_closed", frozenset(K.elements for K in self.members))
+        object.__setattr__(self, "_phi", {S.elements: P for S, P in self.closure_map})
 
     def __contains__(self, H):
-        return any(H.elements == K.elements for K in self.members)
+        return H.elements in self._closed
 
     def phi(self, H):
-        for S, P in self.closure_map:
-            if S.elements == H.elements:
-                return P
-        raise KeyError(H)
+        try:
+            return self._phi[H.elements]
+        except KeyError:
+            raise KeyError(H) from None
 
     @property
     def proper(self):
@@ -208,14 +216,16 @@ def _check_closed_set(inst, cs):
     trivial = Subgroup((G.identity,))
     if trivial not in cs or whole not in cs:
         raise InstanceError("closed subgroups must include {e} and G")
-    seen = {}
+    seen = set()
     for K in cs.members:
-        key = inst.fix(K).basis
+        key = integer_form(inst.fix(K).basis)
         if key in seen:
             raise InstanceError("two closed subgroups share a fixed subspace")
-        seen[key] = K
+        seen.add(key)
+    # stable under conjugation by each generator, so by every word in them
+    gens = generating_set(G)
     for K in cs.members:
-        for g in G.elements():
+        for g in gens:
             if conjugate_subgroup(G, K, g) not in cs:
                 raise InstanceError("closed subgroups are not conjugation-stable")
 
@@ -238,7 +248,7 @@ def free_factor_subspace(inst, W, factors, elements):
     """
     b = inst.block_width
     d = inst.ambient_dim
-    forms = [inst.rep.matrix(g).integer_form() for g in elements]
+    forms = [inst.rep.forms[g] for g in elements]
     scale = lcm(*(den for _, den in forms))
     vectors = []
     for w in W.basis:

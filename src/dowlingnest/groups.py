@@ -9,6 +9,7 @@ gets id ((a1 * d2 + a2) * d3 + ...).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from math import lcm
 
 from .errors import InstanceError, OrderBoundExceeded
@@ -71,15 +72,8 @@ class FiniteGroup:
             size *= d
         if size != self.order:
             raise InstanceError("invariant factors do not match table size")
-        for a in range(self.order):
-            ta = self.id_to_tuple(a)
-            for b in range(self.order):
-                tb = self.id_to_tuple(b)
-                want = tuple((x + y) % d for x, y, d in zip(ta, tb, spec))
-                if self._mul[a][b] != self.tuple_to_id(want):
-                    raise InstanceError(
-                        "Cayley table disagrees with componentwise addition"
-                    )
+        if self._mul != _abelian_table(spec):
+            raise InstanceError("Cayley table disagrees with componentwise addition")
 
     def _find_inverse(self, a):
         for b in range(self.order):
@@ -145,26 +139,9 @@ class FiniteGroup:
     @classmethod
     def from_abelian(cls, factors):
         factors = tuple(int(d) for d in factors)
-        size = 1
-        for d in factors:
-            if d <= 0:
-                raise InstanceError("invariant factors must be positive")
-            size *= d
-        table = []
-        tmp = cls.__new__(cls)
-        tmp.abelian_spec = factors
-        for a in range(size):
-            ta = tmp.id_to_tuple(a)
-            row = []
-            for b in range(size):
-                tb = tmp.id_to_tuple(b)
-                row.append(
-                    tmp.tuple_to_id(
-                        tuple((x + y) % d for x, y, d in zip(ta, tb, factors))
-                    )
-                )
-            table.append(row)
-        return cls(table, abelian_spec=factors)
+        if any(d <= 0 for d in factors):
+            raise InstanceError("invariant factors must be positive")
+        return cls(_abelian_table(factors), abelian_spec=factors)
 
     @classmethod
     def cyclic(cls, r):
@@ -174,6 +151,18 @@ class FiniteGroup:
         if self.abelian_spec is not None:
             return f"FiniteGroup(abelian={self.abelian_spec})"
         return f"FiniteGroup(order={self.order})"
+
+
+def _abelian_table(spec):
+    """The table of componentwise addition for the invariant factors
+    `spec`, with each element's coordinate tuple made once: `product`
+    lists the tuples with the last factor varying fastest, in id order."""
+    tuples = list(product(*map(range, spec)))
+    ids = {t: a for a, t in enumerate(tuples)}
+    return tuple(
+        tuple(ids[tuple((x + y) % d for x, y, d in zip(ta, tb, spec))] for tb in tuples)
+        for ta in tuples
+    )
 
 
 @dataclass(frozen=True)
@@ -219,18 +208,35 @@ def check_subgroup(G, H):
 
 
 def subgroup_closure(G, gens):
-    """Smallest subgroup containing the given generators."""
+    """Smallest subgroup containing the given generators.
+
+    It is the set of products g_1 ... g_k of generators (k >= 0), reached
+    from e by multiplying on the right: that set is closed under products,
+    and in a finite group a nonempty set closed under products is a
+    subgroup, as g^-1 = g^(ord(g) - 1)."""
     elems = {G.identity}
     frontier = [G.identity]
-    gens = sorted(set(gens) | {G.identity})
+    gens = set(gens)
     while frontier:
-        x = frontier.pop()
+        row = G._mul[frontier.pop()]
         for g in gens:
-            for y in (G.mul(x, g), G.mul(g, x)):
-                if y not in elems:
-                    elems.add(y)
-                    frontier.append(y)
+            y = row[g]
+            if y not in elems:
+                elems.add(y)
+                frontier.append(y)
     return Subgroup(tuple(elems))
+
+
+def generating_set(G):
+    """A nonempty generating set of G, built greedily: each element not yet
+    in the subgroup generated so far is added (the trivial group gives {e})."""
+    gens = []
+    span = (G.identity,)
+    for a in range(G.order):
+        if a not in span:
+            gens.append(a)
+            span = subgroup_closure(G, gens).elements
+    return gens or [G.identity]
 
 
 def check_order_bound(order):
@@ -246,27 +252,27 @@ def enumerate_subgroups(G):
 
     Breadth-first closure over generator extensions: every subgroup is
     reachable from a smaller one by adjoining a single generator, so the
-    search is exhaustive.
+    search is exhaustive.  Each subgroup enters the frontier once, with
+    the generators it was first reached by, and <H, g> is closed from
+    those generators and g.  As <H, g> = <H, hg> for h in H, one g per
+    coset Hg is enough.
     """
     check_order_bound(G.order)
     trivial = Subgroup((G.identity,))
     seen = {trivial.elements: trivial}
-    frontier = [trivial]
-    closure_memo = {}
+    frontier = [(trivial, ())]
     while frontier:
         nxt = []
-        for H in frontier:
+        for H, gens in frontier:
+            done = set(H.elements)
             for g in range(G.order):
-                if g in H:
+                if g in done:
                     continue
-                key = (H.elements, g)
-                K = closure_memo.get(key)
-                if K is None:
-                    K = subgroup_closure(G, H.elements + (g,))
-                    closure_memo[key] = K
+                done.update(G.mul(h, g) for h in H.elements)
+                K = subgroup_closure(G, gens + (g,))
                 if K.elements not in seen:
                     seen[K.elements] = K
-                    nxt.append(K)
+                    nxt.append((K, gens + (g,)))
         frontier = nxt
     return sorted(seen.values(), key=lambda H: H.sort_key)
 

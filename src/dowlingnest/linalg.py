@@ -6,9 +6,9 @@ is canonically represented by the RREF basis of its row space, which makes
 set-equality of subspaces the same as equality of the dataclass fields.
 There is one elimination, the fraction-free `integer_echelon`: `rref` and
 `kernel` scale their rows to integers, eliminate there, and divide each row
-by its pivot only at the end, and `RMatrix.mul` and
-`RMatrix.forms_multiply_to` take integer dot products over one denominator.
-Fractions are built only for what is returned.
+by its pivot only at the end, and `RMatrix.mul` and `form_product` take
+integer dot products over one denominator.  Fractions are built only for
+what is returned.
 """
 
 from __future__ import annotations
@@ -70,25 +70,8 @@ class RMatrix:
         )
 
     def integer_form(self):
-        """(integer rows, den) with entries = rows / den, den the lcm of the
-        entries' denominators; equal matrices have equal forms."""
-        rows, den = _over_one_denominator(self.entries)
-        return tuple(map(tuple, rows)), den
-
-    @staticmethod
-    def forms_multiply_to(a, b, c):
-        """Whether A B = C, for A, B and C given by their `integer_form`s
-        (rows, den), with no Fraction built: rows_a rows_b / (den_a den_b)
-        equals rows_c / den_c exactly when
-        den_c (rows_a rows_b) = den_a den_b rows_c."""
-        (rows_a, den_a), (rows_b, den_b), (rows_c, den_c) = a, b, c
-        if any(len(row) != len(rows_b) for row in rows_a):
-            raise AmbientMismatch("matrix product shape mismatch")
-        scale = den_a * den_b
-        product = _integer_product(rows_a, rows_b)
-        return [[den_c * x for x in row] for row in product] == [
-            [scale * y for y in row] for row in rows_c
-        ]
+        """The `integer_form` of the entries."""
+        return integer_form(self.entries)
 
     def sub(self, other):
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -114,6 +97,31 @@ def _over_one_denominator(rows):
     rows = tuple(rows)
     den = lcm(*(x.denominator for row in rows for x in row))
     return [[x.numerator * (den // x.denominator) for x in row] for row in rows], den
+
+
+def integer_form(rows):
+    """(integer rows, den) with rows = integer rows / den, den the lcm of the
+    entries' denominators, for int or Fraction rows; as den is the least
+    such, equal matrices have equal forms."""
+    ints, den = _over_one_denominator(rows)
+    return tuple(map(tuple, ints)), den
+
+
+def form_product(a, b):
+    """The `integer_form` of A B, for A and B given by theirs, with no
+    Fraction built.  A B = rows_a rows_b / (den_a den_b); dividing that
+    numerator and denominator by g, the gcd of the denominator and every
+    entry, leaves the lcm of the entries' denominators, because
+    lcm_i (D / gcd(D, x_i)) = D / gcd(D, x_1, x_2, ...)."""
+    (rows_a, den_a), (rows_b, den_b) = a, b
+    if any(len(row) != len(rows_b) for row in rows_a):
+        raise AmbientMismatch("matrix product shape mismatch")
+    product = _integer_product(rows_a, rows_b)
+    den = den_a * den_b
+    g = gcd(den, *(x for row in product for x in row))
+    if g > 1:
+        product = [[x // g for x in row] for row in product]
+    return tuple(map(tuple, product)), den // g
 
 
 def _integer_product(a, b):

@@ -12,19 +12,23 @@ Two input styles are supported:
   phi(N), all subspace computations stay rational, and every dimension in
   sight is uniformly scaled by the same factor, so containments, direct
   sums and codimension identities are untouched.  Fixed subspaces of
-  character representations are also computed coordinate-wise over the
+  character representations are computed coordinate-wise over the
   integers (a coordinate is fixed by H iff every element of H has trivial
-  character exponent there); the two routes agree and the matrix route is
-  kept as a cross-check.
+  character exponent there).
+
+Each matrix is held once, as its integer form (rows, den).  The Fraction
+routes (fixed spaces meet by meet, stabilizers by rho(g) v = v, companion
+powers as `RMatrix`es) are the oracles in `tests/oracles.py`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 
 from .errors import InstanceError
-from .groups import Subgroup, subgroup_closure
-from .linalg import RMatrix, Subspace, kernel
+from .groups import Subgroup, generating_set
+from .linalg import RMatrix, Subspace, form_product, integer_form, kernel_echelon
 
 
 def cyclotomic_polynomial(n):
@@ -51,27 +55,19 @@ def _poly_divide_exact(num, den):
     return out
 
 
-def companion_matrix(poly):
-    """Companion matrix of a monic polynomial given by ascending coefficients."""
+def _companion_powers(N):
+    """The integer powers C^0, ..., C^(N-1) of the companion matrix C of
+    the N-th cyclotomic polynomial p, as tuples of rows.  C has ones below
+    the diagonal and -p in its last column, so column j of M C is column
+    j + 1 of M and its last column is -M p: each power costs deg^2."""
+    poly = cyclotomic_polynomial(N)
     deg = len(poly) - 1
-    entries = [[Fraction(0)] * deg for _ in range(deg)]
-    for i in range(1, deg):
-        entries[i][i - 1] = Fraction(1)
-    for i in range(deg):
-        entries[i][deg - 1] = Fraction(-poly[i])
-    return RMatrix(tuple(tuple(r) for r in entries))
-
-
-def _block_diag(blocks):
-    size = sum(b.rows for b in blocks)
-    entries = [[Fraction(0)] * size for _ in range(size)]
-    off = 0
-    for b in blocks:
-        for i in range(b.rows):
-            for j in range(b.cols):
-                entries[off + i][off + j] = b.entries[i][j]
-        off += b.rows
-    return RMatrix(tuple(tuple(r) for r in entries))
+    power = [[int(i == j) for j in range(deg)] for i in range(deg)]
+    powers = []
+    for _ in range(N):
+        powers.append(tuple(map(tuple, power)))
+        power = [row[1:] + [-sum(map(mul, row, poly))] for row in power]
+    return powers
 
 
 class Representation:
@@ -79,23 +75,41 @@ class Representation:
 
     dim_v is the dimension of V over the complex numbers; matrix_dim is
     the dimension of the rational realization (dim_v * scalar_degree).
+    `forms[g]` is the `integer_form` (rows, den) of rho(g); everything
+    reads the forms, and `matrices` are built from them on first use.
     """
 
     __slots__ = (
         "group",
         "dim_v",
         "scalar_degree",
-        "matrices",
+        "forms",
         "characters",
         "char_exponents",
+        "_matrices",
         "_fix_cache",
     )
 
-    def __init__(self, group, dim_v, scalar_degree, matrices, characters=None, char_exponents=None):
+    def __init__(
+        self,
+        group,
+        dim_v,
+        scalar_degree,
+        matrices=None,
+        characters=None,
+        char_exponents=None,
+        *,
+        forms=None,
+    ):
         self.group = group
         self.dim_v = dim_v
         self.scalar_degree = scalar_degree
-        self.matrices = tuple(matrices)
+        if forms is None:
+            self._matrices = tuple(matrices)
+            forms = (m.integer_form() for m in self._matrices)
+        else:
+            self._matrices = None
+        self.forms = tuple(forms)
         self.characters = characters
         self.char_exponents = char_exponents
         self._fix_cache = {}
@@ -104,6 +118,16 @@ class Representation:
     @property
     def matrix_dim(self):
         return self.dim_v * self.scalar_degree
+
+    @property
+    def matrices(self):
+        """One Fraction `RMatrix` per element, built from the forms once."""
+        if self._matrices is None:
+            self._matrices = tuple(
+                RMatrix(tuple(tuple(Fraction(x, den) for x in row) for row in rows))
+                for rows, den in self.forms
+            )
+        return self._matrices
 
     def matrix(self, g):
         return self.matrices[g]
@@ -143,21 +167,23 @@ class Representation:
             )
             exps.append(row)
         exps = tuple(exps)
-        comp = companion_matrix(cyclotomic_polynomial(N))
-        deg = comp.rows
-        powers = [RMatrix.identity(deg)]
-        for _ in range(1, N):
-            powers.append(powers[-1].mul(comp))
-        matrices = tuple(
-            _block_diag([powers[k] for k in exps[a]]) for a in range(group.order)
-        )
+        powers = _companion_powers(N)
+        deg = len(powers[0])
+        forms = []
+        for row in exps:
+            # rho(a) is block diagonal, with powers[k] on coordinate j
+            rows = []
+            for j, k in enumerate(row):
+                left, right = (0,) * (j * deg), (0,) * ((len(row) - 1 - j) * deg)
+                rows.extend(left + r + right for r in powers[k])
+            forms.append((tuple(rows), 1))
         return cls(
             group,
             dim_v=len(chars),
             scalar_degree=deg,
-            matrices=matrices,
             characters=chars,
             char_exponents=exps,
+            forms=forms,
         )
 
     @classmethod
@@ -175,10 +201,10 @@ class Representation:
                 dim = m.rows
             elif m.rows != dim:
                 raise InstanceError("generator matrices have mixed sizes")
-            known[g] = m
+            known[g] = m.integer_form()
         if dim is None:
             raise InstanceError("no generator matrices given")
-        known.setdefault(group.identity, RMatrix.identity(dim))
+        known.setdefault(group.identity, _identity_form(dim))
         changed = True
         while changed and len(known) < group.order:
             changed = False
@@ -186,12 +212,12 @@ class Representation:
                 for b in list(known):
                     ab = group.mul(a, b)
                     if ab not in known:
-                        known[ab] = known[a].mul(known[b])
+                        known[ab] = form_product(known[a], known[b])
                         changed = True
         if len(known) < group.order:
             raise InstanceError("given matrices do not cover a generating set")
-        matrices = tuple(known[g] for g in range(group.order))
-        return cls(group, dim_v=dim, scalar_degree=1, matrices=matrices)
+        forms = tuple(known[g] for g in range(group.order))
+        return cls(group, dim_v=dim, scalar_degree=1, forms=forms)
 
     # -- validation -----------------------------------------------------------
 
@@ -208,27 +234,25 @@ class Representation:
             rho(a) rho(b) = rho(a) rho(b') rho(s)    (check at the pair b', s)
                           = rho(ab') rho(s)          (induction)
                           = rho(ab's) = rho(ab)      (check at the pair ab', s).
-        The homomorphism, identity and faithfulness rules are decided on the
-        integer forms (rows, den) of the matrices, with no Fraction built:
-        the products by `RMatrix.forms_multiply_to`, and, as the form of a
-        matrix is unique, equality of two matrices by equality of their
-        forms.
+        Every rule is decided on the integer forms, with no Fraction matrix:
+        as the form of a matrix is unique, two matrices are equal exactly
+        when their forms are, and products are taken by `form_product`.
         """
         G = self.group
         n = G.order
         if self.matrix_dim == 0:
             raise InstanceError("representation must have positive dimension")
-        if len(self.matrices) != n:
+        forms = self.forms
+        if len(forms) != n:
             raise InstanceError("need one matrix per group element")
-        forms = [m.integer_form() for m in self.matrices]
-        for b in _generating_set(G):
+        for b in generating_set(G):
             for a in range(n):
-                if not RMatrix.forms_multiply_to(forms[a], forms[b], forms[G.mul(a, b)]):
+                if form_product(forms[a], forms[b]) != forms[G.mul(a, b)]:
                     raise InstanceError(
                         f"matrices are not a homomorphism at the pair ({a},{b})"
                     )
         # a homomorphism can still send e to an idempotent other than I
-        if forms[G.identity] != RMatrix.identity(self.matrix_dim).integer_form():
+        if forms[G.identity] != _identity_form(self.matrix_dim):
             raise InstanceError("the identity element must act as the identity matrix")
         if len(set(forms)) != n:
             raise InstanceError("representation not faithful")
@@ -265,16 +289,9 @@ class Representation:
         return self.fix(H).dim // self.scalar_degree
 
 
-def _generating_set(G):
-    """A nonempty generating set of G, built greedily: each element not yet
-    in the subgroup generated so far is added (the trivial group gives {e})."""
-    gens = []
-    span = (G.identity,)
-    for a in range(G.order):
-        if a not in span:
-            gens.append(a)
-            span = subgroup_closure(G, gens).elements
-    return gens or [G.identity]
+def _identity_form(dim):
+    """The `integer_form` of the dim x dim identity."""
+    return tuple(tuple(int(i == j) for j in range(dim)) for i in range(dim)), 1
 
 
 def fix_subspace(rep, elems):
@@ -282,7 +299,8 @@ def fix_subspace(rep, elems):
 
     For character representations the fixed space is a union of coordinate
     blocks, read off from integer character exponents; otherwise it is the
-    kernel of the matrices rho(g) - I stacked into one.
+    kernel of the integer rows rows_g - den_g I of the forms, stacked: their
+    kernel is that of rho(g) - I = (rows_g - den_g I) / den_g.
     """
     elems = tuple(elems)
     dim = rep.matrix_dim
@@ -296,35 +314,32 @@ def fix_subspace(rep, elems):
                 v[j * deg + l] = Fraction(1)
                 basis.append(tuple(v))
         return Subspace(ambient_dim=dim, basis=tuple(basis))
-    ident = RMatrix.identity(dim)
-    rows = tuple(
-        row
-        for g in elems
-        if g != rep.group.identity
-        for row in rep.matrix(g).sub(ident).entries
-    )
-    return kernel(RMatrix(rows)) if rows else Subspace.full(dim)
-
-
-def fix_subspace_via_kernels(rep, elems):
-    """Intersection of the kernels of rho(g) - I, one meet at a time,
-    ignoring any character shortcut (cross-check path)."""
-    dim = rep.matrix_dim
-    space = Subspace.full(dim)
-    ident = RMatrix.identity(dim)
+    rows = []
     for g in elems:
-        if g == rep.group.identity:
-            continue
-        space = space.intersect(kernel(rep.matrix(g).sub(ident)))
-    return space
+        if g != rep.group.identity:
+            rows_g, den = rep.forms[g]
+            rows.extend(
+                [x - den if c == r else x for c, x in enumerate(row)]
+                for r, row in enumerate(rows_g)
+            )
+    if not rows:
+        return Subspace.full(dim)
+    return Subspace.from_echelon(dim, kernel_echelon(rows, dim))
 
 
 def pointwise_stabilizer(rep, subspace):
-    """All g whose matrix fixes the given subspace pointwise."""
-    out = []
-    ident = RMatrix.identity(rep.matrix_dim)
-    for g in range(rep.group.order):
-        m = rep.matrix(g).sub(ident)
-        if all(all(x == 0 for x in m.apply(v)) for v in subspace.basis):
-            out.append(g)
-    return Subgroup(tuple(out))
+    """All g whose matrix fixes the given subspace pointwise: with the
+    basis scaled to integer vectors w and rho(g) = rows_g / den_g, those
+    with rows_g w = den_g w for every w."""
+    basis = integer_form(subspace.basis)[0]
+    return Subgroup(
+        tuple(
+            g
+            for g, (rows, den) in enumerate(rep.forms)
+            if all(
+                sum(map(mul, row, w)) == den * x
+                for w in basis
+                for row, x in zip(rows, w)
+            )
+        )
+    )

@@ -4,7 +4,8 @@ These stay deliberately naive: exhaustive recursion straight from the
 defining combinatorics, no reuse of library internals beyond basic linear
 algebra for the lattices, the raw arrangement the lattice oracle closes,
 the forest node types, closed subgroups and cosets for the forest oracle,
-and the series arithmetic for the series oracles.
+the series arithmetic for the series oracles, and the Fraction matrices
+of a representation for the fixed-space and stabilizer oracles.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dowlingnest.forests import LabelledForest, Leaf, Vertex
 from dowlingnest.groups import Subgroup, left_cosets
 from dowlingnest.linalg import RMatrix, Subspace, kernel
 from dowlingnest.poset import Poset
-from dowlingnest.reps import companion_matrix, cyclotomic_polynomial
+from dowlingnest.reps import cyclotomic_polynomial
 from dowlingnest.series import (
     MultiSeries,
     _apply_exp_derive,
@@ -331,6 +332,83 @@ def gauss_jordan_rref(rows):
         if r == len(m):
             break
     return tuple(tuple(row) for row in m[:r]), tuple(pivots)
+
+
+def companion_matrix(poly):
+    """Companion matrix of a monic polynomial given by ascending coefficients."""
+    deg = len(poly) - 1
+    entries = [[Fraction(0)] * deg for _ in range(deg)]
+    for i in range(1, deg):
+        entries[i][i - 1] = Fraction(1)
+    for i in range(deg):
+        entries[i][deg - 1] = Fraction(-poly[i])
+    return RMatrix(tuple(tuple(r) for r in entries))
+
+
+def _block_diag(blocks):
+    size = sum(b.rows for b in blocks)
+    entries = [[Fraction(0)] * size for _ in range(size)]
+    off = 0
+    for b in blocks:
+        for i in range(b.rows):
+            for j in range(b.cols):
+                entries[off + i][off + j] = b.entries[i][j]
+        off += b.rows
+    return RMatrix(tuple(tuple(r) for r in entries))
+
+
+def character_matrices(group, characters):
+    """rho(a) for each element of an abelian group acting through the
+    characters, in Fraction arithmetic: coordinate j carries the k-th power
+    of the companion matrix of the N-th cyclotomic polynomial, with
+    zeta_N^k the character's value on a (N the exponent of the group)."""
+    spec = group.abelian_spec
+    N = group.exponent()
+    comp = companion_matrix(cyclotomic_polynomial(N))
+    powers = [RMatrix.identity(comp.rows)]
+    for _ in range(1, N):
+        powers.append(powers[-1].mul(comp))
+    matrices = []
+    for a in range(group.order):
+        coords = group.id_to_tuple(a)
+        exps = [
+            sum(c * x * (N // d) for c, x, d in zip(ch, coords, spec)) % N
+            for ch in characters
+        ]
+        matrices.append(_block_diag([powers[k] for k in exps]))
+    return tuple(matrices)
+
+
+def fix_subspace_via_kernels(rep, elems):
+    """Intersection of the kernels of rho(g) - I, one meet at a time, on
+    the Fraction matrices and ignoring any character shortcut."""
+    dim = rep.matrix_dim
+    space = Subspace.full(dim)
+    ident = RMatrix.identity(dim)
+    for g in elems:
+        if g == rep.group.identity:
+            continue
+        space = space.intersect(kernel(rep.matrix(g).sub(ident)))
+    return space
+
+
+def pointwise_stabilizer_by_definition(rep, subspace):
+    """All g with rho(g) v = v for every basis vector v of the subspace,
+    on the Fraction matrices."""
+    return Subgroup(
+        tuple(
+            g
+            for g in range(rep.group.order)
+            if all(rep.matrix(g).apply(v) == v for v in subspace.basis)
+        )
+    )
+
+
+def closure_by_definition(inst, H):
+    """phi(H), the pointwise stabilizer of the fixed space of H, from the
+    two Fraction oracles above."""
+    fixed = fix_subspace_via_kernels(inst.rep, H.elements)
+    return pointwise_stabilizer_by_definition(inst.rep, fixed)
 
 
 def dowling_hyperplane_lattice(r, n):

@@ -12,6 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dowlingnest import (
+    InstanceError,
     SizeBoundExceeded,
     Subgroup,
     Subspace,
@@ -35,6 +36,8 @@ from dowlingnest import (
     raw_arrangement,
 )
 from dowlingnest.arrangement import (
+    ClosedSubgroupSet,
+    _check_closed_set,
     _compatibility,
     block_count,
     free_factor_subspace,
@@ -128,6 +131,34 @@ def test_conjugates_of_closed_subgroups_are_closed(klein, s3):
         for K in cs.members:
             for g in inst.group.elements():
                 assert conjugate_subgroup(inst.group, K, g) in cs
+
+
+@pytest.mark.parametrize(
+    "case, message",
+    [
+        ("no-trivial", "must include"),
+        ("shared-fixed-space", "share a fixed subspace"),
+        ("one-transposition", "conjugation-stable"),
+    ],
+)
+def test_each_check_of_the_closed_set_fires(s3, case, message):
+    """On S3 the closed subgroups are {e}, the three transpositions and G:
+    a set without {e}, with A3 (which fixes 0, as G does) or with only one
+    transposition is refused."""
+    by_size = {}
+    for H in s3.subgroups():
+        by_size.setdefault(len(H), []).append(H)
+    (e,), transpositions, (a3,), (whole,) = (by_size[k] for k in (1, 2, 3, 6))
+    cs = closed_subgroups(s3)
+    assert list(cs.members) == [e, *transpositions, whole]
+    members = {
+        "no-trivial": [*transpositions, whole],
+        "shared-fixed-space": [e, *transpositions, a3, whole],
+        "one-transposition": [e, transpositions[0], whole],
+    }[case]
+    corrupted = ClosedSubgroupSet(members=tuple(members), closure_map=cs.closure_map)
+    with pytest.raises(InstanceError, match=message):
+        _check_closed_set(s3, corrupted)
 
 
 def test_character_closure_agrees_with_stabilizer_route():

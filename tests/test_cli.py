@@ -725,6 +725,28 @@ def test_bad_group_or_representation_is_exit_2(tmp_path, capsys, group, represen
     assert err.startswith("input error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "characters, message",
+    [
+        ([[2]], "representation not faithful"),
+        (
+            [[1], [0]],
+            "representation contains the trivial representation "
+            "(the full group fixes a nonzero vector)",
+        ),
+    ],
+    ids=["not-faithful", "trivial-summand"],
+)
+def test_invalid_character_files_name_the_broken_rule(tmp_path, capsys, characters, message):
+    path = _z2_with(
+        tmp_path, group={"abelian": [4]}, representation={"characters": characters}
+    )
+    code, out, err = run_cli(capsys, "closed-subgroups", "--input", path)
+    assert code == 2
+    assert out == ""
+    assert err == f"input error: {message}\n"
+
+
 def _json_values():
     scalars = (
         st.none()

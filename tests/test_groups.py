@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import json
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -22,17 +24,23 @@ from dowlingnest.groups import (
     coset_rep,
     subgroup_closure,
 )
+from dowlingnest.instancefile import parse_group
 
 from conftest import s3_cayley_table
 
+INSTANCES = Path(__file__).resolve().parent.parent / "instances"
+
 
 def brute_force_subgroups(G):
-    """Oracle: close every subset of G and collect the distinct results."""
-    found = set()
-    elems = list(G.elements())
-    for size in range(len(elems) + 1):
-        for subset in combinations(elems, size):
-            found.add(subgroup_closure(G, subset).elements)
+    """Oracle: every subset of G that holds the identity and is closed under
+    the product (in a finite group, such a subset is a subgroup)."""
+    others = [g for g in G.elements() if g != G.identity]
+    found = []
+    for size in range(len(others) + 1):
+        for subset in combinations(others, size):
+            elems = (G.identity,) + subset
+            if all(G.mul(a, b) in elems for a in elems for b in elems):
+                found.append(elems)
     return sorted(found, key=lambda e: (len(e), e))
 
 
@@ -50,13 +58,28 @@ def test_klein_four_group_subgroups():
 
 
 def test_s3_subgroups_against_brute_force():
+    """S3, and the group of every bundled instance file."""
     _, table = s3_cayley_table()
-    G = FiniteGroup.from_cayley(table)
-    subs = enumerate_subgroups(G)
-    assert [s.elements for s in subs] == brute_force_subgroups(G)
-    assert len(subs) == 6
-    for H in subs:
-        check_subgroup(G, H)
+    groups = [FiniteGroup.from_cayley(table)]
+    for path in sorted(INSTANCES.glob("*.json")):
+        groups.append(parse_group(json.loads(path.read_text())["group"]))
+    assert len(groups) == 8
+    for G in groups:
+        subs = enumerate_subgroups(G)
+        assert [s.elements for s in subs] == brute_force_subgroups(G)
+        for H in subs:
+            check_subgroup(G, H)
+    assert len(enumerate_subgroups(groups[0])) == 6
+
+
+def test_subgroup_closure_is_the_least_subgroup_holding_the_generators():
+    _, table = s3_cayley_table()
+    for G in (FiniteGroup.from_cayley(table), FiniteGroup.from_abelian([2, 4])):
+        subs = brute_force_subgroups(G)
+        for size in range(G.order + 1):
+            for gens in combinations(G.elements(), size):
+                least = min((e for e in subs if set(gens) <= set(e)), key=len)
+                assert subgroup_closure(G, gens).elements == least
 
 
 def test_order_bound_is_enforced():

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import random
 import time
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -14,22 +16,36 @@ from dowlingnest import (
     AmbientMismatch,
     FiniteGroup,
     InstanceError,
+    ProblemInstance,
     RMatrix,
     Representation,
     Subgroup,
     Subspace,
+    closed_subgroups,
+    closure_phi,
     kernel,
     parse_instance,
 )
+from dowlingnest.instancefile import load_instance
 from dowlingnest.linalg import integer_echelon, pivot_columns, rref
-from dowlingnest.reps import (
-    cyclotomic_polynomial,
-    fix_subspace,
+from dowlingnest.reps import cyclotomic_polynomial, fix_subspace, pointwise_stabilizer
+
+from conftest import (
+    deleted_permutation_matrix,
+    make_abelian_instance,
+    make_s3_instance,
+    s3_cayley_table,
+    small_abelian_instances,
+)
+from oracles import (
+    character_matrices,
+    closure_by_definition,
     fix_subspace_via_kernels,
+    gauss_jordan_rref,
+    pointwise_stabilizer_by_definition,
 )
 
-from conftest import make_abelian_instance, make_s3_instance
-from oracles import gauss_jordan_rref
+INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 
 
 def test_kernel_of_zero_and_identity():
@@ -254,9 +270,9 @@ def test_character_realization_is_faithful_rational_homomorphism():
 
 def test_largest_cyclic_group_loads_quickly():
     """Z/63 realizes its character through 63 powers of a 36 x 36 companion
-    matrix, and the homomorphism check multiplies 63 more products; in
-    Fraction arithmetic that load took about 24 s, on integer numerators
-    about 1 s."""
+    matrix, and the homomorphism check multiplies 63 products; in Fraction
+    arithmetic that load took about 24 s, on integer numerators about
+    0.6 s, and with the powers taken by column shifts about 0.13 s."""
     start = time.perf_counter()
     inst = parse_instance(
         {"n": 1, "group": {"abelian": [63]}, "representation": {"characters": [[1]]}}
@@ -373,3 +389,94 @@ def test_non_homomorphic_generator_is_rejected_by_from_matrices():
     G = FiniteGroup.from_abelian([2])
     with pytest.raises(InstanceError, match="homomorphism"):
         Representation.from_matrices(G, {1: RMatrix(((Fraction(1, 2),),))})
+
+
+# -- integer forms against the Fraction oracles ---------------------------------
+
+
+def _s3_conjugated(seed):
+    """S3 on its plane conjugated by a random invertible rational P, so
+    that some matrices have a denominator above 1."""
+    rng = random.Random(seed)
+    perms, table = s3_cayley_table()
+    G = FiniteGroup.from_cayley(table)
+    while True:
+        a, b, c, d = (Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(4))
+        det = a * d - b * c
+        if det != 0:
+            break
+    P = RMatrix(((a, b), (c, d)))
+    P_inv = RMatrix(((d / det, -b / det), (-c / det, a / det)))
+    matrices = {
+        g: P.mul(RMatrix(deleted_permutation_matrix(perms[g]))).mul(P_inv)
+        for g in range(G.order)
+    }
+    inst = ProblemInstance(1, G, Representation.from_matrices(G, matrices))
+    assert any(den > 1 for _, den in inst.rep.forms)
+    return inst
+
+
+def _chains8_bare(chains8):
+    """chains8 given by its matrices alone, with no character shortcut."""
+    rep = chains8.rep
+    plain = Representation(rep.group, rep.dim_v, rep.scalar_degree, rep.matrices)
+    return ProblemInstance(1, rep.group, plain)
+
+
+def _check_against_fraction_oracles(inst):
+    rep = inst.rep
+    for g in range(rep.group.order):
+        assert rep.forms[g] == rep.matrix(g).integer_form()
+    closed = []
+    for H in inst.subgroups():
+        fixed = fix_subspace(rep, H.elements)
+        assert fixed == fix_subspace_via_kernels(rep, H.elements)
+        assert pointwise_stabilizer(rep, fixed) == pointwise_stabilizer_by_definition(
+            rep, fixed
+        )
+        phi = closure_by_definition(inst, H)
+        assert closure_phi(inst, H) == phi
+        assert closed_subgroups(inst).phi(H) == phi
+        if phi == H:
+            closed.append(H)
+    assert closed_subgroups(inst).members == tuple(closed)
+
+
+@settings(max_examples=25, deadline=None)
+@given(small_abelian_instances())
+def test_integer_forms_match_the_fraction_oracles_on_random_instances(inst):
+    """Fixed spaces, stabilizers, phi and the closed subgroups on the forms
+    against the Fraction definitions, and the matrices built from the forms
+    against the Fraction companion-power build, entry for entry."""
+    _check_against_fraction_oracles(inst)
+    rep = inst.rep
+    assert rep.matrices == character_matrices(rep.group, rep.characters)
+
+
+def test_integer_forms_match_the_fraction_oracles_on_matrix_input(s3, chains8):
+    """S3 as given and conjugated three ways so that den > 1, and chains8
+    with no character shortcut; chains8's lazily built matrices also equal
+    the Fraction companion-power build."""
+    rep = chains8.rep
+    assert rep.matrices == character_matrices(rep.group, rep.characters)
+    conjugated = [_s3_conjugated(seed) for seed in range(3)]
+    for inst in (s3, *conjugated, _chains8_bare(chains8)):
+        _check_against_fraction_oracles(inst)
+
+
+def test_set_up_builds_no_fraction_matrix_arithmetic(monkeypatch):
+    """Loading every bundled instance and closing its subgroups runs on the
+    integer forms: with RMatrix.sub, apply and mul made to raise, both
+    still succeed, and no Fraction matrix is built beside the forms."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("Fraction matrix arithmetic during set-up")
+
+    for name in ("sub", "apply", "mul"):
+        monkeypatch.setattr(RMatrix, name, refuse)
+    paths = sorted(INSTANCES.glob("*.json"))
+    assert len(paths) == 7
+    for path in paths:
+        inst = load_instance(path)
+        assert closed_subgroups(inst).members
+        assert inst.rep._matrices is None

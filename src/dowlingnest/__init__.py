@@ -26,6 +26,7 @@ from .arrangement import (
     intersection_lattice,
     is_block_subspace,
     is_nested,
+    iter_nested_sets,
     raw_arrangement,
 )
 from .errors import (
@@ -121,6 +122,7 @@ __all__ = [
     "intersection_lattice",
     "is_block_subspace",
     "is_nested",
+    "iter_nested_sets",
     "kernel",
     "lambda_bar",
     "lambda_for_subgroup",

@@ -12,14 +12,15 @@ import argparse
 import sys
 import time
 from functools import cache
+from itertools import islice
 
 from . import export
 from .arrangement import (
     closed_subgroups,
     closure_phi,
     count_nested_sets,
-    enumerate_nested_sets,
     flat_counts,
+    iter_nested_sets,
 )
 from .errors import (
     AbelianOnly,
@@ -140,12 +141,12 @@ def _check_limit(args):
 
 def cmd_nested(inst, args, out):
     _check_limit(args)
-    sets = enumerate_nested_sets(inst)
-    out(f"{len(sets)} nested sets")
-    for ns in sets[: args.limit]:
+    total = count_nested_sets(inst)
+    out(f"{total} nested sets")
+    for ns in islice(iter_nested_sets(inst), args.limit):
         out("  " + "; ".join(b.describe(inst) for b in ns.blocks))
-    if len(sets) > args.limit:
-        out(f"  ... {len(sets) - args.limit} more")
+    if total > args.limit:
+        out(f"  ... {total - args.limit} more")
     return EXIT_OK
 
 

@@ -384,18 +384,16 @@ def count_forests(inst):
     full = next((k for k, K in enumerate(members) if K == whole), None)
     others = [l for l in range(len(members)) if l != full]
 
-    def edges(K, L):
-        """a_K(L): the cosets aK with a^-1 L a <= K."""
-        inside = set(K.elements)
-        return sum(
-            all(G.conj(G.inv(c.rep), p) in inside for p in L) for c in left_cosets(G, K)
-        )
-
     first, weights, smaller = [], [], []
     for K in members:
         inside = set(K.elements)
+        inverse_reps = [G.inv(c.rep) for c in left_cosets(G, K)]
         first.append([l for l in others if inside.issuperset(members[l].elements)])
-        weights.append([(l, edges(K, members[l])) for l in others])
+        # a_K(L): the cosets aK with a^-1 L a <= K
+        weights.append([
+            (l, sum(all(G.conj(a, p) in inside for p in members[l]) for a in inverse_reps))
+            for l in others
+        ])
         smaller.append(
             [p for p, P in enumerate(members) if P != K and inside.issuperset(P.elements)]
         )

@@ -4,8 +4,10 @@ These stay deliberately naive: exhaustive recursion straight from the
 defining combinatorics, no reuse of library internals beyond basic linear
 algebra for the lattices, the raw arrangement the lattice oracle closes,
 the forest node types, closed subgroups and cosets for the forest oracle,
-the series arithmetic for the series oracles, and the Fraction matrices
-of a representation for the fixed-space and stabilizer oracles.
+the series arithmetic for the series oracles, the Fraction matrices
+of a representation for the fixed-space and stabilizer oracles, and the
+block compatibility table for the clique walk (the table has its own
+pairwise oracle tests).
 """
 
 from __future__ import annotations
@@ -14,7 +16,12 @@ from fractions import Fraction
 from itertools import product
 from math import factorial
 
-from dowlingnest.arrangement import closed_subgroups, raw_arrangement
+from dowlingnest.arrangement import (
+    _compatibility,
+    building_blocks,
+    closed_subgroups,
+    raw_arrangement,
+)
 from dowlingnest.errors import SizeBoundExceeded
 from dowlingnest.forests import LabelledForest, Leaf, Vertex
 from dowlingnest.groups import Subgroup, left_cosets
@@ -609,3 +616,21 @@ class FractionSeries:
     def terms(self):
         """Sorted (exponents, coefficient) pairs, as `series_to_json` reads them."""
         return sorted(self.coeffs.items())
+
+
+def clique_count_by_walk(inst):
+    """The cliques of the compatibility table, counted one step per clique:
+    the walk `count_nested_sets` memoises per candidate mask, without the
+    memo and without the cap check."""
+    compat, _ = _compatibility(inst, building_blocks(inst))
+
+    def cliques(cand):
+        total = 0
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            rest = cand & compat[low.bit_length() - 1]
+            total += 1 + (cliques(rest) if rest else 0)
+        return total
+
+    return cliques((1 << len(compat)) - 1)

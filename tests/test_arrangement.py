@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 
 from dowlingnest import (
     InstanceError,
+    ProblemInstance,
+    Representation,
     SizeBoundExceeded,
     Subgroup,
     Subspace,
@@ -31,6 +33,7 @@ from dowlingnest import (
     intersection_lattice,
     is_block_subspace,
     is_nested,
+    iter_nested_sets,
     kernel,
     nested_count_via_series,
     raw_arrangement,
@@ -56,7 +59,7 @@ from conftest import (
     make_s3_instance,
     small_abelian_instances,
 )
-from oracles import lattice_oracle
+from oracles import clique_count_by_walk, lattice_oracle
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 
@@ -604,11 +607,25 @@ def test_compatibility_table_matches_the_pairwise_oracles(inst):
         lambda: make_s3_instance(2),
         lambda: make_s3_instance(3),
         lambda: load_instance(INSTANCES / "z2x4_chains.json", n_override=2),
+        lambda: load_instance(INSTANCES / "z4_plane.json", n_override=3),
+        lambda: z4_plane_from_matrices(3),
+        lambda: load_instance(INSTANCES / "klein4.json", n_override=3),
     ],
-    ids=["s3-n1", "s3-n2", "s3-n3", "chains8-n2"],
+    ids=["s3-n1", "s3-n2", "s3-n3", "chains8-n2", "z4_plane-n3", "z4_plane-matrices-n3", "klein4-n3"],
 )
 def test_compatibility_table_matches_the_pairwise_oracles_on_fixed_cases(make):
+    """The tie masks are memoised per (index, coset, label, a_0): z4_plane
+    has a label with two cosets, and klein4 has three labels of index 2."""
     assert_table_matches_the_pairwise_oracles(make())
+
+
+def z4_plane_from_matrices(n):
+    """The z4_plane instance given by the matrix of its generator, so that
+    closure runs on fixed spaces rather than on characters."""
+    inst = load_instance(INSTANCES / "z4_plane.json", n_override=n)
+    rep = Representation.from_matrices(inst.group, {1: inst.rep.matrix(1)})
+    assert rep.char_exponents is None
+    return ProblemInstance(n, inst.group, rep)
 
 
 # -- nestedness --------------------------------------------------------------------------
@@ -846,9 +863,23 @@ def test_clique_count_equals_the_enumeration_and_the_forest_count(name, n):
         assert count == 615849
 
 
+@settings(max_examples=25, deadline=None)
+@given(st.one_of(small_abelian_instances(), st.integers(1, 3).map(make_s3_instance)))
+def test_memoised_clique_count_equals_the_walk_and_the_forest_count(inst):
+    """The memo per candidate mask changes the cost, not the count: it
+    equals the unmemoised walk over the same table and `count_forests`."""
+    assert count_nested_sets(inst) == clique_count_by_walk(inst) == count_forests(inst)
+
+
+def test_clique_count_of_s3_at_n4():
+    inst = load_instance(INSTANCES / "s3.json", n_override=4)
+    assert count_nested_sets(inst) == 677183 == count_forests(inst)
+
+
 def test_clique_count_refuses_by_the_exact_count_before_any_block(monkeypatch):
     """Z/2 at n=3 has 93 nested sets: a cap of 93 passes, and 92 is refused
-    before a block is built."""
+    before a block is built, by the count and by the stream when it is
+    called, before a set is drawn."""
     from dowlingnest import arrangement
 
     inst = make_abelian_instance([2], [[1]], 3)
@@ -860,3 +891,5 @@ def test_clique_count_refuses_by_the_exact_count_before_any_block(monkeypatch):
     monkeypatch.setattr(arrangement, "building_blocks", refuse)
     with pytest.raises(SizeBoundExceeded, match="93 nested sets"):
         count_nested_sets(capped(inst, cap_nested=92))
+    with pytest.raises(SizeBoundExceeded, match="93 nested sets"):
+        iter_nested_sets(capped(inst, cap_nested=92))

@@ -525,6 +525,26 @@ def test_nested_and_forests_listings(capsys):
     assert out.splitlines()[0] == "9 forests"
 
 
+def test_nested_builds_only_the_sets_it_prints(capsys, monkeypatch):
+    """S3 at n = 4 has 677,183 nested sets; `--limit 3` builds three."""
+    built = []
+    real = arrangement.NestedSet
+
+    def counting(blocks):
+        built.append(blocks)
+        return real(blocks)
+
+    monkeypatch.setattr(arrangement, "NestedSet", counting)
+    code, out, _ = run_cli(
+        capsys, "nested", "--input", str(INSTANCES / "s3.json"), "--n", "4", "--limit", "3"
+    )
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "677183 nested sets"
+    assert lines[-1] == "  ... 677180 more"
+    assert len(lines) == 5 and len(built) == 3
+
+
 def test_lattice_summary(capsys):
     code, out, _ = run_cli(capsys, "lattice", "--input", str(INSTANCES / "z4.json"))
     assert code == 0

@@ -719,3 +719,21 @@ def _walk_edges(node):
         yield rep, child
         if isinstance(child, Vertex):
             yield from _walk_edges(child)
+
+
+def test_count_forests_lists_the_cosets_once_per_label(monkeypatch):
+    """The coset counts a_K(L) of every pair of labels come from one
+    `left_cosets` call per closed subgroup K."""
+    from dowlingnest import forests
+
+    inst = load_instance(INSTANCE_DIR / "s3.json", n_override=3)
+    members = closed_subgroups(inst).members
+    seen = []
+
+    def counting(G, K):
+        seen.append(K)
+        return left_cosets(G, K)
+
+    monkeypatch.setattr(forests, "left_cosets", counting)
+    assert count_forests(inst) == 10159
+    assert sorted(seen, key=lambda K: K.sort_key) == list(members)

@@ -46,15 +46,9 @@ from .groups import (
     subgroup_closure,
     subgroup_conj_classes,
 )
-from .linalg import (
-    ONE,
-    ZERO,
-    Subspace,
-    integer_echelon,
-    integer_form,
-)
+from .linalg import ONE, ZERO, Subspace, integer_echelon
 from .poset import Poset
-from .reps import pointwise_stabilizer
+from .reps import pointwise_stabilizer, stabilizer
 
 DEFAULT_CAP_LATTICE = 10**6
 DEFAULT_CAP_NESTED = 10**7
@@ -109,8 +103,10 @@ class ProblemInstance:
         return self.names.get(H.elements, H.label())
 
     def meet(self, A, B):
-        """Cached subspace intersection (used by the `is_nested` oracle)."""
-        key = (A.basis, B.basis) if A.basis <= B.basis else (B.basis, A.basis)
+        """Cached subspace intersection (used by the `is_nested` oracle),
+        keyed by the integer echelons of A and B."""
+        a, b = A.echelon, B.echelon
+        key = (a, b) if a <= b else (b, a)
         got = self._meet_cache.get(key)
         if got is None:
             got = A.intersect(B)
@@ -148,8 +144,9 @@ def _cap(name, value, default):
 def closure_phi(inst, H):
     """The largest subgroup with the same fixed subspace as H.
 
-    Computed as the pointwise stabilizer of Fix(H); this is a closure
-    operator (extensive, idempotent, monotone).
+    Computed as the pointwise stabilizer of Fix(H), on the integer
+    echelon of Fix(H); this is a closure operator (extensive, idempotent,
+    monotone).
     """
     rep = inst.rep
     if rep.char_exponents is not None:
@@ -160,7 +157,7 @@ def closure_phi(inst, H):
             if all(rep.char_exponents[g][j] == 0 for j in coords)
         )
         return Subgroup(members)
-    return pointwise_stabilizer(rep, rep.fix(H))
+    return stabilizer(rep, rep.fix_echelon(H))
 
 
 @dataclass(frozen=True)
@@ -218,7 +215,7 @@ def _check_closed_set(inst, cs):
         raise InstanceError("closed subgroups must include {e} and G")
     seen = set()
     for K in cs.members:
-        key = integer_form(inst.fix(K).basis)
+        key = inst.rep.fix_echelon(K)
         if key in seen:
             raise InstanceError("two closed subgroups share a fixed subspace")
         seen.add(key)
@@ -233,31 +230,31 @@ def _check_closed_set(inst, cs):
 # -- raw arrangement ------------------------------------------------------------
 
 
-def free_factor_subspace(inst, W, factors, elements):
+def free_factor_subspace(inst, rows, factors, elements):
     """{ v : v_f = rho(g) w for (f, g) in zip(factors, elements), w in W }.
 
-    W is a subspace of V, `factors` are 0-based and every factor not listed
-    is free.  Every raw subspace and every block has this shape: H(i, j, g)
+    W is the subspace of V spanned by the integer `rows` (an
+    `integer_echelon`, such as `fix_echelon(K)`), `factors` are 0-based and
+    every factor not listed is free.  Every raw subspace and every block has this shape: H(i, j, g)
     is (V, (i, j), (e, g)), H(i, i, g) is (Fix<g>, (i,), (e,)), and
     H^K(i_1^{g_1 K}, ...) is (Fix(K), (i_1 - 1, ...), (g_1, ...)).
 
     Only the span matters, so each spanning vector is scaled to integers:
-    with rho(g) = rows_g / den_g and w = w_int / den_w, the vector holds
-    (L / den_g) rows_g w_int at factor f, L the lcm of the den_g, which is
-    L den_w times the true one.  No Fraction is built before the result.
+    with rho(g) = rows_g / den_g and w one of the integer rows, the vector
+    holds (L / den_g) rows_g w at factor f, L the lcm of the
+    den_g, which is L times the true one.  No Fraction is built before the
+    result.
     """
     b = inst.block_width
     d = inst.ambient_dim
     forms = [inst.rep.forms[g] for g in elements]
     scale = lcm(*(den for _, den in forms))
     vectors = []
-    for w in W.basis:
-        den_w = lcm(*(x.denominator for x in w))
-        w_int = [x.numerator * (den_w // x.denominator) for x in w]
+    for w in rows:
         v = [0] * d
-        for f, (rows, den) in zip(factors, forms):
+        for f, (rows_g, den) in zip(factors, forms):
             k = scale // den
-            v[f * b : (f + 1) * b] = [k * sum(map(mul, row, w_int)) for row in rows]
+            v[f * b : (f + 1) * b] = [k * sum(map(mul, row, w)) for row in rows_g]
         vectors.append(v)
     for f in range(inst.n):
         if f not in factors:
@@ -272,18 +269,18 @@ def raw_arrangement(inst):
     """The subspaces H(i, j, g), deduplicated and canonically ordered."""
     G = inst.group
     e = G.identity
-    V = Subspace.full(inst.block_width)
+    V = inst.rep.fix_echelon(Subgroup((e,)))  # Fix({e}) = V: unit rows
     seen = {}
     for i in range(inst.n):
         for j in range(i + 1, inst.n):
             for g in G.elements():
                 s = free_factor_subspace(inst, V, (i, j), (e, g))
-                seen[s.basis] = s
+                seen[s.echelon] = s
         for g in G.elements():
             if g != e:
-                fix_g = inst.fix(subgroup_closure(G, (g,)))
+                fix_g = inst.rep.fix_echelon(subgroup_closure(G, (g,)))
                 s = free_factor_subspace(inst, fix_g, (i,), (e,))
-                seen[s.basis] = s
+                seen[s.echelon] = s
     return sorted(seen.values(), key=lambda s: s.sort_key)
 
 
@@ -321,13 +318,12 @@ class Block:
 def block_subspace(inst, block):
     got = inst._block_subspaces.get(block)
     if got is None:
+        fix_K = inst.rep.fix_echelon(block.subgroup)
         got = free_factor_subspace(
-            inst,
-            inst.fix(block.subgroup),
-            tuple(i - 1 for i in block.indices),
-            block.cosets,
+            inst, fix_K, tuple(i - 1 for i in block.indices), block.cosets
         )
-        expected = inst.fix(block.subgroup).dim + (inst.n - len(block.indices)) * inst.block_width
+        free = inst.n - len(block.indices)
+        expected = len(fix_K) + free * inst.block_width
         if got.dim != expected:
             raise InstanceError(
                 f"block {block.describe()} has dim {got.dim}, expected {expected}"
@@ -517,10 +513,11 @@ def is_block_subspace(inst, W):
     then a graph over the first constrained factor, whose projection must be
     the fixed space of a closed subgroup.
     """
-    if W.basis in inst._recon_cache:
-        return inst._recon_cache[W.basis]
+    key = W.echelon
+    if key in inst._recon_cache:
+        return inst._recon_cache[key]
     result = _reconstruct_block(inst, W)
-    inst._recon_cache[W.basis] = result
+    inst._recon_cache[key] = result
     return result
 
 
@@ -568,7 +565,7 @@ def _reconstruct_block(inst, W):
     K = pointwise_stabilizer(inst.rep, proj)
     # K = stab(proj) and Fix(K) = proj give phi(K) = stab(Fix(K)) = K, so K
     # is closed
-    if inst.fix(K).basis != proj.basis:
+    if inst.rep.fix_echelon(K) != proj.echelon:
         return None
     if len(constrained) == 1 and len(K) == 1:
         return None
@@ -617,7 +614,7 @@ def flat_counts(inst):
         )
     order = inst.group.order
     labels = [
-        (len(K) == 1, order // len(K), inst.fix(K).dim)
+        (len(K) == 1, order // len(K), len(inst.rep.fix_echelon(K)))
         for K in closed_subgroups(inst).members
         if len(K) != order
     ]

@@ -14,7 +14,6 @@ import time
 from functools import cache
 from itertools import islice
 
-from . import export
 from .arrangement import (
     closed_subgroups,
     closure_phi,
@@ -31,7 +30,6 @@ from .errors import (
 )
 from .forests import Leaf, count_forests, enumerate_forests
 from .instancefile import load_instance
-from .selftest import run_selftest
 from .series import (
     _gamma_bar_from,
     big_g,
@@ -229,6 +227,8 @@ def cmd_series(inst, args, out):
 
 
 def cmd_export(inst, args, out):
+    from . import export  # only this command compiles it
+
     what, fmt = args.what, args.format
     if what == "lattice":
         text = (
@@ -253,6 +253,8 @@ def cmd_export(inst, args, out):
 
 
 def cmd_selftest(inst, args, out):
+    from .selftest import run_selftest  # only this command compiles it
+
     ok = run_selftest(inst, emit=out)
     return EXIT_OK if ok else EXIT_DISAGREEMENT
 

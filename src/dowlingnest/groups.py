@@ -122,14 +122,6 @@ class FiniteGroup:
             a //= d
         return tuple(reversed(coords))
 
-    def tuple_to_id(self, coords):
-        if self.abelian_spec is None:
-            raise InstanceError("group has no abelian invariant-factor structure")
-        a = 0
-        for x, d in zip(coords, self.abelian_spec):
-            a = a * d + (x % d)
-        return a
-
     # -- constructors --------------------------------------------------------
 
     @classmethod
@@ -141,7 +133,11 @@ class FiniteGroup:
         factors = tuple(int(d) for d in factors)
         if any(d <= 0 for d in factors):
             raise InstanceError("invariant factors must be positive")
-        return cls(_abelian_table(factors), abelian_spec=factors)
+        # the table is the spec's addition by construction, so the spec is
+        # attached after validation instead of compared with a second table
+        G = cls(_abelian_table(factors))
+        G.abelian_spec = factors
+        return G
 
     @classmethod
     def cyclic(cls, r):
@@ -192,19 +188,6 @@ class Subgroup:
 
     def is_subset(self, other):
         return set(self.elements) <= set(other.elements)
-
-
-def check_subgroup(G, H):
-    """Raise unless H is closed under multiplication and inversion."""
-    elems = set(H.elements)
-    if G.identity not in elems:
-        raise InstanceError("subgroup must contain the identity")
-    for a in elems:
-        if G.inv(a) not in elems:
-            raise InstanceError(f"subgroup not closed under inversion at {a}")
-        for b in elems:
-            if G.mul(a, b) not in elems:
-                raise InstanceError(f"subgroup not closed under product at ({a},{b})")
 
 
 def subgroup_closure(G, gens):

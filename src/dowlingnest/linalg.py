@@ -7,14 +7,13 @@ set-equality of subspaces the same as equality of the dataclass fields.
 There is one elimination, the fraction-free `integer_echelon`: `rref` and
 `kernel` scale their rows to integers, eliminate there, and divide each row
 by its pivot only at the end, and `RMatrix.mul` and `form_product` take
-integer dot products over one denominator.  Fractions are built only for
-what is returned.
+integer products over one denominator, skipping zero entries.  Fractions
+are built only for what is returned.
 """
 
 from __future__ import annotations
 
-import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import compress, count
 from math import gcd, lcm
@@ -57,7 +56,7 @@ class RMatrix:
         return cls(tuple(tuple(ZERO for _ in range(cols)) for _ in range(rows)))
 
     def mul(self, other):
-        """The product, as integer dot products over one denominator."""
+        """The product, as an integer product over one denominator."""
         if self.cols != other.rows:
             raise AmbientMismatch("matrix product shape mismatch")
         a, da = _over_one_denominator(self.entries)
@@ -88,9 +87,6 @@ class RMatrix:
             raise AmbientMismatch("matrix-vector shape mismatch")
         return tuple(sum(a * x for a, x in zip(row, vector)) for row in self.entries)
 
-    def is_identity(self):
-        return self == RMatrix.identity(self.rows)
-
 
 def _over_one_denominator(rows):
     """(integer rows, den) with rows = integer rows / den, for int or Fraction."""
@@ -114,10 +110,12 @@ def form_product(a, b):
     entry, leaves the lcm of the entries' denominators, because
     lcm_i (D / gcd(D, x_i)) = D / gcd(D, x_1, x_2, ...)."""
     (rows_a, den_a), (rows_b, den_b) = a, b
-    if any(len(row) != len(rows_b) for row in rows_a):
+    if set(map(len, rows_a)) - {len(rows_b)}:
         raise AmbientMismatch("matrix product shape mismatch")
     product = _integer_product(rows_a, rows_b)
     den = den_a * den_b
+    if den == 1:  # gcd(1, ...) = 1
+        return tuple(map(tuple, product)), 1
     g = gcd(den, *(x for row in product for x in row))
     if g > 1:
         product = [[x // g for x in row] for row in product]
@@ -125,9 +123,22 @@ def form_product(a, b):
 
 
 def _integer_product(a, b):
-    """The product of two integer matrices given as rows."""
-    cols = tuple(zip(*b))
-    return [[sum(map(operator.mul, row, col)) for col in cols] for row in a]
+    """The product of two integer matrices given as rows: row i of A B is
+    the sum of a_ik times row k of B over the nonzero a_ik only, as the
+    companion and monomial matrices of representations are mostly zeros.
+    A result row may be a row of B itself, so the result is only read."""
+    zero = (0,) * (len(b[0]) if b else 0)
+    out = []
+    for row in a:
+        acc = zero
+        for x, row_b in zip(row, b):
+            if x:
+                if acc is zero:
+                    acc = row_b if x == 1 else [x * y for y in row_b]
+                else:
+                    acc = [s + x * y for s, y in zip(acc, row_b)]
+        out.append(acc)
+    return out
 
 
 def _unit_pivots(echelon):
@@ -144,10 +155,17 @@ def rref(rows):
 
 @dataclass(frozen=True)
 class Subspace:
-    """Linear subspace of Q^ambient_dim, stored as an RREF basis (rows)."""
+    """Linear subspace of Q^ambient_dim, stored as an RREF basis (rows).
+
+    `echelon` is the `integer_echelon` of the same space, the key under
+    which caches look a subspace up: it is set when the space is built from
+    one, and otherwise computed once, on first use.  It takes no part in
+    equality, hashing or repr.
+    """
 
     ambient_dim: int
     basis: tuple
+    _echelon: tuple = field(default=None, compare=False, repr=False)
 
     @classmethod
     def from_spanning(cls, ambient_dim, vectors):
@@ -161,7 +179,11 @@ class Subspace:
     @classmethod
     def from_echelon(cls, ambient_dim, echelon):
         """The Subspace spanned by the rows of an `integer_echelon`."""
-        return cls(ambient_dim=ambient_dim, basis=_unit_pivots(echelon)[0])
+        return cls(
+            ambient_dim=ambient_dim,
+            basis=_unit_pivots(echelon)[0],
+            _echelon=echelon,
+        )
 
     @classmethod
     def full(cls, ambient_dim):
@@ -170,9 +192,14 @@ class Subspace:
             basis=RMatrix.identity(ambient_dim).entries,
         )
 
-    @classmethod
-    def zero_space(cls, ambient_dim):
-        return cls(ambient_dim=ambient_dim, basis=())
+    @property
+    def echelon(self):
+        """The `integer_echelon` of the space: each RREF row times the lcm
+        of its denominators, which is primitive as the row's pivot is 1."""
+        if self._echelon is None:
+            rows = (_over_one_denominator((row,))[0][0] for row in self.basis)
+            object.__setattr__(self, "_echelon", tuple(map(tuple, rows)))
+        return self._echelon
 
     @property
     def dim(self):
@@ -221,14 +248,6 @@ class Subspace:
     def intersect(self, other):
         self._check(other)
         return self.perp().sum(other.perp()).perp()
-
-    def image_under(self, matrix):
-        """The subspace {M v : v in self}."""
-        if matrix.cols != self.ambient_dim:
-            raise AmbientMismatch("matrix does not act on this ambient space")
-        return Subspace.from_spanning(
-            matrix.rows, tuple(matrix.apply(v) for v in self.basis)
-        )
 
     @property
     def sort_key(self):

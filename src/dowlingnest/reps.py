@@ -16,9 +16,11 @@ Two input styles are supported:
   integers (a coordinate is fixed by H iff every element of H has trivial
   character exponent there).
 
-Each matrix is held once, as its integer form (rows, den).  The Fraction
-routes (fixed spaces meet by meet, stabilizers by rho(g) v = v, companion
-powers as `RMatrix`es) are the oracles in `tests/oracles.py`.
+Each matrix is held once, as its integer form (rows, den), and each fixed
+space once, as its `integer_echelon`; the Fraction `RMatrix`es and
+`Subspace`s are built from those only when asked for.  The Fraction routes
+(fixed spaces meet by meet, stabilizers by rho(g) v = v, companion powers
+as `RMatrix`es) are the oracles in `tests/oracles.py`.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from operator import mul
 
 from .errors import InstanceError
 from .groups import Subgroup, generating_set
-from .linalg import RMatrix, Subspace, form_product, integer_form, kernel_echelon
+from .linalg import RMatrix, Subspace, form_product, kernel_echelon
 
 
 def cyclotomic_polynomial(n):
@@ -77,6 +79,8 @@ class Representation:
     the dimension of the rational realization (dim_v * scalar_degree).
     `forms[g]` is the `integer_form` (rows, den) of rho(g); everything
     reads the forms, and `matrices` are built from them on first use.
+    Fixed spaces are cached per subgroup as integer echelons
+    (`fix_echelon`), and as `Subspace`s (`fix`) only once asked for.
     """
 
     __slots__ = (
@@ -87,6 +91,7 @@ class Representation:
         "characters",
         "char_exponents",
         "_matrices",
+        "_echelons",
         "_fix_cache",
     )
 
@@ -112,6 +117,7 @@ class Representation:
         self.forms = tuple(forms)
         self.characters = characters
         self.char_exponents = char_exponents
+        self._echelons = {}
         self._fix_cache = {}
         self._validate()
 
@@ -256,7 +262,7 @@ class Representation:
             raise InstanceError("the identity element must act as the identity matrix")
         if len(set(forms)) != n:
             raise InstanceError("representation not faithful")
-        if fix_subspace(self, range(n)).dim != 0:
+        if self.fix_echelon(Subgroup(range(n))):
             raise InstanceError(
                 "representation contains the trivial representation "
                 "(the full group fixes a nonzero vector)"
@@ -275,45 +281,58 @@ class Representation:
             if all(self.char_exponents[g][j] == 0 for g in elems)
         )
 
-    def fix(self, H):
-        """Fixed subspace of a Subgroup, cached."""
-        key = H.elements
-        got = self._fix_cache.get(key)
+    def fix_echelon(self, H):
+        """The `integer_echelon` of the fixed subspace of a Subgroup, cached."""
+        got = self._echelons.get(H.elements)
         if got is None:
-            got = fix_subspace(self, H.elements)
-            self._fix_cache[key] = got
+            got = self._echelons[H.elements] = _fix_echelon(self, H.elements)
+        return got
+
+    def fix(self, H):
+        """Fixed subspace of a Subgroup, built from `fix_echelon` once."""
+        got = self._fix_cache.get(H.elements)
+        if got is None:
+            got = Subspace.from_echelon(self.matrix_dim, self.fix_echelon(H))
+            self._fix_cache[H.elements] = got
         return got
 
     def fix_true_dim(self, H):
         """Dimension of Fix(H) over the complex numbers."""
-        return self.fix(H).dim // self.scalar_degree
+        return len(self.fix_echelon(H)) // self.scalar_degree
 
 
 def _identity_form(dim):
     """The `integer_form` of the dim x dim identity."""
-    return tuple(tuple(int(i == j) for j in range(dim)) for i in range(dim)), 1
+    return tuple(_unit(i, dim) for i in range(dim)), 1
+
+
+def _unit(i, dim):
+    return (0,) * i + (1,) + (0,) * (dim - 1 - i)
 
 
 def fix_subspace(rep, elems):
-    """Subspace of vectors fixed by every listed element.
+    """Subspace of vectors fixed by every listed element."""
+    return Subspace.from_echelon(rep.matrix_dim, _fix_echelon(rep, elems))
+
+
+def _fix_echelon(rep, elems):
+    """The `integer_echelon` of the vectors fixed by every listed element.
 
     For character representations the fixed space is a union of coordinate
-    blocks, read off from integer character exponents; otherwise it is the
-    kernel of the integer rows rows_g - den_g I of the forms, stacked: their
-    kernel is that of rho(g) - I = (rows_g - den_g I) / den_g.
+    blocks, read off from integer character exponents, and its echelon is
+    their unit rows; otherwise it is the kernel of the integer rows
+    rows_g - den_g I of the forms, stacked: their kernel is that of
+    rho(g) - I = (rows_g - den_g I) / den_g.
     """
     elems = tuple(elems)
     dim = rep.matrix_dim
     if rep.char_exponents is not None:
-        coords = rep.fixed_coordinates(elems)
         deg = rep.scalar_degree
-        basis = []
-        for j in coords:
-            for l in range(deg):
-                v = [Fraction(0)] * dim
-                v[j * deg + l] = Fraction(1)
-                basis.append(tuple(v))
-        return Subspace(ambient_dim=dim, basis=tuple(basis))
+        return tuple(
+            _unit(j * deg + l, dim)
+            for j in rep.fixed_coordinates(elems)
+            for l in range(deg)
+        )
     rows = []
     for g in elems:
         if g != rep.group.identity:
@@ -323,22 +342,25 @@ def fix_subspace(rep, elems):
                 for r, row in enumerate(rows_g)
             )
     if not rows:
-        return Subspace.full(dim)
-    return Subspace.from_echelon(dim, kernel_echelon(rows, dim))
+        return _identity_form(dim)[0]
+    return kernel_echelon(rows, dim)
 
 
 def pointwise_stabilizer(rep, subspace):
-    """All g whose matrix fixes the given subspace pointwise: with the
-    basis scaled to integer vectors w and rho(g) = rows_g / den_g, those
-    with rows_g w = den_g w for every w."""
-    basis = integer_form(subspace.basis)[0]
+    """All g whose matrix fixes the given subspace pointwise."""
+    return stabilizer(rep, subspace.echelon)
+
+
+def stabilizer(rep, vectors):
+    """All g whose matrix fixes every one of the integer `vectors`: with
+    rho(g) = rows_g / den_g, those with rows_g w = den_g w for every w."""
     return Subgroup(
         tuple(
             g
             for g, (rows, den) in enumerate(rep.forms)
             if all(
                 sum(map(mul, row, w)) == den * x
-                for w in basis
+                for w in vectors
                 for row, x in zip(rows, w)
             )
         )

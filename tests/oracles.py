@@ -7,7 +7,8 @@ the forest node types, closed subgroups and cosets for the forest oracle,
 the series arithmetic for the series oracles, the Fraction matrices
 of a representation for the fixed-space and stabilizer oracles, and the
 block compatibility table for the clique walk (the table has its own
-pairwise oracle tests).
+pairwise oracle tests).  The small checks on posets, subgroups and
+matrices that only tests use live here too.
 """
 
 from __future__ import annotations
@@ -384,6 +385,88 @@ def character_matrices(group, characters):
         ]
         matrices.append(_block_diag([powers[k] for k in exps]))
     return tuple(matrices)
+
+
+def dense_product(A, B):
+    """The product of two `RMatrix`es, one Fraction dot product per entry."""
+    cols = tuple(zip(*B.entries))
+    return RMatrix(
+        tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in cols) for row in A.entries)
+    )
+
+
+def is_identity(M):
+    return M == RMatrix.identity(M.rows)
+
+
+def zero_space(ambient_dim):
+    return Subspace(ambient_dim=ambient_dim, basis=())
+
+
+def image_under(space, M):
+    """The subspace {M v : v in space}."""
+    return Subspace.from_spanning(M.rows, tuple(M.apply(v) for v in space.basis))
+
+
+def check_subgroup(G, H):
+    """Raise unless H holds the identity and is closed under multiplication
+    and inversion."""
+    elems = set(H.elements)
+    if G.identity not in elems:
+        raise AssertionError("subgroup must contain the identity")
+    for a in elems:
+        if G.inv(a) not in elems:
+            raise AssertionError(f"subgroup not closed under inversion at {a}")
+        for b in elems:
+            if G.mul(a, b) not in elems:
+                raise AssertionError(f"subgroup not closed under product at ({a},{b})")
+
+
+def tuple_to_id(G, coords):
+    """The element id of a coordinate tuple of an invariant-factor group."""
+    a = 0
+    for x, d in zip(coords, G.abelian_spec):
+        a = a * d + (x % d)
+    return a
+
+
+def check_partial_order(poset):
+    """Raise unless the order matrix is reflexive, antisymmetric and
+    transitive; True otherwise."""
+    m = poset.leq_matrix
+    n = len(m)
+    for i in range(n):
+        if not m[i][i]:
+            raise AssertionError("order not reflexive")
+        for j in range(n):
+            if i != j and m[i][j] and m[j][i]:
+                raise AssertionError("order not antisymmetric")
+            if m[i][j]:
+                for k in range(n):
+                    if m[j][k] and not m[i][k]:
+                        raise AssertionError("order not transitive")
+    return True
+
+
+def isomorphic_by_key(p1, p2, key):
+    """Check isomorphism by matching elements with identical canonical keys.
+
+    Returns the index bijection p1 -> p2, or None when the keys are not
+    unique, their multisets differ, or the matched bijection fails to
+    preserve the order both ways.
+    """
+    k1 = [key(e) for e in p1.elements]
+    k2 = [key(e) for e in p2.elements]
+    if sorted(k1) != sorted(k2) or len(set(k1)) != len(k1):
+        return None
+    lookup = {k: idx for idx, k in enumerate(k2)}
+    mapping = [lookup[k] for k in k1]
+    n = len(p1.elements)
+    for i in range(n):
+        for j in range(n):
+            if p1.leq_matrix[i][j] != p2.leq_matrix[mapping[i]][mapping[j]]:
+                return None
+    return tuple(mapping)
 
 
 def fix_subspace_via_kernels(rep, elems):

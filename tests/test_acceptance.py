@@ -36,7 +36,6 @@ from dowlingnest import (
     partition_oracle,
 )
 from dowlingnest.forests import decompose_forest
-from dowlingnest.poset import isomorphic_by_key
 from dowlingnest.series import admissible_order, subgroup_variable
 
 from conftest import make_abelian_instance, make_s3_instance
@@ -44,6 +43,7 @@ from oracles import (
     count_arity2_trees,
     dowling_hyperplane_lattice,
     gamma_tilde_by_operators,
+    isomorphic_by_key,
 )
 
 GRID_SPECS = (

@@ -59,7 +59,7 @@ from conftest import (
     make_s3_instance,
     small_abelian_instances,
 )
-from oracles import clique_count_by_walk, lattice_oracle
+from oracles import check_partial_order, clique_count_by_walk, lattice_oracle
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 
@@ -213,12 +213,12 @@ def test_self_subspace_codimension(s3):
         if g == 0:
             continue
         fix_g = s3.rep.fix(subgroup_closure(s3.group, (g,)))
-        s = free_factor_subspace(s3, fix_g, (0,), (0,))
+        s = free_factor_subspace(s3, fix_g.echelon, (0,), (0,))
         assert s.codim == s3.rep.matrix_dim - fix_g.dim
 
 
 def test_pair_subspace_codimension(klein):
-    V = Subspace.full(klein.block_width)
+    V = Subspace.full(klein.block_width).echelon
     for g in klein.group.elements():
         s = free_factor_subspace(klein, V, (0, 1), (0, g))
         assert s.codim == klein.rep.matrix_dim
@@ -232,7 +232,7 @@ def test_lattice_single_factor_is_a_chain():
     poset = intersection_lattice(inst)
     assert len(poset) == 2
     assert [s.dim for s in poset.elements] == [1, 0]
-    poset.check_partial_order()
+    check_partial_order(poset)
 
 
 def brute_force_hyperplane_lattice(normal_sets, ambient):
@@ -263,7 +263,7 @@ def test_lattice_z2_n3_matches_hyperplane_oracle():
     oracle = brute_force_hyperplane_lattice(normals, 3)
     assert {s.basis for s in poset.elements} == oracle
     assert len(poset) == 24
-    poset.check_partial_order()
+    check_partial_order(poset)
 
 
 def test_every_lattice_element_is_a_transversal_block_intersection(z2, z3, klein):
@@ -507,10 +507,10 @@ def test_conjugation_identification_of_blocks(s3):
     for K in closed_subgroups(s3).members:
         for g in G.elements():
             for g2 in G.elements():
-                lhs = free_factor_subspace(s3, s3.fix(K), (0, 1), (g, g2))
+                lhs = free_factor_subspace(s3, s3.fix(K).echelon, (0, 1), (g, g2))
                 Kg = conjugate_subgroup(G, K, g)
                 rhs = free_factor_subspace(
-                    s3, s3.fix(Kg), (0, 1), (0, G.mul(g2, G.inv(g)))
+                    s3, s3.fix(Kg).echelon, (0, 1), (0, G.mul(g2, G.inv(g)))
                 )
                 assert lhs == rhs
                 recon = is_block_subspace(s3, lhs)

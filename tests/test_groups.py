@@ -18,15 +18,12 @@ from dowlingnest import (
     left_cosets,
     subgroup_conj_classes,
 )
-from dowlingnest.groups import (
-    DEFAULT_ORDER_BOUND,
-    check_subgroup,
-    coset_rep,
-    subgroup_closure,
-)
+from dowlingnest import groups
+from dowlingnest.groups import DEFAULT_ORDER_BOUND, coset_rep, subgroup_closure
 from dowlingnest.instancefile import parse_group
 
 from conftest import s3_cayley_table
+from oracles import check_subgroup, tuple_to_id
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 
@@ -198,10 +195,45 @@ def test_bad_cayley_tables_rejected():
         FiniteGroup.from_cayley([[1, 0], [0, 1]])  # 0 not the identity
 
 
+def _table(G):
+    return [[G.mul(a, b) for b in G.elements()] for a in G.elements()]
+
+
+def test_a_table_that_is_not_the_spec_addition_is_rejected():
+    """A table passed in with a spec must be componentwise addition: Z/4
+    with the spec (2, 2), Z/2 x Z/2 with (4,), and Z/2 x Z/4 with the
+    ids of (0, 1) and (0, 2) swapped are groups, but each is refused."""
+    z2x4 = FiniteGroup.from_abelian([2, 4])
+    s = [0, 2, 1, 3, 4, 5, 6, 7]
+    relabelled = [[s[z2x4.mul(s[a], s[b])] for b in range(8)] for a in range(8)]
+    FiniteGroup(relabelled)  # a group without the spec
+    for table, spec in (
+        (_table(FiniteGroup.cyclic(4)), (2, 2)),
+        (_table(FiniteGroup.from_abelian([2, 2])), (4,)),
+        (relabelled, (2, 4)),
+    ):
+        with pytest.raises(InstanceError, match="componentwise addition"):
+            FiniteGroup(table, abelian_spec=spec)
+    assert FiniteGroup(_table(z2x4), abelian_spec=(2, 4)).abelian_spec == (2, 4)
+
+
+def test_from_abelian_builds_its_table_once(monkeypatch):
+    calls = []
+    build = groups._abelian_table
+
+    def counted(spec):
+        calls.append(spec)
+        return build(spec)
+
+    monkeypatch.setattr(groups, "_abelian_table", counted)
+    FiniteGroup.from_abelian([2, 4])
+    assert calls == [(2, 4)]
+
+
 def test_abelian_spec_mixed_radix_roundtrip():
     G = FiniteGroup.from_abelian([2, 4])
     assert G.order == 8
     for a in G.elements():
-        assert G.tuple_to_id(G.id_to_tuple(a)) == a
+        assert tuple_to_id(G, G.id_to_tuple(a)) == a
     assert G.id_to_tuple(0) == (0, 0)
     assert G.exponent() == 4

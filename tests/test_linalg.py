@@ -26,8 +26,10 @@ from dowlingnest import (
     kernel,
     parse_instance,
 )
+from dowlingnest import arrangement
+from dowlingnest.arrangement import flat_counts
 from dowlingnest.instancefile import load_instance
-from dowlingnest.linalg import integer_echelon, pivot_columns, rref
+from dowlingnest.linalg import form_product, integer_echelon, integer_form, pivot_columns, rref
 from dowlingnest.reps import cyclotomic_polynomial, fix_subspace, pointwise_stabilizer
 
 from conftest import (
@@ -40,9 +42,13 @@ from conftest import (
 from oracles import (
     character_matrices,
     closure_by_definition,
+    dense_product,
     fix_subspace_via_kernels,
     gauss_jordan_rref,
+    image_under,
+    is_identity,
     pointwise_stabilizer_by_definition,
+    zero_space,
 )
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
@@ -50,7 +56,7 @@ INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 
 def test_kernel_of_zero_and_identity():
     assert kernel(RMatrix.zero(3, 3)) == Subspace.full(3)
-    assert kernel(RMatrix.identity(3)) == Subspace.zero_space(3)
+    assert kernel(RMatrix.identity(3)) == zero_space(3)
 
 
 def test_kernel_of_diagonal():
@@ -67,7 +73,7 @@ def test_intersect_with_full_and_self_sum():
 def test_axes_in_the_plane():
     x = Subspace.from_spanning(2, [(1, 0)])
     y = Subspace.from_spanning(2, [(0, 1)])
-    assert x.intersect(y) == Subspace.zero_space(2)
+    assert x.intersect(y) == zero_space(2)
     assert x.sum(y) == Subspace.full(2)
 
 
@@ -122,9 +128,12 @@ def integer_rows(draw):
 @given(integer_rows())
 def test_integer_echelon_scales_the_rref(rows):
     """Each row is the Gauss-Jordan RREF row times a positive integer, and
-    the rows are primitive."""
+    the rows are primitive; `Subspace.echelon`, read off the RREF of a
+    space built by `rref`, is the same tuple."""
     echelon = integer_echelon(rows)
     reduced, pivots = gauss_jordan_rref(rows)
+    if rows:
+        assert Subspace.from_spanning(len(rows[0]), rows).echelon == echelon
     assert len(echelon) == len(reduced)
     for row, ref, p in zip(echelon, reduced, pivots):
         assert all(type(x) is int for x in row)
@@ -247,7 +256,7 @@ def test_conjugation_covariance(s3):
             from dowlingnest import conjugate_subgroup
 
             conj_fix = rep.fix(conjugate_subgroup(s3.group, H, g))
-            assert conj_fix == rep.fix(H).image_under(rep.matrix(g))
+            assert conj_fix == image_under(rep.fix(H), rep.matrix(g))
 
 
 def test_cyclotomic_polynomials():
@@ -265,7 +274,7 @@ def test_character_realization_is_faithful_rational_homomorphism():
     assert rep.matrix_dim == 2
     i_mat = rep.matrix(1)
     assert i_mat.mul(i_mat).entries == rep.matrix(2).entries
-    assert i_mat.mul(i_mat).mul(i_mat).mul(i_mat).is_identity()
+    assert is_identity(i_mat.mul(i_mat).mul(i_mat).mul(i_mat))
 
 
 def test_largest_cyclic_group_loads_quickly():
@@ -279,7 +288,7 @@ def test_largest_cyclic_group_loads_quickly():
     )
     assert time.perf_counter() - start < 10
     assert inst.rep.scalar_degree == 36
-    assert inst.rep.matrix(1).mul(inst.rep.matrix(62)).is_identity()
+    assert is_identity(inst.rep.matrix(1).mul(inst.rep.matrix(62)))
 
 
 def test_faithless_characters_rejected():
@@ -392,6 +401,78 @@ def test_non_homomorphic_generator_is_rejected_by_from_matrices():
 
 
 # -- integer forms against the Fraction oracles ---------------------------------
+
+
+@st.composite
+def sparse_pairs(draw, values):
+    """Matrices A (r x k) and B (k x c), about half of the entries 0 and
+    many 1, the others drawn from `values`."""
+    entries = st.one_of(st.just(0), st.just(0), st.just(1), values)
+    r, k, c = (draw(st.integers(min_value=1, max_value=5)) for _ in range(3))
+    return tuple(
+        RMatrix([[draw(entries) for _ in range(cols)] for _ in range(rows)])
+        for rows, cols in ((r, k), (k, c))
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(sparse_pairs(small_ints), sparse_pairs(small_fracs)))
+def test_sparse_products_match_the_dense_product(pair):
+    """`form_product` and `RMatrix.mul` skip zero entries, and
+    `form_product` skips the gcd scan over the denominator 1; both agree
+    with one Fraction dot product per entry, on integer and on rational
+    matrices."""
+    A, B = pair
+    dense = dense_product(A, B)
+    assert A.mul(B) == dense
+    assert form_product(A.integer_form(), B.integer_form()) == dense.integer_form()
+
+
+def _check_fixed_echelons(inst):
+    rep = inst.rep
+    for H in inst.subgroups():
+        oracle = fix_subspace_via_kernels(rep, H.elements)
+        echelon = rep.fix_echelon(H)
+        assert echelon == integer_echelon(integer_form(oracle.basis)[0])
+        assert Subspace.from_echelon(rep.matrix_dim, echelon) == oracle
+        assert rep.fix(H) == oracle and rep.fix(H).echelon == echelon
+        assert rep.fix_true_dim(H) == oracle.dim // rep.scalar_degree
+        assert closure_phi(inst, H) == closure_by_definition(inst, H)
+
+
+def test_fixed_echelons_and_closures_match_the_oracles_on_bundled_instances():
+    paths = sorted(INSTANCES.glob("*.json"))
+    assert len(paths) == 7
+    for path in paths:
+        _check_fixed_echelons(load_instance(path))
+
+
+@settings(max_examples=25, deadline=None)
+@given(small_abelian_instances())
+def test_fixed_echelons_and_closures_match_the_oracles_on_random_instances(inst):
+    _check_fixed_echelons(inst)
+
+
+def test_set_up_builds_no_fixed_subspace(monkeypatch):
+    """Closed subgroups, the flat counts, the fixed dimensions, the raw
+    arrangement and the block subspaces read the cached echelons: with
+    `Representation.fix` and the stabilizer of a `Subspace` made to raise,
+    they still succeed on every bundled instance."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a fixed Subspace was built during set-up")
+
+    monkeypatch.setattr(Representation, "fix", refuse)
+    monkeypatch.setattr(arrangement, "pointwise_stabilizer", refuse)
+    for path in sorted(INSTANCES.glob("*.json")):
+        inst = load_instance(path)
+        assert closed_subgroups(inst).members
+        assert flat_counts(inst.with_n(2))
+        assert [inst.rep.fix_true_dim(H) for H in inst.subgroups()]
+        two = inst.with_n(2)
+        assert arrangement.raw_arrangement(two)
+        for block in arrangement.building_blocks(two):
+            arrangement.block_subspace(two, block)
 
 
 def _s3_conjugated(seed):

@@ -18,7 +18,7 @@ first coset is eK; for closed K that normal form is unique per subspace.
 The flats of the lattice are read from the blocks, with no subspace met:
 a flat is one set of blocks with pairwise disjoint index sets, at most one
 labelled G (Hanlon's generalized Dowling lattice).  `flat_counts` counts
-them by dimension with a recurrence over set partitions, and
+them by dimension with one exponential generating series, and
 `intersection_lattice` lists them with their order (proofs there).
 
 Everything downstream (compatibility, nestedness) is phrased dually to the
@@ -32,9 +32,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations, product
-from math import comb, lcm
+from math import lcm
 from operator import attrgetter, mul
 
+from . import egf
 from .errors import InstanceError, SizeBoundExceeded
 from .groups import (
     Subgroup,
@@ -586,20 +587,20 @@ def flat_counts(inst):
     subspace.
 
     A flat is a set of blocks with pairwise disjoint index sets, at most one
-    labelled G (proof in `intersection_lattice`), so it is a set partition
-    of {1..n} into free indices and blocks, and its codimension is the sum
-    of its blocks' codimensions.  With m = `block_width`, the indices of a
-    part of size k carry [G:K]^(k-1) blocks labelled K != G, each of
-    codimension k m - dim Fix(K) (none when k = 1 and K = {e}, the whole
-    space), and one block labelled G, of codimension k m as Fix(G) = 0.
-    Let p_k be the polynomial in x, by codimension, of a part of size k
-    that is not labelled G (x^0 for a free index), and P0[j] and P1[j] that
-    of the flats on j indices with no part labelled G and with one.  The
-    part holding the smallest index is completed to size k in
-    C(j-1, k-1) ways, so
-      P0[j] = sum_k C(j-1, k-1) p_k P0[j-k],
-      P1[j] = sum_k C(j-1, k-1) (p_k P1[j-k] + x^(k m) P0[j-k]),
-    and the flats are P0[n] + P1[n].
+    labelled G (proof in `intersection_lattice`): a set partition of {1..n}
+    into free indices and blocks, of codimension the sum of the blocks'.
+    With m = `block_width`, a part of size k carries [G:K]^(k-1) blocks
+    labelled K != G, of codimension k m - dim Fix(K) (none for k = 1 and
+    K = {e}, the whole space), and one labelled G, of codimension k m as
+    Fix(G) = 0.  Let p_k be the polynomial in x, by codimension, of the
+    parts of size k not labelled G (x^0 for a free index).  A G part on S
+    has the codimension |S| m of |S| singleton G parts, and each S is the
+    union of one set of singletons, so "at most one G part" has the weights
+    of "any number of G parts of size 1", and
+
+      sum over flats of x^codim = n! [X^n] exp(x^m X + sum_k p_k X^k / k!),
+
+    `egf.exp` in the one variable x.
 
     Raises SizeBoundExceeded when the total is above the instance's lattice
     cap.  A G block on any nonempty set of indices is a flat, and so is the
@@ -618,33 +619,15 @@ def flat_counts(inst):
         for K in closed_subgroups(inst).members
         if len(K) != order
     ]
-    plain = [None]
+    parts = [{}]
     for k in range(1, n + 1):
-        p = {0: 1} if k == 1 else {}
+        p = {0: 1, m: 1} if k == 1 else {}  # a free index; a G part of size 1
         for trivial, r, fix_dim in labels:
             if k > 1 or not trivial:
                 c = k * m - fix_dim
                 p[c] = p.get(c, 0) + r ** (k - 1)
-        plain.append(p)
-
-    def add_product(into, ways, p, q):
-        for c, a in p.items():
-            for c2, b in q.items():
-                into[c + c2] = into.get(c + c2, 0) + ways * a * b
-
-    no_g, one_g = [{0: 1}], [{}]
-    for j in range(1, n + 1):
-        p0, p1 = {}, {}
-        for k in range(1, j + 1):
-            ways = comb(j - 1, k - 1)
-            add_product(p0, ways, plain[k], no_g[j - k])
-            add_product(p1, ways, plain[k], one_g[j - k])
-            add_product(p1, ways, {k * m: 1}, no_g[j - k])
-        no_g.append(p0)
-        one_g.append(p1)
-    counts = {}
-    for c, x in (*no_g[n].items(), *one_g[n].items()):
-        counts[n * m - c] = counts.get(n * m - c, 0) + x
+        parts.append(p)
+    counts = {n * m - c: x for c, x in egf.exp(parts)[n].items()}
     total = sum(counts.values())
     if total > cap:
         raise SizeBoundExceeded(

@@ -33,7 +33,8 @@ t_K -> t_K + lam_H(t_H), so the series is exp(s * sum over K of lam_K(T_K))
 with T_K = t_K + sum over H strictly inside K of lam_H(T_H), smallest label
 first (the proof is in `gamma_tilde`).  Each lam_K(T_K) comes from the tree
 recurrence with T_K in place of t, so `gamma_tilde` builds no operator: it
-composes graded integer series once per label and takes one exponential.
+composes graded integer series (`egf`) once per label and takes one
+exponential.
 
 The counting series is written once, on the same graded integers:
 
@@ -58,6 +59,7 @@ from json.encoder import encode_basestring_ascii
 from math import comb, factorial, gcd, lcm
 from operator import add, itemgetter
 
+from . import egf
 from .arrangement import closed_subgroups
 from .errors import AbelianOnly, NonInvertibleConstantTerm
 
@@ -309,40 +311,6 @@ class MultiSeries:
 # -- tree series --------------------------------------------------------------------
 
 
-# A graded series is a list whose entry d is a bucket {packed exponents:
-# integer} holding d! times the coefficients of t-degree d.  The exponent
-# vector (e_0, ..., e_(v-1)) over the series' variables is packed into the
-# integer sum of e_i * base^(v-1-i), base = trunc + 1, so exponents add as
-# integers and the packed order is the tuple order.  A product only pairs
-# degrees d1 + d2 <= trunc, so every t-exponent stays below the base, and so
-# does the exponent of s, which never exceeds the t-degree here.  A series in
-# t alone packs t^n as n.  Buckets are shared between lists and never
-# changed once built.
-
-
-def _bucket_sum(x, y):
-    """x + y for buckets; an empty one gives back the other itself."""
-    if not x:
-        return y
-    if not y:
-        return x
-    out = dict(x)
-    get = out.get
-    for k, c in y.items():
-        out[k] = get(k, 0) + c
-    return out
-
-
-def _bucket_product_into(acc, x, y, m):
-    """acc += m * x * y for buckets."""
-    get = acc.get
-    for k1, c1 in x.items():
-        c1 *= m
-        for k2, c2 in y.items():
-            k = k1 + k2
-            acc[k] = get(k, 0) + c1 * c2
-
-
 def _variable(key, trunc):
     """The graded series of the t-variable packed as `key`."""
     out = [{}] * (trunc + 1)
@@ -366,20 +334,17 @@ def _graded_lambda(r, inner):
 
     from a_0 = 0 and e_0 = 1, with b_k = a_k + u_k.  The k = n summand of
     a_(n+1) is missing because e_0 - 1 = 0; it is the one that needs
-    b_(n+1).  U = t gives lambda_bar itself.
+    b_(n+1), so a_(n+1) is `egf.smallest_part(b, e, n + 1)` while b_(n+1)
+    is still empty.  U = t gives lambda_bar itself.
     """
     trunc = len(inner) - 1
     a = [{}] * (trunc + 1)
     b = [{}] * (trunc + 1)  # b[k] = a[k] + inner[k], filled as a[k] is
     e = [{0: 1}] + [{}] * trunc
     for n in range(trunc):
-        below = {}
-        for k in range(n):
-            if b[k + 1] and e[n - k]:
-                _bucket_product_into(below, b[k + 1], e[n - k], comb(n, k))
-        a[n + 1] = below
-        b[n + 1] = _bucket_sum(below, inner[n + 1])
-        e[n + 1] = {k: r * c for k, c in _bucket_sum(below, b[n + 1]).items()}
+        a[n + 1] = below = egf.smallest_part(b, e, n + 1)
+        b[n + 1] = egf.bucket_sum(below, inner[n + 1])
+        e[n + 1] = {k: r * c for k, c in egf.bucket_sum(below, b[n + 1]).items()}
     return a
 
 
@@ -394,21 +359,7 @@ def _subgroup_lambda(order, H, inner):
     if len(H) == 1:
         return _graded_lambda(order, inner)
     doubled = [{k: 2 * c for k, c in x.items()} for x in inner]
-    return list(map(_bucket_sum, _graded_lambda(order // len(H), doubled), inner))
-
-
-def _graded_exp(b):
-    """exp(B) for a graded series B with no degree-0 term: D E = D B E for
-    the Euler operator D reads n E_n = sum over k of k B_k E_(n-k), which on
-    n! times each part is e_n = sum over k of C(n-1, k-1) b_k e_(n-k)."""
-    e = [{0: 1}]
-    for d in range(1, len(b)):
-        acc = {}
-        for k in range(1, d + 1):
-            if b[k] and e[d - k]:
-                _bucket_product_into(acc, b[k], e[d - k], comb(d - 1, k - 1))
-        e.append(acc)
-    return e
+    return list(map(egf.bucket_sum, _graded_lambda(order // len(H), doubled), inner))
 
 
 def _from_graded(vars, graded):
@@ -541,14 +492,14 @@ def gamma_tilde(inst, trunc):
     Nothing here depends on the order of the steps beyond that rule.
 
     The T_K are built smallest label first, each lam_K(T_K) by
-    `_graded_lambda`, and exp by `_graded_exp`: every coefficient is an
+    `_graded_lambda`, and exp by `egf.exp`: every coefficient is an
     integer d! [monomial of t-degree d], with no operator and no `Fraction`.
     """
     vars = series_variables(inst)
     base = trunc + 1
     weight = {v: base ** (len(vars) - 1 - i) for i, v in enumerate(vars)}
     total = _graded_forest_sum(inst, trunc, lambda K: weight[subgroup_variable(K)])
-    return _from_graded(vars, _graded_exp(_times_s(total, weight["s"])))
+    return _from_graded(vars, egf.exp(_times_s(total, weight["s"])))
 
 
 def _graded_forest_sum(inst, trunc, key):
@@ -563,10 +514,10 @@ def _graded_forest_sum(inst, trunc, key):
         inner = _variable(key(K), trunc)
         for H, lam in done:
             if H.is_subset(K):
-                inner = list(map(_bucket_sum, inner, lam))
+                inner = list(map(egf.bucket_sum, inner, lam))
         lam = _subgroup_lambda(order, K, inner)
         done.append((K, lam))
-        total = list(map(_bucket_sum, total, lam))
+        total = list(map(egf.bucket_sum, total, lam))
     return total
 
 
@@ -628,8 +579,8 @@ def _graded_big_g(inst, trunc, s_key):
     one more component, a tree of one leaf."""
     total = _graded_forest_sum(inst, trunc, lambda K: 1)
     if trunc:
-        total[1] = _bucket_sum(total[1], {1: 1})
-    gamma = _graded_exp(_times_s(total, s_key))
+        total[1] = egf.bucket_sum(total[1], {1: 1})
+    gamma = egf.exp(_times_s(total, s_key))
     at_one = [sum(bucket.values()) for bucket in gamma]  # Gamma(1, t)
     y = [1]  # y = 1/(2 - Gamma(1, t)) = 1 + (Gamma(1, t) - 1) y, so phi = y - 1
     for m in range(1, trunc + 1):
@@ -639,7 +590,7 @@ def _graded_big_g(inst, trunc, s_key):
         acc = dict(gamma[n])
         for k in range(1, n + 1):  # the degree-k part of s phi is s y_k t^k
             if gamma[n - k]:
-                _bucket_product_into(acc, {s_key + k: y[k]}, gamma[n - k], comb(n, k))
+                egf.product_into(acc, {s_key + k: y[k]}, gamma[n - k], comb(n, k))
         key = n * (s_key + 1)  # minus (s t)^n
         acc[key] = acc.get(key, 0) - 1
         g.append(acc)

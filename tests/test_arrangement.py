@@ -369,6 +369,44 @@ def test_flat_counts_are_dowlings_whitney_numbers(r):
         assert total == 1_606_879_040
 
 
+# Computed by a separate recurrence over set partitions by smallest index,
+# with two tables (no part labelled G, one part labelled G), on multi-label
+# and nonabelian hosts, where no oracle reaches.
+FLAT_COUNTS_AT_6 = {
+    "s3": {12: 1, 11: 18, 10: 231, 9: 1845, 8: 10950, 7: 45648, 6: 137504,
+           5: 279468, 4: 363201, 3: 256266, 2: 74337, 1: 4095, 0: 1},
+    "z2x4_chains": {48: 1, 46: 6, 44: 21, 42: 68, 40: 306, 38: 966, 36: 2406,
+                    34: 6036, 32: 16883, 30: 35746, 28: 66806, 26: 129236,
+                    24: 244931, 22: 351398, 20: 486266, 18: 670288,
+                    16: 786399, 14: 695210, 12: 630602, 10: 466796,
+                    8: 235742, 6: 82932, 4: 19845, 2: 1092, 0: 1},
+    "klein4": {12: 1, 11: 12, 10: 126, 9: 760, 8: 3695, 7: 12232, 6: 30804,
+               5: 51952, 4: 59151, 3: 37484, 2: 10990, 1: 728, 0: 1},
+    "z4_plane": {24: 1, 22: 6, 20: 81, 18: 320, 16: 1850, 14: 4586,
+                 12: 13461, 10: 18536, 8: 25326, 6: 14182, 4: 5677, 2: 364,
+                 0: 1},
+}
+FLAT_TOTALS = {
+    "s3": (1_173_565, 197_034_025_171),
+    "z2x4_chains": (4_929_983, 1_931_965_270_871),
+    "klein4": (207_936, 9_853_780_992),
+    "z4_plane": (84_391, 2_959_028_511),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FLAT_TOTALS))
+def test_flat_counts_pinned(name):
+    """The full count by dimension at n = 6 and the total at n = 10."""
+    at_6, at_10 = FLAT_TOTALS[name]
+    inst = load_instance(INSTANCES / f"{name}.json", n_override=6)
+    counts = flat_counts(capped(inst, cap_lattice=at_6))
+    assert counts == FLAT_COUNTS_AT_6[name]
+    assert list(counts) == sorted(counts, reverse=True)
+    assert sum(counts.values()) == at_6
+    inst = capped(inst.with_n(10), cap_lattice=at_10)
+    assert sum(flat_counts(inst).values()) == at_10
+
+
 def test_flat_counts_build_no_block_or_subspace(monkeypatch):
     """The recurrence needs only the closed subgroups and their fixed
     dimensions: with the block and subspace builders made to raise it still

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import json
 from fractions import Fraction
 from itertools import permutations
@@ -18,6 +19,7 @@ from dowlingnest import (
     NonInvertibleConstantTerm,
     Subgroup,
     big_g,
+    egf,
     enumerate_forests,
     enumerate_nested_sets,
     gamma_bar,
@@ -31,8 +33,8 @@ from dowlingnest.forests import count_forests, decompose_forest
 from dowlingnest.instancefile import load_instance
 from dowlingnest.series import (
     _apply_exp_derive,
+    _from_graded,
     _gamma_bar_from,
-    _graded_exp,
     _graded_forest_sum,
     _graded_lambda,
     admissible_order,
@@ -116,6 +118,57 @@ def test_inverse_of_one_plus(A):
     one = MultiSeries.constant(("s", "t"), 4)
     B = one.add(A)
     assert B.mul(B.inverse()) == one
+
+
+# -- the graded integer core against the operator exponential ---------------------
+
+GRADED_VARS = [("t",), ("t", "tx"), ("s", "t"), ("s", "t", "tx"), ("t", "tx", "ty")]
+
+
+@st.composite
+def graded_series(draw):
+    """(vars, B): an integer graded series with no degree-0 term in one to
+    three packed variables; an exponent of s stays at most the t-degree, as
+    in `series`, so the exponential keeps every exponent below the base."""
+    vars = draw(st.sampled_from(GRADED_VARS))
+    trunc = draw(st.integers(1, 5))
+    base = trunc + 1
+    ts = [i for i, v in enumerate(vars) if v != "s"]
+    b = [{}]
+    for d in range(1, trunc + 1):
+        bucket = {}
+        for _ in range(draw(st.integers(0, 3))):
+            exps = [0] * len(vars)
+            for i in draw(st.lists(st.sampled_from(ts), min_size=d, max_size=d)):
+                exps[i] += 1
+            if vars[0] == "s":
+                exps[0] = draw(st.integers(0, d))
+            key = sum(e * base ** (len(vars) - 1 - i) for i, e in enumerate(exps))
+            bucket[key] = draw(st.integers(-4, 4))
+        b.append(bucket)
+    return vars, b
+
+
+@settings(max_examples=60, deadline=None)
+@given(graded_series())
+def test_egf_exp_is_the_operator_exponential(drawn):
+    vars, b = drawn
+    assert _from_graded(vars, egf.exp(b)) == _from_graded(vars, b).exp()
+
+
+def test_oracles_do_not_import_the_egf_core():
+    """The oracle series and counts stay independent of the shared core."""
+    tree = ast.parse((Path(__file__).parent / "oracles.py").read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            names = [module] + [f"{module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        core = [n for n in names if n.split(".")[:2] == ["dowlingnest", "egf"]]
+        assert not core, ast.dump(node)
 
 
 # -- integer numerators against the dict-of-Fraction reference --------------------
@@ -599,7 +652,7 @@ def _merged_tilde_counts(inst, trunc):
 def _packed_tilde_counts(inst, trunc):
     """The composition of `gamma_tilde` with every t_K packed as t and s at
     weight 0, the packing the count at s = 1 uses: bucket n holds one key."""
-    graded = _graded_exp(_graded_forest_sum(inst, trunc, lambda K: 1))
+    graded = egf.exp(_graded_forest_sum(inst, trunc, lambda K: 1))
     return [bucket.get(n, 0) for n, bucket in enumerate(graded)]
 
 

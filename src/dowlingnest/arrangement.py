@@ -637,6 +637,35 @@ def flat_counts(inst):
     return dict(sorted(counts.items(), reverse=True))
 
 
+def disjoint_covers(S, g_free, parts_at):
+    """Every cover of the bit set S by pairwise disjoint parts, as a list of
+    tuples of the parts' items, at most one part marked G, and none unless
+    g_free.
+
+    `parts_at(i, S)` gives (mask, marked G, item) for the parts whose lowest
+    bit is i, and may leave out those not within S.  A cover lists the part
+    holding the lowest bit of S first, then a cover of the rest, so the
+    covers come in the order of the lists.  The covers of each rest are
+    found once per call; covering 0 gives the empty cover alone.
+    """
+    memo = {(0, True): [()], (0, False): [()]}
+
+    def covers(S, g_free):
+        out = []
+        add = out.append
+        for mask, marked, item in parts_at((S & -S).bit_length() - 1, S):
+            if S & mask == mask and (g_free or not marked):
+                key = (S ^ mask, g_free and not marked)
+                rests = memo.get(key)
+                if rests is None:
+                    rests = memo[key] = covers(*key)
+                for rest in rests:
+                    add((item, *rest))
+        return out
+
+    return covers(S, g_free) if S else [()]
+
+
 def intersection_lattice(inst):
     """The flats of the arrangement ordered by reverse inclusion, as a Poset
     with the ambient space as bottom and the elements sorted by
@@ -683,21 +712,21 @@ def intersection_lattice(inst):
     RREF basis is the RREF rows of each T_b, which are the rows of
     `block_subspace`(b) supported on I_b, and the unit rows of the free
     coordinates.  T_b projects injectively onto its smallest index, so its
-    pivots lie there; the walk below takes the parts by smallest index, so
-    the rows come already sorted by pivot and no `rref` runs per flat.
+    pivots lie there; `disjoint_covers` lists the parts by smallest index,
+    so the rows come already sorted by pivot and no `rref` runs per flat.
 
-    The walk places the smallest index not yet placed: free, or the
-    smallest index of a block on indices not yet placed, G only if no block
-    labelled G is placed, as `count_forests` and `enumerate_forests` place
-    leaves.  Raises SizeBoundExceeded by `flat_counts` before any block is
-    built when the flats are more than the instance's lattice cap.
+    The flats are the disjoint covers of {1..n} whose parts are a free
+    index or a block, the blocks labelled G the marked parts, as
+    `enumerate_forests` places leaves.  Raises SizeBoundExceeded by
+    `flat_counts` before any block is built when the flats are more than
+    the instance's lattice cap.
     """
     flat_counts(inst)
     d, m, n = inst.ambient_dim, inst.block_width, inst.n
     whole = inst.group.order
     blocks = building_blocks(inst)
     _, ups = _compatibility(inst, blocks)
-    # parts[i]: (index bits, labelled G, RREF rows, up mask) of each part
+    # parts[i]: (index bits, labelled G, (RREF rows, up mask)) of each part
     # whose smallest index is i, the free index i first
     parts = [[] for _ in range(n + 1)]
     for i in range(1, n + 1):
@@ -706,7 +735,7 @@ def intersection_lattice(inst):
             row = [ZERO] * d
             row[c] = ONE
             units.append(tuple(row))
-        parts[i].append((1 << i, False, tuple(units), 0))
+        parts[i].append((1 << i, False, (tuple(units), 0)))
     for b, up in zip(blocks, ups):
         span = sum(1 << i for i in b.indices)
         own = {c for i in b.indices for c in range((i - 1) * m, i * m)}
@@ -715,19 +744,14 @@ def intersection_lattice(inst):
             for row in block_subspace(inst, b).basis
             if all(c in own for c, x in enumerate(row) if x)
         )
-        parts[b.indices[0]].append((span, len(b.subgroup) == whole, tied, up))
+        parts[b.indices[0]].append((span, len(b.subgroup) == whole, (tied, up)))
     flats = []
-
-    def walk(rest, g_free, rows, mask):
-        if not rest:
-            flats.append((Subspace(ambient_dim=d, basis=rows), mask))
-            return
-        i = (rest & -rest).bit_length() - 1
-        for span, labelled_g, more, up in parts[i]:
-            if span & rest == span and (g_free or not labelled_g):
-                walk(rest ^ span, g_free and not labelled_g, rows + more, mask | up)
-
-    walk((1 << (n + 1)) - 2, True, (), 0)
+    for cover in disjoint_covers((1 << (n + 1)) - 2, True, lambda i, S: parts[i]):
+        rows, mask = (), 0
+        for more, up in cover:
+            rows += more
+            mask |= up
+        flats.append((Subspace(ambient_dim=d, basis=rows), mask))
     flats.sort(key=lambda flat: (-flat[0].dim, flat[0].basis))
     masks = [mask for _, mask in flats]
     matrix = [[a & ~b == 0 for b in masks] for a in masks]

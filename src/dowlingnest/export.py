@@ -16,6 +16,12 @@ def dumps(data):
     return json.dumps(data, sort_keys=True, indent=2) + "\n"
 
 
+def _dot_string(text):
+    """`text` as a DOT quoted string: backslashes and quotes escaped, so an
+    instance's subgroup names cannot end the string early."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def _subspace_json(space):
     return {
         "dim": space.dim,
@@ -87,7 +93,7 @@ def nested_dot(inst):
     lines = ["digraph nested {"]
     for i, ns in enumerate(sets):
         label = "; ".join(b.describe(inst) for b in ns.blocks)
-        lines.append(f'  n{i} [label="{label}"];')
+        lines.append(f"  n{i} [label={_dot_string(label)}];")
     for lo, hi in nested_covers(sets):
         lines.append(f"  n{lo} -> n{hi};")
     lines.append("}")
@@ -115,8 +121,8 @@ def forests_dot(inst):
             if isinstance(node, Leaf):
                 lines.append(f'  {my_id} [shape=plaintext, label="{node.label}"];')
                 return my_id
-            name = inst.subgroup_label(node.subgroup)
-            lines.append(f'  {my_id} [label="{name}"];')
+            name = _dot_string(inst.subgroup_label(node.subgroup))
+            lines.append(f"  {my_id} [label={name}];")
             for rep, child in node.children:
                 child_id = emit(child)
                 lines.append(f'  {my_id} -> {child_id} [label="{rep}"];')

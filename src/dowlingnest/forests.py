@@ -30,11 +30,11 @@ block containing it and solves the edge cosets from coset mismatches.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations, product as iter_product
+from itertools import chain
 from math import comb
 from operator import attrgetter
 
-from .arrangement import Block, NestedSet, closed_subgroups
+from .arrangement import Block, NestedSet, closed_subgroups, disjoint_covers
 from .errors import MalformedForest, NotRealizable, SizeBoundExceeded
 from .groups import Subgroup, coset_rep, left_cosets
 
@@ -442,30 +442,6 @@ def count_forests(inst):
 # -- direct enumeration ------------------------------------------------------------
 
 
-def _set_partitions(items):
-    """All set partitions, each part a sorted tuple.  The parts are not
-    ordered by minimum: (1, 2, 3) yields ((2,), (1, 3))."""
-    items = list(items)
-    if not items:
-        yield ()
-        return
-    first, rest = items[0], items[1:]
-    for sub in _set_partitions(rest):
-        yield ((first,),) + sub
-        for i, part in enumerate(sub):
-            yield tuple(
-                tuple(sorted(part + (first,))) if i == j else p
-                for j, p in enumerate(sub)
-            )
-
-
-def _proper_partitions(items):
-    """Set partitions into at least two parts, ordered by minimum."""
-    for p in _set_partitions(items):
-        if len(p) >= 2:
-            yield tuple(sorted(p, key=min))
-
-
 def _node_sort_key(node):
     return node.sort_key
 
@@ -473,37 +449,39 @@ def _node_sort_key(node):
 def enumerate_forests(inst):
     """Generate every valid forest directly from the labeling rules, each
     once and already in canonical order: by the sort keys of the trees,
-    taken in smallest-leaf order.
+    taken in smallest-leaf order.  Leaf sets are bit masks, and both the
+    children of a vertex and the trees of a forest are disjoint covers of
+    one (`disjoint_covers`), at most one part marked G.
 
     Trees.  One table, edge_reps[K, L], holds the coset representatives a
     of K with a^-1 L a <= K (every representative when the child is a
     leaf).  With the trivial edge toward the smallest leaf, it decides
     rules (1), (4) and (5), and keeps G-labelled children under G, once per
     pair of labels.  The (edge, child) offers are built once per label,
-    piece of leaves and whether the piece holds the smallest leaf, with
-    the G-labelled offers kept apart: a G vertex takes at most one of them,
-    at one position of its children, which is rule (3) within a tree.
+    piece of leaves and whether the piece holds the smallest leaf.  The
+    children of a vertex over at least two pieces are a cover of its leaves
+    by offers, the piece holding the smallest leaf not the whole part; a
+    G-labelled child is a marked part, so a G vertex takes at most one:
+    rule (3) within a tree.
 
-    Forests.  `forests_on(S, g_free)` lists the forests on the leaf set S
-    in order.  The tree holding m = min S is Leaf(m) or a tree on some
-    P <= S with min P = m; those candidates are sorted once per m, with
-    Leaf(m) first, since a leaf's key sorts below every vertex's.  Each
-    candidate is followed by every forest on S - P, free to use the full
-    group again only if the candidate does not (a G label can sit only
-    under G, so a tree holds G exactly when its root does): rule (3)
-    across trees.  The result is sorted: a forest's key starts with the
-    key of the tree holding its smallest leaf, distinct trees have
-    distinct keys, and the forests after one candidate are sorted by
-    induction.  By the same induction, element 0 of every list is the
+    Forests.  The tree holding a leaf m is Leaf(m) or a tree on some part
+    with smallest leaf m; those candidates are sorted once per m, with
+    Leaf(m) first, since a leaf's key sorts below every vertex's.  A forest
+    is a cover of {1..n} by candidates, a tree marked when it holds the
+    full group (a G label can sit only under G, so a tree holds G exactly
+    when its root does): rule (3) across trees.  The covers come sorted: a
+    forest's key starts with the key of the tree holding its smallest leaf,
+    distinct trees have distinct keys, and the covers of each rest are
+    sorted by induction.  By the same induction the first cover is the
     forest of fallen leaves alone, the one forest on {1..n} with no
     internal vertex, so dropping it leaves exactly the valid forests.
 
     The instance's nested-set cap counts valid forests, and `count_forests`
     refuses an instance past it before a vertex is built.  Nothing built
     outgrows that count: each tree, with the other leaves fallen, is a
-    distinct valid forest, and so is each entry of a memoised list but the
-    one of fallen leaves alone.
-    A run within the cap builds no vertex it does not return.
+    distinct valid forest, and so is each cover of a rest the forest walk
+    keeps but the one of fallen leaves alone.  A run within the cap builds
+    no vertex it does not return.
     """
     count_forests(inst)
     G = inst.group
@@ -525,14 +503,14 @@ def enumerate_forests(inst):
             + [reps]
         )
         below.append([inside.issuperset(L.elements) for L in members] + [True])
-    leaves = {i: Leaf(i) for i in range(1, inst.n + 1)}
+    leaves = {1 << i: Leaf(i) for i in range(1, inst.n + 1)}  # by leaf bit
     tree_memo = {}
     offer_memo = {}
 
     def offers(k, piece, first):
-        """(edge, child) pairs for a child on `piece` under label k: those
-        with a G-labelled child, and the others.  The offers need no rule
-        (1) or rule (3) check of their own:
+        """(piece, G-labelled, (edge, child)) for every child on the bit set
+        `piece` under label k.  The offers need no rule (1) or rule (3)
+        check of their own:
         - a nonempty edge_reps[K, L] puts a conjugate of L inside K, so
           [L] <= [K];
         - L <= K on the smallest-leaf piece gives [L] <= [K];
@@ -541,42 +519,47 @@ def enumerate_forests(inst):
         key = (k, piece, first)
         if key in offer_memo:
             return offer_memo[key]
-        nodes = [(LEAF, (leaves[piece[0]],))] if len(piece) == 1 else []
-        nodes.extend(enumerate(trees_on(piece)))
-        plain, with_g = [], []
+        nodes = enumerate(trees_on(piece))
+        if piece in leaves:
+            nodes = [(LEAF, (leaves[piece],)), *nodes]
+        out = []
         for l, trees in nodes:
             reps = ((0,) if below[k][l] else ()) if first else edge_reps[k][l]
-            (with_g if l == full else plain).extend(
-                (a, tree) for tree in trees for a in reps
+            out.extend((piece, l == full, (a, tree)) for tree in trees for a in reps)
+        offer_memo[key] = out
+        return out
+
+    def children(k, part):
+        """The children of every vertex labelled k over at least two pieces
+        of the bit set `part`."""
+        low = part & -part
+
+        def pieces(i, S):
+            bit = 1 << i
+            return chain.from_iterable(
+                offers(k, piece, bit == low)
+                for piece in range(bit, S + 1, 2 * bit)  # lowest bit i
+                if piece & S == piece and piece != part
             )
-        offer_memo[key] = plain, with_g
-        return plain, with_g
+
+        return disjoint_covers(part, True, pieces)
 
     def trees_on(part):
-        """Every tree on the leaves of `part`, grouped by root label."""
+        """Every tree on the leaves of the bit set `part`, grouped by root
+        label."""
         if part in tree_memo:
             return tree_memo[part]
         by_label = [[] for _ in members]
-        if len(part) == 1:
+        if part in leaves:
+            leaf = ((0, leaves[part]),)
             for k, K in enumerate(members):
                 if K != trivial:
-                    leaf = ((0, leaves[part[0]]),)
                     by_label[k].append(Vertex(subgroup=K, children=leaf))
-        for split in _proper_partitions(part):
+        else:
             for k, K in enumerate(members):
-                made = [offers(k, piece, i == 0) for i, piece in enumerate(split)]
-                plain = [p for p, _ in made]
-                choices = [plain]
-                # rule (3): a G vertex has at most one G child, here the i-th
-                choices.extend(
-                    plain[:i] + [with_g] + plain[i + 1 :]
-                    for i, (_, with_g) in enumerate(made)
-                    if with_g
+                by_label[k].extend(
+                    Vertex(subgroup=K, children=c) for c in children(k, part)
                 )
-                for offered in choices:
-                    by_label[k].extend(
-                        Vertex(subgroup=K, children=c) for c in iter_product(*offered)
-                    )
         # unary chains: strictly larger label over an existing root
         for k, K in enumerate(members):
             for p in range(k):  # members are sorted by size
@@ -587,43 +570,27 @@ def enumerate_forests(inst):
         tree_memo[part] = by_label
         return by_label
 
-    def candidates(m):
-        """(tree, leaf mask, holds G) for every tree whose smallest leaf is
-        m, in sort-key order."""
-        entries = [(leaves[m], 1 << m, False)]
-        higher = range(m + 1, inst.n + 1)
-        for size in range(len(higher) + 1):
-            for rest in combinations(higher, size):
-                part = (m, *rest)
-                mask = sum(1 << i for i in part)
-                for k, trees in enumerate(trees_on(part)):
-                    entries.extend((tree, mask, k == full) for tree in trees)
-        entries.sort(key=lambda entry: _node_sort_key(entry[0]))
-        return entries
-
+    every = (1 << (inst.n + 1)) - 2
     by_smallest = {}
-    forest_memo = {(0, True): [()], (0, False): [()]}
 
-    def forests_on(S, g_free, make=tuple):
-        """The forests on the leaves of bit mask S, each as `make` of its
-        trees, the G label allowed only if g_free."""
-        key = (S, g_free)
-        if key in forest_memo:
-            return forest_memo[key]
-        m = (S & -S).bit_length() - 1
+    def candidates(m, S):
+        """(leaf mask, holds G, tree) for every tree whose smallest leaf is
+        m, in sort-key order."""
         if m not in by_smallest:
-            by_smallest[m] = candidates(m)
-        out = []
-        for tree, mask, holds_g in by_smallest[m]:
-            if S & mask != mask or (holds_g and not g_free):
-                continue
-            rest = forests_on(S ^ mask, g_free and not holds_g)
-            out.extend(make((tree, *r)) for r in rest)
-        forest_memo[key] = out
-        return out
+            bit = 1 << m
+            entries = [(bit, False, leaves[bit])]
+            for part in range(bit, every + 1, 2 * bit):  # lowest bit m
+                for k, trees in enumerate(trees_on(part)):
+                    entries.extend((part, k == full, tree) for tree in trees)
+            entries.sort(key=lambda entry: _node_sort_key(entry[2]))
+            by_smallest[m] = entries
+        return by_smallest[m]
 
-    every = forests_on(sum(1 << i for i in leaves), True, LabelledForest)
-    return every[1:]
+    forests = disjoint_covers(every, True, candidates)
+    del forests[0]  # the fallen leaves alone
+    for j, trees in enumerate(forests):  # each cover is freed once replaced
+        forests[j] = LabelledForest(trees)
+    return forests
 
 
 # -- decomposition into subforests ---------------------------------------------------

@@ -86,6 +86,69 @@ def make_s3_instance(n):
     return ProblemInstance(n, G, rep)
 
 
+def matrix_group_instance(generators, n):
+    """The group generated by the integer matrices `generators`, acting on
+    Q^d by them: the matrices are closed under products, the Cayley table
+    is written from the closure and `Representation.from_matrices` takes
+    every element's matrix."""
+    generators = [tuple(map(tuple, g)) for g in generators]
+    d = len(generators[0])
+
+    def product(A, B):
+        return tuple(
+            tuple(sum(A[i][k] * B[k][j] for k in range(d)) for j in range(d))
+            for i in range(d)
+        )
+
+    identity = tuple(tuple(int(i == j) for j in range(d)) for i in range(d))
+    elements = [identity]
+    index = {identity: 0}
+    for A in elements:  # grows until closed
+        for g in generators:
+            P = product(A, g)
+            if P not in index:
+                index[P] = len(elements)
+                elements.append(P)
+    table = [[index[product(A, B)] for B in elements] for A in elements]
+    G = FiniteGroup.from_cayley(table)
+    rep = Representation.from_matrices(G, dict(enumerate(elements)))
+    return ProblemInstance(n, G, rep)
+
+
+def _sum_zero_matrix(p):
+    """The permutation p of {0, 1, 2, 3} on the sum-zero space of Q^4, in
+    the basis f_i = e_i - e_3 (i < 3): p sends f_i to f_p(i) - f_p(3), with
+    f_3 = 0."""
+    columns = []
+    for i in range(3):
+        column = [0, 0, 0]
+        if p[i] < 3:
+            column[p[i]] += 1
+        if p[3] < 3:
+            column[p[3]] -= 1
+        columns.append(column)
+    return [[columns[j][i] for j in range(3)] for i in range(3)]
+
+
+# integer generators of nonabelian groups acting faithfully with no trivial
+# summand: D4 on Q^2; Q8 by left multiplication by i and j on the
+# quaternions Q^4 (basis 1, i, j, k); A4 by (0 1 2) and (0 1)(2 3), and S4
+# by (0 1) and (0 1 2 3), on the sum-zero space of Q^4
+NONABELIAN_GENERATORS = {
+    "D4": ([[0, -1], [1, 0]], [[1, 0], [0, -1]]),
+    "Q8": (
+        [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]],
+        [[0, 0, -1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, -1, 0, 0]],
+    ),
+    "A4": (_sum_zero_matrix((1, 2, 0, 3)), _sum_zero_matrix((1, 0, 3, 2))),
+    "S4": (_sum_zero_matrix((1, 0, 2, 3)), _sum_zero_matrix((1, 2, 3, 0))),
+}
+
+
+def make_nonabelian_instance(name, n):
+    return matrix_group_instance(NONABELIAN_GENERATORS[name], n)
+
+
 KLEIN_NAMES = {
     (0,): "e",
     (0, 2): "H1",

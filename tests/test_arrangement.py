@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from pathlib import Path
 
 import pytest
@@ -43,6 +43,7 @@ from dowlingnest.arrangement import (
     _check_closed_set,
     _compatibility,
     block_count,
+    disjoint_covers,
     free_factor_subspace,
     nested_sets_poset,
     pairwise_compatible,
@@ -59,7 +60,12 @@ from conftest import (
     make_s3_instance,
     small_abelian_instances,
 )
-from oracles import check_partial_order, clique_count_by_walk, lattice_oracle
+from oracles import (
+    check_partial_order,
+    clique_count_by_walk,
+    lattice_oracle,
+    set_partitions,
+)
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 
@@ -289,6 +295,60 @@ def test_every_lattice_element_is_a_transversal_block_intersection(z2, z3, klein
                 codims += s.codim
             assert meet == flat
             assert flat.codim == codims
+
+
+@st.composite
+def part_families(draw):
+    """(S, g_free, parts): a bit set S within bits 0..5 and a list of parts
+    (mask, marked G, item) on those bits, most of them within S, some
+    masks repeated with other items."""
+    bits = draw(st.integers(1, 6))
+    S = draw(st.integers(0, (1 << bits) - 1))
+    masks = draw(st.lists(st.integers(1, (1 << bits) - 1), max_size=24))
+    masks = [m & S if m & S and draw(st.integers(0, 3)) else m for m in masks]
+    if draw(st.booleans()):  # every bit of S alone, so some cover exists
+        masks += [1 << i for i in range(bits) if S >> i & 1]
+    parts = [
+        (mask, draw(st.booleans()), f"p{j}") for j, mask in enumerate(masks)
+    ]
+    return S, draw(st.booleans()), parts
+
+
+@settings(max_examples=200, deadline=None)
+@given(part_families())
+def test_disjoint_covers_equal_the_filtered_set_partitions(family):
+    """The covers are the set partitions of S whose every block is a part,
+    at most one marked (none unless g_free), ordered by the positions of
+    their parts in the lists, taken by smallest bit."""
+    S, g_free, parts = family
+    at = {}
+    for part in parts:
+        at.setdefault((part[0] & -part[0]).bit_length() - 1, []).append(part)
+
+    def parts_at(i, rest):
+        return at.get(i, [])
+
+    expected = []
+    bits = [i for i in range(S.bit_length()) if S >> i & 1]
+    for partition in set_partitions(bits):
+        blocks = sorted(partition)
+        choices = [
+            [(j, p) for j, p in enumerate(at.get(b[0], [])) if p[0] == sum(1 << i for i in b)]
+            for b in blocks
+        ]
+        for pick in product(*choices):
+            if sum(p[1] for _, p in pick) <= g_free:
+                expected.append(([j for j, _ in pick], tuple(p[2] for _, p in pick)))
+    expected.sort()
+    assert disjoint_covers(S, g_free, parts_at) == [cover for _, cover in expected]
+
+
+def test_disjoint_covers_of_nothing_is_the_empty_cover():
+    def parts_at(i, S):
+        raise AssertionError("no part is asked for on the empty set")
+
+    assert disjoint_covers(0, True, parts_at) == [()]
+    assert disjoint_covers(0, False, parts_at) == [()]
 
 
 def test_lattice_matches_the_subspace_meet_oracle():

@@ -332,6 +332,10 @@ LATTICE_DIGESTS = {
     ("lattice", "s3.json", 3): "24432a8d3ac5f28a4bbe9e823567e1c647edede0b67468603f2eda19ab3e5509",
     ("json", "s3.json", 3): "b50cdc9c7ef1a47d623f158d27fd8f3c6b2cbf43abec833c9387a1ea01ed3235",
     ("dot", "s3.json", 3): "4eb2791bec582678ef2acd44b1b81a4af4b6e9a4a83d80f62aa9c90689f6c9f7",
+    ("json", "z2x4_chains.json", 3): "8ffd2a52e4d83761b25a465ead32650881e857d32c62b115c76b358cc1f93e29",
+    ("dot", "z2x4_chains.json", 3): "27fb110d2ca4873d3e5bd44869c3e8443e34723f448a71a4b124599be99fccd5",
+    ("json", "z2.json", 5): "5743ea5f02587bfea87c573cece553054f040649f3a053fc5bf1467b263838c4",
+    ("dot", "z2.json", 5): "fcaded6c2bfa0f54f95f95f1fad49e34a520c1e9b7534cd2fc9d2b7ff71b018d",
 }
 
 
@@ -371,6 +375,8 @@ FOREST_DIGESTS = {
     ("dot", "s3.json", 3): "1abe984dc150d6e658c01dd77e63a285bbb8a58558bd38204faf9cb4d7c6282f",
     ("json", "z2x4_chains.json", 2): "b15e816a744894b4c1f217b7cd06feb0bb112aee5ff918950f70697e06bce8b8",
     ("dot", "z2x4_chains.json", 2): "43742de963b970d61feb514a638c5bcbd31f2a67d819d0ac44f1ed5cb03d24ca",
+    ("json", "z2.json", 4): "81beae40e67faf10ddf10745216602f199eb277b773be99559376ee9b94cbbaa",
+    ("dot", "z2.json", 4): "9399f8c174feaf070118b8ccce17e55753b96d55ce3e13acaa509106ebe512db",
 }
 
 
@@ -439,6 +445,32 @@ def test_export_forests_dot_single(capsys):
     )
     assert code == 0
     assert out.count("digraph") == 1
+
+
+# a DOT quoted string: any character but a quote or a backslash, or either
+# one escaped by a backslash
+DOT_LABEL = re.compile(r'label="((?:[^"\\]|\\.)*)"')
+
+
+@pytest.mark.parametrize("what", ["forests", "nested"])
+def test_export_dot_escapes_quotes_and_backslashes_in_names(tmp_path, capsys, what):
+    data = json.loads((INSTANCES / "klein4.json").read_text())
+    data["names"]["0,2"] = 'H"1\\'
+    path = tmp_path / "named.json"
+    path.write_text(json.dumps(data))
+    code, out, _ = run_cli(
+        capsys, "export", "--what", what, "--format", "dot",
+        "--input", str(path), "--n", "1",
+    )
+    assert code == 0
+    label_lines = [line for line in out.splitlines() if "label=" in line]
+    assert label_lines
+    for line in label_lines:
+        assert DOT_LABEL.search(line), line
+        # the quoted string ends where the attribute list does
+        assert DOT_LABEL.sub("", line).count('"') == 0, line
+    escaped = {"forests": r'label="H\"1\\"', "nested": r'label="H^H\"1\\(1^0)"'}
+    assert escaped[what] in out
 
 
 def test_export_lattice_json(capsys):

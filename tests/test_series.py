@@ -157,7 +157,9 @@ def test_egf_exp_is_the_operator_exponential(drawn):
 
 
 def test_oracles_do_not_import_the_egf_core():
-    """The oracle series and counts stay independent of the shared core."""
+    """The oracle series, counts and enumerations stay independent of the
+    shared cores: no `dowlingnest.egf` and no `disjoint_covers`, imported
+    or reached as an attribute."""
     tree = ast.parse((Path(__file__).parent / "oracles.py").read_text())
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -165,9 +167,18 @@ def test_oracles_do_not_import_the_egf_core():
         elif isinstance(node, ast.ImportFrom):
             module = node.module or ""
             names = [module] + [f"{module}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, ast.Name):
+            names = [node.id]
         else:
             continue
-        core = [n for n in names if n.split(".")[:2] == ["dowlingnest", "egf"]]
+        core = [
+            n
+            for n in names
+            if n.split(".")[:2] == ["dowlingnest", "egf"]
+            or n.split(".")[-1] == "disjoint_covers"
+        ]
         assert not core, ast.dump(node)
 
 

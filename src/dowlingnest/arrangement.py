@@ -30,13 +30,13 @@ when that intersection is itself a block subspace.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import combinations, product
 from math import lcm
-from operator import attrgetter, mul
+from operator import attrgetter, itemgetter, mul
 
 from . import egf
 from .errors import InstanceError, SizeBoundExceeded
+from .frozen import Frozen, _set
 from .groups import (
     Subgroup,
     conjugate_subgroup,
@@ -161,16 +161,19 @@ def closure_phi(inst, H):
     return stabilizer(rep, rep.fix_echelon(H))
 
 
-@dataclass(frozen=True)
-class ClosedSubgroupSet:
-    members: tuple  # closed subgroups, sorted by (size, elements)
-    closure_map: tuple  # pairs (subgroup, phi(subgroup)) over all subgroups
-    _closed: frozenset = field(init=False, compare=False, repr=False)
-    _phi: dict = field(init=False, compare=False, repr=False)
+class ClosedSubgroupSet(Frozen):
+    """The closed subgroups, sorted by (size, elements), and the pairs
+    (subgroup, phi(subgroup)) over all subgroups.  The lookups built from
+    them here take no part in equality, hashing or repr."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "_closed", frozenset(K.elements for K in self.members))
-        object.__setattr__(self, "_phi", {S.elements: P for S, P in self.closure_map})
+    __slots__ = ("members", "closure_map", "_closed", "_phi")
+    _fields = ("members", "closure_map")
+
+    def __init__(self, members, closure_map):
+        _set(self, "members", members)
+        _set(self, "closure_map", closure_map)
+        _set(self, "_closed", frozenset(K.elements for K in members))
+        _set(self, "_phi", {S.elements: P for S, P in closure_map})
 
     def __contains__(self, H):
         return H.elements in self._closed
@@ -288,8 +291,7 @@ def raw_arrangement(inst):
 # -- blocks -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Block:
+class Block(Frozen):
     """Building-set element in normal form.
 
     indices are 1-based and strictly increasing; cosets[r] is the canonical
@@ -298,15 +300,14 @@ class Block:
     once, here, and takes no part in equality, hashing or repr.
     """
 
-    subgroup: Subgroup
-    indices: tuple
-    cosets: tuple
-    sort_key: tuple = field(init=False, compare=False, repr=False)
+    __slots__ = ("subgroup", "indices", "cosets", "sort_key")
+    _fields = ("subgroup", "indices", "cosets")
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "sort_key", (self.subgroup.sort_key, self.indices, self.cosets)
-        )
+    def __init__(self, subgroup, indices, cosets):
+        _set(self, "subgroup", subgroup)
+        _set(self, "indices", indices)
+        _set(self, "cosets", cosets)
+        _set(self, "sort_key", (subgroup.sort_key, indices, cosets))
 
     def describe(self, inst=None):
         name = inst.subgroup_label(self.subgroup) if inst else self.subgroup.label()
@@ -726,8 +727,28 @@ def intersection_lattice(inst):
     whole = inst.group.order
     blocks = building_blocks(inst)
     _, ups = _compatibility(inst, blocks)
-    # parts[i]: (index bits, labelled G, (RREF rows, up mask)) of each part
-    # whose smallest index is i, the free index i first
+    tied = []
+    for b in blocks:
+        own = {c for i in b.indices for c in range((i - 1) * m, i * m)}
+        tied.append(
+            tuple(
+                row
+                for row in block_subspace(inst, b).basis
+                if all(c in own for c, x in enumerate(row) if x)
+            )
+        )
+    # The flats sort by (-dim, basis), the bases compared entry by entry.
+    # Every entry times one common denominator D is an integer in the same
+    # order, so the integer rows sort the flats as the Fraction rows would
+    # (a scale per flat would not).
+    D = lcm(*(x.denominator for rows in tied for row in rows for x in row))
+
+    def part(rows, up):
+        scaled = tuple(tuple(x.numerator * (D // x.denominator) for x in r) for r in rows)
+        return rows, scaled, up
+
+    # parts[i]: (index bits, labelled G, (RREF rows, rows times D, up mask))
+    # of each part whose smallest index is i, the free index i first
     parts = [[] for _ in range(n + 1)]
     for i in range(1, n + 1):
         units = []
@@ -735,40 +756,34 @@ def intersection_lattice(inst):
             row = [ZERO] * d
             row[c] = ONE
             units.append(tuple(row))
-        parts[i].append((1 << i, False, (tuple(units), 0)))
-    for b, up in zip(blocks, ups):
+        parts[i].append((1 << i, False, part(tuple(units), 0)))
+    for b, up, rows in zip(blocks, ups, tied):
         span = sum(1 << i for i in b.indices)
-        own = {c for i in b.indices for c in range((i - 1) * m, i * m)}
-        tied = tuple(
-            row
-            for row in block_subspace(inst, b).basis
-            if all(c in own for c, x in enumerate(row) if x)
-        )
-        parts[b.indices[0]].append((span, len(b.subgroup) == whole, (tied, up)))
+        parts[b.indices[0]].append((span, len(b.subgroup) == whole, part(rows, up)))
     flats = []
     for cover in disjoint_covers((1 << (n + 1)) - 2, True, lambda i, S: parts[i]):
-        rows, mask = (), 0
-        for more, up in cover:
+        rows, key, mask = (), (), 0
+        for more, scaled, up in cover:
             rows += more
+            key += scaled
             mask |= up
-        flats.append((Subspace(ambient_dim=d, basis=rows), mask))
-    flats.sort(key=lambda flat: (-flat[0].dim, flat[0].basis))
-    masks = [mask for _, mask in flats]
+        flats.append(((-len(rows), key), Subspace(ambient_dim=d, basis=rows), mask))
+    flats.sort(key=itemgetter(0))
+    masks = [mask for *_, mask in flats]
     matrix = [[a & ~b == 0 for b in masks] for a in masks]
-    return Poset([space for space, _ in flats], matrix)
+    return Poset([space for _, space, _ in flats], matrix)
 
 
 # -- nested sets ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NestedSet:
-    blocks: tuple
+class NestedSet(Frozen):
+    """A nested set, its blocks sorted by their sort key."""
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "blocks", tuple(sorted(self.blocks, key=attrgetter("sort_key")))
-        )
+    __slots__ = ("blocks",)
+
+    def __init__(self, blocks):
+        _set(self, "blocks", tuple(sorted(blocks, key=attrgetter("sort_key"))))
 
     def __len__(self):
         return len(self.blocks)

@@ -29,13 +29,13 @@ block containing it and solves the edge cosets from coset mismatches.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import chain
 from math import comb
 from operator import attrgetter
 
 from .arrangement import Block, NestedSet, closed_subgroups, disjoint_covers
 from .errors import MalformedForest, NotRealizable, SizeBoundExceeded
+from .frozen import Frozen, _set
 from .groups import Subgroup, coset_rep, left_cosets
 
 _NO_LEAF = 10**9  # sort sentinel for unlabelled leaves
@@ -48,7 +48,6 @@ _END = -1  # closes a vertex's list of children in a sort key
 # nested tuples (1, subgroup.sort_key, ((rep, child key), ...)) would, but
 # in one flat pass instead of a recursion.
 
-_set = object.__setattr__  # frozen node classes fill their derived fields
 _smallest = attrgetter("smallest")
 
 
@@ -56,11 +55,13 @@ def _child_smallest(edge):
     return edge[1].smallest
 
 
-@dataclass(frozen=True, slots=True)
-class Leaf:
+class Leaf(Frozen):
     """Leaf vertex; label None only occurs in decomposition subforests."""
 
-    label: object = None
+    __slots__ = ("label",)
+
+    def __init__(self, label=None):
+        _set(self, "label", label)
 
     @property
     def smallest(self):
@@ -71,19 +72,23 @@ class Leaf:
         return (0, self.smallest)
 
 
-@dataclass(frozen=True, slots=True)
-class Vertex:
+class Vertex(Frozen):
     """Internal vertex: a subgroup label and (coset representative, child) pairs.
 
     The smallest leaf below the vertex and its sort key are computed once,
-    here, from the children's stored values, so no subtree is walked again
-    to order trees.  Neither takes part in equality, hashing or repr.
+    in `__post_init__`, from the children's stored values, so no subtree is
+    walked again to order trees.  Neither takes part in equality, hashing
+    or repr.  Every build runs `__post_init__` once, looked up on the
+    class, so the perfbench tracer counts vertices by wrapping it.
     """
 
-    subgroup: Subgroup
-    children: tuple
-    smallest: int = field(init=False, compare=False, repr=False)
-    sort_key: tuple = field(init=False, compare=False, repr=False)
+    __slots__ = ("subgroup", "children", "smallest", "sort_key")
+    _fields = ("subgroup", "children")
+
+    def __init__(self, subgroup, children):
+        _set(self, "subgroup", subgroup)
+        _set(self, "children", children)
+        self.__post_init__()
 
     def __post_init__(self):
         children = self.children
@@ -115,12 +120,12 @@ def internal_vertices(node):
         yield from internal_vertices(child)
 
 
-@dataclass(frozen=True, slots=True)
-class LabelledForest:
-    trees: tuple
+class LabelledForest(Frozen):
+    """A forest: its trees sorted by smallest leaf."""
 
-    def __post_init__(self):
-        trees = self.trees
+    __slots__ = ("trees",)
+
+    def __init__(self, trees):
         if len(trees) > 1:
             trees = tuple(sorted(trees, key=_smallest))
         else:
@@ -596,19 +601,23 @@ def enumerate_forests(inst):
 # -- decomposition into subforests ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ForestDecomposition:
+class ForestDecomposition(Frozen):
     """Per-label subforests plus the counting statistics they induce.
 
     components counts the trees of the original forest (fallen leaves
     included), fallen counts isolated leaves, and leaf_counts[H] counts the
-    original leaves attached directly to a vertex labelled H.
+    original leaves attached directly to a vertex labelled H.  leaf_counts
+    holds pairs (Subgroup, count), subforests pairs (Subgroup, tuple of
+    subforest root vertices).
     """
 
-    components: int
-    fallen: int
-    leaf_counts: tuple  # pairs (Subgroup, count)
-    subforests: tuple  # pairs (Subgroup, tuple of subforest root vertices)
+    __slots__ = ("components", "fallen", "leaf_counts", "subforests")
+
+    def __init__(self, components, fallen, leaf_counts, subforests):
+        _set(self, "components", components)
+        _set(self, "fallen", fallen)
+        _set(self, "leaf_counts", leaf_counts)
+        _set(self, "subforests", subforests)
 
     def count_for(self, H):
         for K, c in self.leaf_counts:

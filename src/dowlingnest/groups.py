@@ -8,11 +8,11 @@ gets id ((a1 * d2 + a2) * d3 + ...).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from math import lcm
 
 from .errors import InstanceError, OrderBoundExceeded
+from .frozen import Frozen, _set
 
 DEFAULT_ORDER_BOUND = 64
 
@@ -161,14 +161,13 @@ def _abelian_table(spec):
     )
 
 
-@dataclass(frozen=True)
-class Subgroup:
+class Subgroup(Frozen):
     """Canonical subgroup: sorted tuple of element ids, always containing 0."""
 
-    elements: tuple
+    __slots__ = ("elements",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "elements", tuple(sorted(set(self.elements))))
+    def __init__(self, elements):
+        _set(self, "elements", tuple(sorted(set(elements))))
 
     def __contains__(self, g):
         return g in self.elements
@@ -265,12 +264,14 @@ def conjugate_subgroup(G, H, g):
     return Subgroup(tuple(G.conj(g, h) for h in H))
 
 
-@dataclass(frozen=True)
-class Coset:
+class Coset(Frozen):
     """Left coset gK with its canonical (minimal id) representative."""
 
-    rep: int
-    members: tuple
+    __slots__ = ("rep", "members")
+
+    def __init__(self, rep, members):
+        _set(self, "rep", rep)
+        _set(self, "members", members)
 
 
 def left_cosets(G, K):
@@ -291,10 +292,14 @@ def coset_rep(G, K, g):
     return min([row[k] for k in K.elements])
 
 
-@dataclass(frozen=True)
-class ConjClass:
-    representative: Subgroup
-    members: tuple
+class ConjClass(Frozen):
+    """A conjugacy class of subgroups: its first member and all members."""
+
+    __slots__ = ("representative", "members")
+
+    def __init__(self, representative, members):
+        _set(self, "representative", representative)
+        _set(self, "members", members)
 
 
 class ConjClassPoset:

@@ -3,7 +3,7 @@
 Everything here is over Fraction or int; no floating point is used anywhere,
 so containment and equality of subspaces are genuine decisions.  A Subspace
 is canonically represented by the RREF basis of its row space, which makes
-set-equality of subspaces the same as equality of the dataclass fields.
+set-equality of subspaces the same as equality of its compared fields.
 There is one elimination, the fraction-free `integer_echelon`: `rref` and
 `kernel` scale their rows to integers, eliminate there, and divide each row
 by its pivot only at the end, and `RMatrix.mul` and `form_product` take
@@ -13,30 +13,29 @@ are built only for what is returned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import compress, count
 from math import gcd, lcm
 
 from .errors import AmbientMismatch, InstanceError
+from .frozen import Frozen, _set
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-@dataclass(frozen=True)
-class RMatrix:
+class RMatrix(Frozen):
     """Immutable rational matrix."""
 
-    entries: tuple
+    __slots__ = ("entries",)
 
-    def __post_init__(self):
+    def __init__(self, entries):
         entries = tuple(
             tuple(x if type(x) is Fraction else Fraction(x) for x in row)
-            for row in self.entries
+            for row in entries
         )
-        object.__setattr__(self, "entries", entries)
-        if self.entries and any(len(r) != len(self.entries[0]) for r in self.entries):
+        _set(self, "entries", entries)
+        if entries and any(len(r) != len(entries[0]) for r in entries):
             raise InstanceError("ragged matrix")
 
     @property
@@ -153,8 +152,7 @@ def rref(rows):
     return _unit_pivots(integer_echelon(_over_one_denominator(rows)[0]))
 
 
-@dataclass(frozen=True)
-class Subspace:
+class Subspace(Frozen):
     """Linear subspace of Q^ambient_dim, stored as an RREF basis (rows).
 
     `echelon` is the `integer_echelon` of the same space, the key under
@@ -163,9 +161,13 @@ class Subspace:
     equality, hashing or repr.
     """
 
-    ambient_dim: int
-    basis: tuple
-    _echelon: tuple = field(default=None, compare=False, repr=False)
+    __slots__ = ("ambient_dim", "basis", "_echelon")
+    _fields = ("ambient_dim", "basis")
+
+    def __init__(self, ambient_dim, basis, _echelon=None):
+        _set(self, "ambient_dim", ambient_dim)
+        _set(self, "basis", basis)
+        _set(self, "_echelon", _echelon)
 
     @classmethod
     def from_spanning(cls, ambient_dim, vectors):
@@ -198,7 +200,7 @@ class Subspace:
         of its denominators, which is primitive as the row's pivot is 1."""
         if self._echelon is None:
             rows = (_over_one_denominator((row,))[0][0] for row in self.basis)
-            object.__setattr__(self, "_echelon", tuple(map(tuple, rows)))
+            _set(self, "_echelon", tuple(map(tuple, rows)))
         return self._echelon
 
     @property

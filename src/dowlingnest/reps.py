@@ -18,9 +18,11 @@ Two input styles are supported:
 
 Each matrix is held once, as its integer form (rows, den), and each fixed
 space once, as its `integer_echelon`; the Fraction `RMatrix`es and
-`Subspace`s are built from those only when asked for.  The Fraction routes
-(fixed spaces meet by meet, stabilizers by rho(g) v = v, companion powers
-as `RMatrix`es) are the oracles in `tests/oracles.py`.
+`Subspace`s are built from those only when asked for.  Character input is
+checked on its exponents, and its forms are built only when first read.
+The Fraction routes (fixed spaces meet by meet, stabilizers by
+rho(g) v = v, companion powers as `RMatrix`es, character input checked on
+its matrices) are the oracles in `tests/oracles.py`.
 """
 
 from __future__ import annotations
@@ -79,17 +81,19 @@ class Representation:
     the dimension of the rational realization (dim_v * scalar_degree).
     `forms[g]` is the `integer_form` (rows, den) of rho(g); everything
     reads the forms, and `matrices` are built from them on first use.
-    Fixed spaces are cached per subgroup as integer echelons
-    (`fix_echelon`), and as `Subspace`s (`fix`) only once asked for.
+    Given character exponents and neither forms nor matrices, the forms
+    too are built on first use, from the exponents.  Fixed spaces are
+    cached per subgroup as integer echelons (`fix_echelon`), and as
+    `Subspace`s (`fix`) only once asked for.
     """
 
     __slots__ = (
         "group",
         "dim_v",
         "scalar_degree",
-        "forms",
         "characters",
         "char_exponents",
+        "_forms",
         "_matrices",
         "_echelons",
         "_fix_cache",
@@ -109,12 +113,11 @@ class Representation:
         self.group = group
         self.dim_v = dim_v
         self.scalar_degree = scalar_degree
-        if forms is None:
+        self._matrices = None
+        if forms is None and matrices is not None:
             self._matrices = tuple(matrices)
             forms = (m.integer_form() for m in self._matrices)
-        else:
-            self._matrices = None
-        self.forms = tuple(forms)
+        self._forms = None if forms is None else tuple(forms)
         self.characters = characters
         self.char_exponents = char_exponents
         self._echelons = {}
@@ -124,6 +127,24 @@ class Representation:
     @property
     def matrix_dim(self):
         return self.dim_v * self.scalar_degree
+
+    @property
+    def forms(self):
+        """One `integer_form` per element; for character input built once,
+        from the exponents: rho(a) is block diagonal with C^k on coordinate
+        j, C^k the k-th companion power and k = char_exponents[a][j]."""
+        if self._forms is None:
+            powers = _companion_powers(self.group.exponent())
+            deg, dim_v = self.scalar_degree, self.dim_v
+            forms = []
+            for row in self.char_exponents:
+                rows = []
+                for j, k in enumerate(row):
+                    left, right = (0,) * (j * deg), (0,) * ((dim_v - 1 - j) * deg)
+                    rows.extend(left + r + right for r in powers[k % len(powers)])
+                forms.append((tuple(rows), 1))
+            self._forms = tuple(forms)
+        return self._forms
 
     @property
     def matrices(self):
@@ -172,24 +193,12 @@ class Representation:
                 for ch in chars
             )
             exps.append(row)
-        exps = tuple(exps)
-        powers = _companion_powers(N)
-        deg = len(powers[0])
-        forms = []
-        for row in exps:
-            # rho(a) is block diagonal, with powers[k] on coordinate j
-            rows = []
-            for j, k in enumerate(row):
-                left, right = (0,) * (j * deg), (0,) * ((len(row) - 1 - j) * deg)
-                rows.extend(left + r + right for r in powers[k])
-            forms.append((tuple(rows), 1))
         return cls(
             group,
             dim_v=len(chars),
-            scalar_degree=deg,
+            scalar_degree=len(cyclotomic_polynomial(N)) - 1,
             characters=chars,
-            char_exponents=exps,
-            forms=forms,
+            char_exponents=tuple(exps),
         )
 
     @classmethod
@@ -228,8 +237,8 @@ class Representation:
     # -- validation -----------------------------------------------------------
 
     def _validate(self):
-        """Reject matrices that are not a faithful homomorphism without a
-        trivial summand.
+        """Reject a representation that is not a faithful homomorphism
+        without a trivial summand.
 
         The homomorphism rule rho(a) rho(b) = rho(ab) is checked only for b
         in a generating set S of G, which is equivalent to checking all
@@ -240,27 +249,50 @@ class Representation:
             rho(a) rho(b) = rho(a) rho(b') rho(s)    (check at the pair b', s)
                           = rho(ab') rho(s)          (induction)
                           = rho(ab's) = rho(ab)      (check at the pair ab', s).
-        Every rule is decided on the integer forms, with no Fraction matrix:
-        as the form of a matrix is unique, two matrices are equal exactly
-        when their forms are, and products are taken by `form_product`.
+
+        Given forms or matrices, every rule is decided on the integer forms,
+        with no Fraction matrix: as the form of a matrix is unique, two
+        matrices are equal exactly when their forms are, and products are
+        taken by `form_product`.
+
+        Character input is decided on its exponent vectors mod N, the
+        exponent of G, added coordinatewise.  rho(a) is block diagonal with
+        C^x on coordinate j, x the exponent of a there and C the companion
+        matrix of the N-th cyclotomic polynomial Phi_N.  C has order exactly
+        N: a companion matrix has its polynomial as minimal polynomial, so
+        C^k = I exactly when Phi_N divides x^k - 1, that is when its roots,
+        the primitive N-th roots of unity, are k-th roots of unity, that is
+        when N divides k.  C is invertible (Phi_N(0) = +-1), so C^i = C^j
+        exactly when i = j (mod N).  So the map from exponent vectors mod N
+        to matrices is an injective homomorphism, and each rule holds for
+        rho exactly when it holds for the exponent vectors, pair by pair.
         """
         G = self.group
         n = G.order
         if self.matrix_dim == 0:
             raise InstanceError("representation must have positive dimension")
-        forms = self.forms
-        if len(forms) != n:
+        if self._forms is None:
+            N = G.exponent()
+            images = tuple(tuple(x % N for x in row) for row in self.char_exponents)
+            one = (0,) * self.dim_v
+
+            def product(u, v):
+                return tuple((x + y) % N for x, y in zip(u, v))
+
+        else:
+            images, one, product = self._forms, _identity_form(self.matrix_dim), form_product
+        if len(images) != n:
             raise InstanceError("need one matrix per group element")
         for b in generating_set(G):
             for a in range(n):
-                if form_product(forms[a], forms[b]) != forms[G.mul(a, b)]:
+                if product(images[a], images[b]) != images[G.mul(a, b)]:
                     raise InstanceError(
                         f"matrices are not a homomorphism at the pair ({a},{b})"
                     )
         # a homomorphism can still send e to an idempotent other than I
-        if forms[G.identity] != _identity_form(self.matrix_dim):
+        if images[G.identity] != one:
             raise InstanceError("the identity element must act as the identity matrix")
-        if len(set(forms)) != n:
+        if len(set(images)) != n:
             raise InstanceError("representation not faithful")
         if self.fix_echelon(Subgroup(range(n))):
             raise InstanceError(

@@ -7,8 +7,6 @@ suite pins down, packaged for arbitrary user instances.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .arrangement import (
     block_count,
     block_leq,
@@ -29,6 +27,7 @@ from .forests import (
     forest_to_nested,
     nested_to_forest,
 )
+from .frozen import Frozen, _set
 from .linalg import integer_echelon
 from .series import nested_count_via_series
 
@@ -125,15 +124,18 @@ CHECKS = (
 )
 
 
-@dataclass(frozen=True)
-class _Run:
-    """What the checks share: each route enumerated or counted once."""
+class _Run(Frozen):
+    """What the checks share: each route enumerated or counted once (the
+    series count is None for a nonabelian group)."""
 
-    nested: list
-    forests: list
-    forest_count: int
-    clique_count: int
-    series_count: int | None
+    __slots__ = ("nested", "forests", "forest_count", "clique_count", "series_count")
+
+    def __init__(self, nested, forests, forest_count, clique_count, series_count):
+        _set(self, "nested", nested)
+        _set(self, "forests", forests)
+        _set(self, "forest_count", forest_count)
+        _set(self, "clique_count", clique_count)
+        _set(self, "series_count", series_count)
 
 
 def _check_work(inst, count):

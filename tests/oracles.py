@@ -5,7 +5,8 @@ defining combinatorics, no reuse of library internals beyond basic linear
 algebra for the lattices, the raw arrangement the lattice oracle closes,
 the forest node types, closed subgroups and cosets for the forest oracle,
 the series arithmetic for the series oracles, the Fraction matrices
-of a representation for the fixed-space and stabilizer oracles, and the
+of a representation for the fixed-space and stabilizer oracles, the
+representation constructor's matrix route for character input, and the
 block compatibility table for the clique walk (the table has its own
 pairwise oracle tests).  The small checks on posets, subgroups and
 matrices that only tests use live here too.
@@ -28,7 +29,7 @@ from dowlingnest.forests import LabelledForest, Leaf, Vertex
 from dowlingnest.groups import Subgroup, left_cosets
 from dowlingnest.linalg import RMatrix, Subspace, kernel
 from dowlingnest.poset import Poset
-from dowlingnest.reps import cyclotomic_polynomial
+from dowlingnest.reps import Representation, cyclotomic_polynomial
 from dowlingnest.series import (
     MultiSeries,
     _apply_exp_derive,
@@ -365,26 +366,46 @@ def _block_diag(blocks):
     return RMatrix(tuple(tuple(r) for r in entries))
 
 
-def character_matrices(group, characters):
-    """rho(a) for each element of an abelian group acting through the
-    characters, in Fraction arithmetic: coordinate j carries the k-th power
-    of the companion matrix of the N-th cyclotomic polynomial, with
-    zeta_N^k the character's value on a (N the exponent of the group)."""
+def character_exponents(group, characters):
+    """The exponent k of zeta_N by which each element acts on each
+    coordinate (N the exponent of the group), element by element."""
     spec = group.abelian_spec
+    N = group.exponent()
+    return tuple(
+        tuple(
+            sum(c * x * (N // d) for c, x, d in zip(ch, group.id_to_tuple(a), spec)) % N
+            for ch in characters
+        )
+        for a in range(group.order)
+    )
+
+
+def exponent_matrices(group, exponents):
+    """rho(a) for each row of exponents, in Fraction arithmetic: coordinate
+    j carries the k-th power of the companion matrix of the N-th cyclotomic
+    polynomial, k the row's entry j (N the exponent of the group)."""
     N = group.exponent()
     comp = companion_matrix(cyclotomic_polynomial(N))
     powers = [RMatrix.identity(comp.rows)]
     for _ in range(1, N):
         powers.append(powers[-1].mul(comp))
-    matrices = []
-    for a in range(group.order):
-        coords = group.id_to_tuple(a)
-        exps = [
-            sum(c * x * (N // d) for c, x, d in zip(ch, coords, spec)) % N
-            for ch in characters
-        ]
-        matrices.append(_block_diag([powers[k] for k in exps]))
-    return tuple(matrices)
+    return tuple(_block_diag([powers[k % N] for k in row]) for row in exponents)
+
+
+def character_matrices(group, characters):
+    """rho(a) for each element of an abelian group acting through the
+    characters, in Fraction arithmetic (`exponent_matrices`)."""
+    return exponent_matrices(group, character_exponents(group, characters))
+
+
+def representation_by_matrices(group, exponents):
+    """The representation with the given character exponents, given by its
+    Fraction matrices: the constructor then decides the homomorphism,
+    identity and faithfulness rules on one integer form per element, with
+    `form_product`, where character input is decided on the exponents."""
+    dim_v = len(exponents[0])
+    degree = len(cyclotomic_polynomial(group.exponent())) - 1
+    return Representation(group, dim_v, degree, exponent_matrices(group, exponents))
 
 
 def dense_product(A, B):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 import time
 from fractions import Fraction
@@ -40,6 +41,7 @@ from conftest import (
     small_abelian_instances,
 )
 from oracles import (
+    character_exponents,
     character_matrices,
     closure_by_definition,
     dense_product,
@@ -48,6 +50,7 @@ from oracles import (
     image_under,
     is_identity,
     pointwise_stabilizer_by_definition,
+    representation_by_matrices,
     zero_space,
 )
 
@@ -279,9 +282,11 @@ def test_character_realization_is_faithful_rational_homomorphism():
 
 def test_largest_cyclic_group_loads_quickly():
     """Z/63 realizes its character through 63 powers of a 36 x 36 companion
-    matrix, and the homomorphism check multiplies 63 products; in Fraction
-    arithmetic that load took about 24 s, on integer numerators about
-    0.6 s, and with the powers taken by column shifts about 0.13 s."""
+    matrix; with the homomorphism check on those matrices, in Fraction
+    arithmetic the load took about 24 s, on integer numerators about
+    0.6 s, and with the powers taken by column shifts about 0.13 s.  The
+    check now runs on the exponents, and the powers are built on first
+    use, here by `matrix`."""
     start = time.perf_counter()
     inst = parse_instance(
         {"n": 1, "group": {"abelian": [63]}, "representation": {"characters": [[1]]}}
@@ -301,6 +306,83 @@ def test_trivial_component_rejected():
     G = FiniteGroup.from_abelian([2])
     with pytest.raises(InstanceError, match="trivial"):
         Representation.from_characters(G, [[1], [0]])
+
+
+def _outcome(build):
+    """The forms of the representation built, or the message it is refused with."""
+    try:
+        return build().forms
+    except InstanceError as exc:
+        return str(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.integers(2, 6), min_size=1, max_size=2).flatmap(
+        lambda factors: st.tuples(
+            st.just(factors),
+            st.lists(
+                st.tuples(*(st.integers(0, d - 1) for d in factors)).map(list),
+                min_size=1,
+                max_size=3,
+            ),
+        )
+    )
+)
+def test_character_checks_agree_with_the_form_route(case):
+    """Character input checked on its exponents accepts exactly what the
+    old route, one integer form per element checked with `form_product`,
+    accepts, refuses the rest with the same message, and builds the same
+    forms.  Unfaithful characters and trivial summands are drawn too."""
+    factors, characters = case
+    G = FiniteGroup.from_abelian(factors)
+    exps = character_exponents(G, characters)
+    assert _outcome(lambda: Representation.from_characters(G, characters)) == _outcome(
+        lambda: representation_by_matrices(G, exps)
+    )
+
+
+@pytest.mark.parametrize(
+    "factors, characters",
+    [([2, 4], [[0, 1], [1, 2], [1, 0], [0, 2]]), ([6], [[1], [2]]), ([2, 2], [[1, 0], [0, 1]])],
+)
+def test_corrupted_exponents_are_refused_as_by_forms(factors, characters):
+    """A change to any one exponent of any element (the identity too) is
+    refused on the exponents with the message the form route gives."""
+    G = FiniteGroup.from_abelian(factors)
+    exps = character_exponents(G, characters)
+    degree = len(cyclotomic_polynomial(G.exponent())) - 1
+    for g in range(G.order):
+        for j in range(len(characters)):
+            bad = [list(row) for row in exps]
+            bad[g][j] += 1
+            bad = tuple(map(tuple, bad))
+            by_exponents = _outcome(
+                lambda: Representation(G, len(characters), degree, char_exponents=bad)
+            )
+            assert by_exponents == _outcome(lambda: representation_by_matrices(G, bad))
+            assert isinstance(by_exponents, str)
+
+
+def test_character_instances_load_and_close_without_form_products(monkeypatch):
+    """Loading every bundled character instance and closing its subgroups
+    takes no product of forms and builds no form."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("form product during set-up")
+
+    monkeypatch.setattr("dowlingnest.reps.form_product", refuse)
+    monkeypatch.setattr("dowlingnest.linalg.form_product", refuse)
+    paths = [
+        path
+        for path in sorted(INSTANCES.glob("*.json"))
+        if "characters" in json.loads(path.read_text())["representation"]
+    ]
+    assert len(paths) == 6
+    for path in paths:
+        inst = load_instance(path)
+        assert closed_subgroups(inst).members
+        assert inst.rep._forms is None
 
 
 def test_matrix_extension_needs_generators():

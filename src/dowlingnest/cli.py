@@ -31,10 +31,8 @@ from .errors import (
 from .forests import Leaf, count_forests, enumerate_forests
 from .instancefile import load_instance
 from .series import (
-    _gamma_bar_from,
-    big_g,
+    _printed_series,
     dumps_series,
-    gamma_tilde,
     nested_count_via_series,
     series_cost,
     series_variables,
@@ -216,13 +214,7 @@ def cmd_series(inst, args, out):
     if not inst.group.is_abelian:
         raise AbelianOnly("the forest series requires an abelian group")
     _check_series_cost(inst, degree, len(series_variables(inst)) - 1, "--max-degree")
-    tilde = gamma_tilde(inst, degree)
-    series = {
-        "gamma_tilde": tilde,
-        "gamma_bar": _gamma_bar_from(tilde),
-        "g": big_g(inst, degree),
-    }
-    out(dumps_series(series))
+    sys.stdout.write(dumps_series(_printed_series(inst, degree)))  # `out` copies
     return EXIT_OK
 
 

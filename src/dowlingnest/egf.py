@@ -9,7 +9,8 @@ packed order is the tuple order.  `series` takes base = trunc + 1: a
 product only pairs degrees d1 + d2 <= trunc, so every t-exponent stays
 below the base, and so does the exponent of s, which never exceeds the
 t-degree there.  One variable packs x^c as c, for any c.  Buckets are
-shared between lists and never changed once built.
+shared between lists and never changed once built.  `series.dumps_series`
+writes terms in packed order, relying on it being the tuple order.
 
 `forests.count_forests` keeps its exponential on integer scalars: on
 one-key buckets it is slower and no shorter.

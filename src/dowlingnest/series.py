@@ -45,8 +45,8 @@ t_K replaced by t.  This is s phi Gamma_st + e^(s t) (Gamma~_t - 1), as
 e^(s t) (Gamma~_t - 1) = Gamma_st - e^(s t).  The packed weight of s
 selects the use: trunc + 1 keeps s apart and gives G (`big_g`), and 0 is
 the ring map s -> 1, which gives G(1, t) with one key per degree
-(`nested_count_via_series`); the proof is in `big_g`.  `gamma_bar` shifts
-the numerators of the forest series instead of multiplying by e^(s t).
+(`nested_count_via_series`); the proof is in `big_g`.  `gamma_bar` is the
+egf product of e^(s t) and the forest series minus 1, on the same buckets.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ from functools import cache
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 from math import comb, factorial, gcd, lcm
-from operator import add, itemgetter
+from operator import add
 
 from . import egf
 from .arrangement import closed_subgroups
@@ -495,11 +495,16 @@ def gamma_tilde(inst, trunc):
     `_graded_lambda`, and exp by `egf.exp`: every coefficient is an
     integer d! [monomial of t-degree d], with no operator and no `Fraction`.
     """
+    return _from_graded(*_graded_tilde(inst, trunc))
+
+
+def _graded_tilde(inst, trunc):
+    """(vars, `gamma_tilde` as a graded series over vars)."""
     vars = series_variables(inst)
     base = trunc + 1
     weight = {v: base ** (len(vars) - 1 - i) for i, v in enumerate(vars)}
     total = _graded_forest_sum(inst, trunc, lambda K: weight[subgroup_variable(K)])
-    return _from_graded(vars, egf.exp(_times_s(total, weight["s"])))
+    return vars, egf.exp(_times_s(total, weight["s"]))
 
 
 def _graded_forest_sum(inst, trunc, key):
@@ -542,34 +547,25 @@ def series_cost(trunc, v):
 
 def gamma_bar(inst, trunc):
     """Fallen leaves allowed: e^(s t) times (gamma_tilde - 1)."""
-    return _gamma_bar_from(gamma_tilde(inst, trunc))
+    vars, tilde = _graded_tilde(inst, trunc)
+    return _from_graded(vars, _graded_bar(vars, tilde))
 
 
-def _gamma_bar_from(tilde):
-    """e^(s t) (tilde - 1) for a series over ('s', 't', t_K ...).
-
-    The term s^k t^k / k! of e^(s t) moves every term of tilde - 1 by k in
-    s and in t, so each numerator c is shifted once per k, as c * trunc!/k!
-    over the denominator of tilde times trunc!; no series is multiplied.
+def _graded_bar(vars, tilde):
+    """e^(s t) (tilde - 1) for a graded series over ('s', 't', t_K ...): the
+    egf product with e^(s t), whose bucket k is {k (w_s + w_t): 1}, so the
+    degree-d part of tilde - 1 moves to bucket d + k with weight C(d + k, k).
     """
-    vars, trunc, den = tilde.vars, tilde.trunc, tilde._den
-    zero = (0,) * len(vars)
-    head = dict(tilde._terms[0])
-    c0 = head.pop(zero, 0) - den  # minus 1
-    if c0:
-        head[zero] = c0
-    terms = [head] + tilde._terms[1:]
-    top = factorial(trunc)
-    out = [{} for _ in range(trunc + 1)]
-    for k in range(trunc + 1):
-        f = top // factorial(k)
-        for d in range(trunc + 1 - k):
-            acc = out[d + k]
-            get = acc.get
-            for e, c in terms[d].items():
-                e = (e[0] + k, e[1] + k) + e[2:]
-                acc[e] = get(e, 0) + c * f
-    return MultiSeries(vars, trunc, _terms=out, _den=den * top)
+    base = len(tilde)
+    st = (base + 1) * base ** (len(vars) - 2)  # the key of s t
+    out = []
+    for n in range(base):
+        acc = {}
+        for k in range(n):  # bucket 0 of tilde - 1 is empty
+            if tilde[n - k]:
+                egf.product_into(acc, {k * st: 1}, tilde[n - k], comb(n, k))
+        out.append(acc)
+    return out
 
 
 def _graded_big_g(inst, trunc, s_key):
@@ -634,67 +630,66 @@ def nested_count_via_series(inst, n):
     return _graded_big_g(inst, n, 0)[n].get(n, 0)
 
 
-def series_to_json(series):
-    """Stable JSON form: one record per term, coefficients as exact strings."""
-    var_list = list(series.vars)
-    terms = []
-    for exps, coeff in series.terms():
-        entry = {"s": 0, "t": 0, "tH": {}}
-        for var, e in zip(var_list, exps):
-            if e == 0:
-                continue
-            if var == "s":
-                entry["s"] = e
-            elif var == "t":
-                entry["t"] = e
-            else:
-                entry["tH"][var[1:]] = e
-        entry["coeff"] = str(coeff)
-        terms.append(entry)
-    return {"truncation": series.trunc, "terms": terms}
+def _printed_series(inst, degree):
+    """{name: (vars, graded series)} that `series` prints."""
+    vars, tilde = _graded_tilde(inst, degree)
+    return {
+        "gamma_tilde": (vars, tilde),
+        "gamma_bar": (vars, _graded_bar(vars, tilde)),
+        "g": (("s", "t"), _graded_big_g(inst, degree, degree + 1)),
+    }
 
 
-def dumps_series(series_by_name):
+def dumps_series(graded_by_name):
     """json.dumps({name: series_to_json(series)}, sort_keys=True, indent=2)
-    for a nonempty dict of series over ('s', 't', t_K ...), written in one
-    pass from each series' integer numerators.
+    and a newline (tests/oracles), for a nonempty {name: (vars, graded
+    series)} over ('s', 't', t_K ...), written from the buckets as
+    one list of pieces, as json.dumps indents only in pure Python.
 
-    The C encoder does not indent, and the pure-Python one would take most
-    of the time of `series`; neither is needed.  The terms are sorted by
-    exponent vector, as `MultiSeries.terms` sorts them, and a coefficient c
-    over the denominator D is written as str(Fraction(c, D)) is: c/g, then
-    "/" and D/g unless D/g = 1, with g = gcd(c, D).  Digits, "-" and "/"
-    need no escaping; names and tH keys are quoted by the function
-    json.dumps uses for them.
+    Terms go in the order of their packed keys, which is the order of their
+    exponent tuples: a key is s L + r with L = base^(v-1) and r < L holding
+    the other exponents as digits, each at most the t-degree and so below
+    the base; k < k' iff s < s', or s = s' and r < r', and positional
+    notation orders r as its digit tuple.  A numerator c in bucket d is
+    written as str(Fraction(c, d!)) writes it, and zero terms are left out.
+    Names and tH keys are quoted by the function json.dumps uses for them.
     """
-    return "{\n" + ",\n".join(
-        f"  {encode_basestring_ascii(name)}: {_series_block(series_by_name[name])}"
-        for name in sorted(series_by_name)
-    ) + "\n}"
-
-
-def _series_block(series):
-    # (quoted tH key, position in exps[2:]) in the order of the keys
-    keys = sorted(
-        (encode_basestring_ascii(v[1:]), i) for i, v in enumerate(series.vars[2:])
-    )
-    tH_text = {}  # many terms share their t_K exponents
-    den = series._den
-    terms = []
-    for exps, c in sorted(
-        chain.from_iterable(b.items() for b in series._terms), key=itemgetter(0)
-    ):
-        g = gcd(c, den)
-        coeff = f"{c // g}" if g == den else f"{c // g}/{den // g}"
-        tH = exps[2:]
-        text = tH_text.get(tH)
-        if text is None:
-            inner = ",\n".join(f"          {key}: {tH[i]}" for key, i in keys if tH[i])
-            text = tH_text[tH] = f"{{\n{inner}\n        }}" if inner else "{}"
-        terms.append(
-            f'      {{\n        "coeff": "{coeff}",\n'
-            f'        "s": {exps[0]},\n        "t": {exps[1]},\n'
-            f'        "tH": {text}\n      }}'
+    pieces = ["{"]
+    for name in sorted(graded_by_name):
+        vars, graded = graded_by_name[name]
+        base = len(graded)
+        lead = base ** (len(vars) - 1)  # the weight of s, then of t
+        coeff = {}
+        for d, bucket in enumerate(graded):
+            f = factorial(d)
+            for k, c in bucket.items():
+                if c:
+                    g = gcd(c, f)
+                    coeff[k] = f"{c // g}" if g == f else f"{c // g}/{f // g}"
+        # (quoted tH key, its variable's weight) in key order
+        keys = sorted(
+            (encode_basestring_ascii(v[1:]), lead // base ** (i + 2))
+            for i, v in enumerate(vars[2:])
         )
-    terms = "[\n" + ",\n".join(terms) + "\n    ]" if terms else "[]"
-    return f'{{\n    "terms": {terms},\n    "truncation": {series.trunc}\n  }}'
+        tH_text = {}  # many terms share their t_K exponents
+        head = "\n  " if len(pieces) == 1 else ",\n  "
+        pieces.append(f'{head}{encode_basestring_ascii(name)}: {{\n    "terms": [')
+        sep = "\n"
+        for k in sorted(coeff):
+            s, low = divmod(k, lead)
+            t, low = divmod(low, lead // base)
+            text = tH_text.get(low)
+            if text is None:
+                inner = ",\n".join(
+                    f"          {key}: {e}" for key, w in keys if (e := low // w % base)
+                )
+                text = tH_text[low] = f"{{\n{inner}\n        }}" if inner else "{}"
+            pieces.append(
+                f'{sep}      {{\n        "coeff": "{coeff[k]}",\n'
+                f'        "s": {s},\n        "t": {t},\n        "tH": {text}\n      }}'
+            )
+            sep = ",\n"
+        tail = "\n    ]" if coeff else "]"
+        pieces.append(f'{tail},\n    "truncation": {base - 1}\n  }}')
+    pieces.append("\n}\n")
+    return "".join(pieces)

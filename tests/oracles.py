@@ -9,7 +9,9 @@ of a representation for the fixed-space and stabilizer oracles, the
 representation constructor's matrix route for character input, and the
 block compatibility table for the clique walk (the table has its own
 pairwise oracle tests).  The small checks on posets, subgroups and
-matrices that only tests use live here too.
+matrices that only tests use live here too, and so does `series_to_json`,
+the JSON form through which the printed series is checked against
+json.dumps.
 """
 
 from __future__ import annotations
@@ -718,8 +720,29 @@ class FractionSeries:
         return self._new(out, tuple(vars))
 
     def terms(self):
-        """Sorted (exponents, coefficient) pairs, as `series_to_json` reads them."""
+        """Sorted (exponents, coefficient) pairs, as `MultiSeries.terms`
+        gives them; `series_to_json` reads either."""
         return sorted(self.coeffs.items())
+
+
+def series_to_json(series):
+    """Stable JSON form of a `MultiSeries` or `FractionSeries` over
+    ('s', 't', t_K ...): one record per term, coefficients as exact strings."""
+    terms = []
+    for exps, coeff in series.terms():
+        entry = {"s": 0, "t": 0, "tH": {}}
+        for var, e in zip(series.vars, exps):
+            if e == 0:
+                continue
+            if var == "s":
+                entry["s"] = e
+            elif var == "t":
+                entry["t"] = e
+            else:
+                entry["tH"][var[1:]] = e
+        entry["coeff"] = str(coeff)
+        terms.append(entry)
+    return {"truncation": series.trunc, "terms": terms}
 
 
 def clique_count_by_walk(inst):

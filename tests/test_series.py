@@ -34,12 +34,11 @@ from dowlingnest.instancefile import load_instance
 from dowlingnest.series import (
     _apply_exp_derive,
     _from_graded,
-    _gamma_bar_from,
     _graded_forest_sum,
     _graded_lambda,
+    _printed_series,
     admissible_order,
     dumps_series,
-    series_to_json,
     series_variables,
     subgroup_variable,
 )
@@ -56,6 +55,7 @@ from oracles import (
     gamma_bar_by_operators,
     gamma_tilde_by_operators,
     lambda_bar_fixed_point,
+    series_to_json,
 )
 
 
@@ -721,31 +721,37 @@ def test_series_count_matches_the_forest_count(name, top):
         assert nested_count_via_series(sub, n) == count_forests(sub), n
 
 
+def _oracle_payload(inst, degree):
+    """The JSON form of the oracle series built from operator exponentials."""
+    oracle = {
+        "gamma_tilde": _tilde_by_operators(inst, degree),
+        "gamma_bar": gamma_bar_by_operators(inst, degree),
+        "g": big_g_by_operators(inst, degree),
+    }
+    return {name: series_to_json(x) for name, x in oracle.items()}
+
+
 @pytest.mark.parametrize("name", ["z2", "klein4", "z4_plane", "z2x4_chains"])
 def test_series_payload_writer_matches_json_dumps(name):
-    """`dumps_series` of the printed series writes what json.dumps writes
-    for the oracle series built from operator exponentials."""
+    """`dumps_series` of the printed graded series writes what json.dumps
+    writes for the oracle series built from operator exponentials."""
     inst = load_instance(INSTANCES / f"{name}.json")
     empty_terms = empty_tH = False
     for degree in range(5):
-        tilde = gamma_tilde(inst, degree)
-        series = {
-            "gamma_tilde": tilde,
-            "gamma_bar": _gamma_bar_from(tilde),
-            "g": big_g(inst, degree),
-        }
-        oracle = {
-            "gamma_tilde": _tilde_by_operators(inst, degree),
-            "gamma_bar": gamma_bar_by_operators(inst, degree),
-            "g": big_g_by_operators(inst, degree),
-        }
-        payload = {name: series_to_json(x) for name, x in oracle.items()}
-        expected = json.dumps(payload, sort_keys=True, indent=2)
-        assert dumps_series(series) == expected, degree
+        payload = _oracle_payload(inst, degree)
+        expected = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        assert dumps_series(_printed_series(inst, degree)) == expected, degree
         terms = [t for body in payload.values() for t in body["terms"]]
         empty_terms |= any(not body["terms"] for body in payload.values())
         empty_tH |= any(not t["tH"] for t in terms)
     assert empty_terms and empty_tH
+
+
+@settings(max_examples=20, deadline=None)
+@given(small_abelian_instances(), st.integers(0, 4))
+def test_series_writer_matches_json_dumps_on_random_instances(inst, degree):
+    expected = json.dumps(_oracle_payload(inst, degree), sort_keys=True, indent=2)
+    assert dumps_series(_printed_series(inst, degree)) == expected + "\n"
 
 
 # -- G and gamma_bar against the operator formula --------------------------------------

@@ -30,7 +30,7 @@ when that intersection is itself a block subspace.
 
 from __future__ import annotations
 
-from itertools import combinations, product
+from itertools import product
 from math import lcm
 from operator import attrgetter, itemgetter, mul
 
@@ -43,7 +43,6 @@ from .groups import (
     coset_rep,
     enumerate_subgroups,
     generating_set,
-    left_cosets,
     subgroup_closure,
     subgroup_conj_classes,
 )
@@ -72,6 +71,7 @@ class ProblemInstance:
         self._subgroups = None
         self._conj = None
         self._closed = None
+        self._codes = None
         self._blocks = None
         self._block_subspaces = {}
         self._meet_cache = {}
@@ -334,8 +334,37 @@ def block_subspace(inst, block):
     return got
 
 
+def _block_codes(inst):
+    """The blocks of `building_blocks` as integer codes (label, indices,
+    cosets), the label being a position in `closed_subgroups(inst).members`.
+
+    They are made in `Block.sort_key` order, so nothing is sorted: labels in
+    `members` order, which is the order of the subgroups' sort keys, index
+    tuples in lexicographic order, and cosets as the product of the sorted
+    coset representatives.
+    """
+    if inst._codes is not None:
+        return inst._codes
+    # the nonempty subsets of {i..n} in lexicographic order, for i = n..1
+    subsets = []
+    for i in range(inst.n, 0, -1):
+        subsets = [(i,)] + [(i,) + t for t in subsets] + subsets
+    codes = []
+    for label, K in enumerate(closed_subgroups(inst).members):
+        reps = sorted({coset_rep(inst.group, K, g) for g in inst.group.elements()})
+        for idxs in subsets:
+            if len(idxs) > 1 or len(K) > 1:
+                codes.extend(
+                    (label, idxs, (0,) + tail)
+                    for tail in product(reps, repeat=len(idxs) - 1)
+                )
+    inst._codes = tuple(codes)
+    return inst._codes
+
+
 def building_blocks(inst):
-    """All blocks in normal form, sorted by `Block.sort_key`.
+    """All blocks in normal form, in `Block.sort_key` order: one `Block` per
+    code of `_block_codes`.
 
     Distinct normal forms have distinct subspaces, so no block is listed
     twice and none of their subspaces is built here.  Let two normal forms
@@ -352,19 +381,12 @@ def building_blocks(inst):
         phi(K) = K, as K is closed.  So g_r K = g'_r K, and the canonical
         coset representatives are equal.
     """
-    if inst._blocks is not None:
-        return inst._blocks
-    blocks = []
-    for K in closed_subgroups(inst).members:
-        reps = tuple(c.rep for c in left_cosets(inst.group, K))
-        for k in range(1, inst.n + 1):
-            if k == 1 and len(K) == 1:
-                continue
-            for idxs in combinations(range(1, inst.n + 1), k):
-                for tail in product(reps, repeat=k - 1):
-                    blocks.append(Block(subgroup=K, indices=idxs, cosets=(0,) + tail))
-    blocks.sort(key=attrgetter("sort_key"))
-    inst._blocks = tuple(blocks)
+    if inst._blocks is None:
+        members = closed_subgroups(inst).members
+        inst._blocks = tuple(
+            Block(members[label], idxs, cosets)
+            for label, idxs, cosets in _block_codes(inst)
+        )
     return inst._blocks
 
 
@@ -432,79 +454,103 @@ def blocks_compatible(inst, b1, b2):
     return not (len(b1.subgroup) == whole and len(b2.subgroup) == whole)
 
 
-def _compatibility(inst, blocks):
-    """`blocks_compatible` and `block_leq` over normal-form `blocks` as bit
-    masks by position: (compat, up), compat[k] the blocks other than
-    blocks[k] compatible with it and up[k] the blocks c with
-    `block_leq`(c, blocks[k]), blocks[k] included.
+def _compatibility(inst):
+    """`blocks_compatible` and `block_leq` over the blocks of `_block_codes`
+    as bit masks by position: (compat, up), compat[k] the blocks other than
+    block k compatible with it and up[k] the blocks c with `block_leq`(c,
+    block k), block k included.  No `Block` is built.
 
-    Take b = H^K(i^{h_i K}, ...) on the indices I.  A block c =
-    H^L(i_0^{e L}, ...) has a_0 = h_{i_0}^-1, so by the rule stated in
-    `block_leq` it lies in up[b] exactly when its indices lie in I,
-    a_0 L a_0^-1 <= K, and its coset at each further index i lies in
-    h_i K a_0.  Each condition is a mask of blocks; the label test is
-    memoised per (K, a_0) for every L at once, and the coset test per
-    (i, h_i, K, a_0).  Comparable pairs are
-    compatible; of the others, index-disjoint pairs are compatible unless
-    both are labelled G, and pairs whose indices overlap never are.
+    Take b = H^K(i_1^{e K}, i_2^{h_2 K}, ...) on the indices I.  A block c
+    containing b has its indices in I, so its first index is i_1 or later.
+      - c with first index i_1 has a_0 = e in `block_leq`, so it contains b
+        exactly when its label L <= K and its coset at each further index j
+        lies in h_j K.  F[b] is the mask of these, the coset test memoised
+        per (j, K, h_j).
+      - Let tail(b) be b restricted to i_2, ...: the v with v_{i_s} = h_s w,
+        s >= 2, w in Fix(K), that is H^K'(i_2^{e K'}, i_s^{h_s h_2^-1 K'})
+        with K' = h_2 K h_2^-1, as h_2 Fix(K) = Fix(K').  K' is closed since
+        conjugates of closed subgroups are (`_check_closed_set`), so tail(b)
+        is a block, or the whole space when it is one index labelled {e}.
+        A c with first index after i_1 that contains b or tail(b) has its
+        indices among i_2, ..., the only factors it constrains, where b and
+        tail(b) project alike; so c contains b exactly when it contains
+        tail(b).
+    Hence up[b] = F[b] | up[tail(b)], tail(b) having a later first index.
+    Comparable pairs are compatible; of the others, index-disjoint pairs are
+    compatible unless both are labelled G, and overlapping pairs never are.
     """
     G, n = inst.group, inst.n
+    table, order = G._mul, G.order
     members = closed_subgroups(inst).members
-    label_of = {K.elements: l for l, K in enumerate(members)}
-    labels = [label_of[b.subgroup.elements] for b in blocks]
-    spans = [sum(1 << i for i in b.indices) for b in blocks]
+    label_of = {K.elements: label for label, K in enumerate(members)}
+    codes = _block_codes(inst)
+    pos = {code: k for k, code in enumerate(codes)}
     with_label = [0] * len(members)
-    first_at = [0] * (n + 1)
-    at = {}  # (index, coset) -> the blocks with that coset at that index
-    by_span = {}
-    for k, b in enumerate(blocks):
+    first_at = [[] for _ in range(n + 1)]  # the positions by first index
+    at = [0] * ((n + 1) * order)  # [i * order + g]: coset g at index i
+    inside = [0] * (1 << n)  # by index set (bit i - 1 for index i)
+    spans = []
+    for k, (label, idxs, cosets) in enumerate(codes):
         bit = 1 << k
-        with_label[labels[k]] |= bit
-        first_at[b.indices[0]] |= bit
-        for i, g in zip(b.indices, b.cosets):
-            at[i, g] = at.get((i, g), 0) | bit
-        by_span[spans[k]] = by_span.get(spans[k], 0) | bit
-    # the blocks on indices inside a span, apart from it, and without index i
-    inside = {s: sum(x for t, x in by_span.items() if not t & ~s) for s in by_span}
-    apart = {s: sum(x for t, x in by_span.items() if not t & s) for s in by_span}
-    off = [sum(x for t, x in by_span.items() if not t >> i & 1) for i in range(n + 1)]
-    label_masks = {}  # (K, a_0) -> the blocks labelled L with a_0 L a_0^-1 <= K
-    tie_masks = {}  # (i, h, K, a_0) -> the blocks off i or with a coset in h K a_0 there
-    up = [0] * len(blocks)
-    down = [0] * len(blocks)
-    for k, b in enumerate(blocks):
-        K = members[labels[k]].elements
-        for r, i0 in enumerate(b.indices):
-            a0 = G.inv(b.cosets[r])
-            key = (labels[k], a0)
-            if key not in label_masks:
-                label_masks[key] = sum(
-                    with_label[l]
-                    for l, L in enumerate(members)
-                    if all(G.conj(a0, x) in K for x in L.elements)
-                )
-            sel = first_at[i0] & inside[spans[k]] & label_masks[key]
-            for i, h in zip(b.indices[r + 1 :], b.cosets[r + 1 :]):
-                tie_key = (i, h) + key
-                tie = tie_masks.get(tie_key)
+        with_label[label] |= bit
+        first_at[idxs[0]].append(k)
+        for i, g in zip(idxs, cosets):
+            at[i * order + g] |= bit
+        span = sum(1 << i - 1 for i in idxs)
+        spans.append(span)
+        inside[span] |= bit
+    # subset sums: inside[s] becomes the blocks on indices inside s
+    for i in range(n):
+        for s in range(1 << n):
+            if s >> i & 1:
+                inside[s] |= inside[s ^ 1 << i]
+    full = (1 << n) - 1
+    sets = [set(K.elements) for K in members]
+    below = [sum(x for L, x in zip(sets, with_label) if L <= K) for K in sets]
+    ties, conj, rep = {}, {}, {}
+    up = [0] * len(codes)
+    for i0 in range(n, 0, -1):
+        firsts = sum(1 << k for k in first_at[i0])
+        for k in first_at[i0]:
+            label, idxs, cosets = codes[k]
+            sel = firsts & inside[spans[k]] & below[label]
+            for j, h in zip(idxs[1:], cosets[1:]):
+                tie = ties.get((j, label, h))
                 if tie is None:
-                    tie = tie_masks[tie_key] = off[i] | sum(
-                        at.get((i, G.mul(h, G.mul(x, a0))), 0) for x in K
+                    tie = ties[j, label, h] = inside[full ^ 1 << j - 1] | sum(
+                        at[j * order + table[h][x]] for x in members[label].elements
                     )
                 sel &= tie
-            up[k] |= sel
-        rest = up[k]
+            # label 0 is {e}: a tail of one index labelled {e} is no block
+            if len(idxs) > 2 or len(idxs) == 2 and label:
+                h2 = cosets[1]
+                K2 = conj.get((label, h2))
+                if K2 is None:
+                    K2 = conj[label, h2] = label_of[
+                        tuple(sorted(G.conj(h2, x) for x in members[label].elements))
+                    ]
+                h2_inv = G.inv(h2)
+                tail = [0]
+                for h in cosets[2:]:
+                    g = table[h][h2_inv]
+                    r = rep.get((K2, g))
+                    if r is None:
+                        r = rep[K2, g] = coset_rep(G, members[K2], g)
+                    tail.append(r)
+                sel |= up[pos[K2, idxs[1:], tuple(tail)]]
+            up[k] = sel
+    down = [0] * len(codes)
+    for k, rest in enumerate(up):
         while rest:
             low = rest & -rest
             rest ^= low
             down[low.bit_length() - 1] |= 1 << k
-    g_blocks = with_label[label_of[tuple(G.elements())]]
-    compat = [
-        (apart[s] & ~(g_blocks if g_blocks >> k & 1 else 0) | up[k] | down[k])
+    g_blocks = with_label[-1]
+    return [
+        (inside[full ^ s] & ~(g_blocks if g_blocks >> k & 1 else 0) | up[k] | down[k])
         & ~(1 << k)
         for k, s in enumerate(spans)
-    ]
-    return compat, up
+    ], up
 
 
 def is_block_subspace(inst, W):
@@ -726,7 +772,7 @@ def intersection_lattice(inst):
     d, m, n = inst.ambient_dim, inst.block_width, inst.n
     whole = inst.group.order
     blocks = building_blocks(inst)
-    _, ups = _compatibility(inst, blocks)
+    _, ups = _compatibility(inst)
     tied = []
     for b in blocks:
         own = {c for i in b.indices for c in range((i - 1) * m, i * m)}
@@ -887,8 +933,8 @@ def iter_nested_sets(inst):
     number of sets.  Raises SizeBoundExceeded when called, as
     `enumerate_nested_sets` does, not on the first set drawn.
     """
-    blocks, compat = _clique_table(inst)
-    return _cliques(blocks, compat)
+    compat = _clique_table(inst)
+    return _cliques(building_blocks(inst), compat)
 
 
 def _cliques(blocks, compat):
@@ -910,13 +956,12 @@ def _cliques(blocks, compat):
 
 
 def _clique_table(inst):
-    """(blocks, compat) for the clique search, after the cap check."""
+    """The compat masks of `_compatibility` for the clique search, after
+    the cap check."""
     from .forests import count_forests  # forests imports this module
 
     count_forests(inst)
-    blocks = building_blocks(inst)
-    compat, _ = _compatibility(inst, blocks)
-    return blocks, compat
+    return _compatibility(inst)[0]
 
 
 def count_nested_sets(inst):
@@ -934,7 +979,7 @@ def count_nested_sets(inst):
     Raises SizeBoundExceeded before any block is built, as
     `enumerate_nested_sets` does.
     """
-    _, compat = _clique_table(inst)
+    compat = _clique_table(inst)
     memo = {}
 
     def cliques(cand):

@@ -1,9 +1,9 @@
 """Command-line surface.
 
 Exit codes: 0 success, 1 cross-check disagreement, 2 input error, 3 size or
-group-order bound exceeded.  Output for a fixed input file and flags is
-byte-stable, except the elapsed time `count` prints after each method's
-count ("lattice 93 (0.004s)").
+group-order bound exceeded, or out of memory.  Output for a fixed input file
+and flags is byte-stable, except the elapsed time `count` prints after each
+method's count ("lattice 93 (0.004s)").
 """
 
 from __future__ import annotations
@@ -282,6 +282,9 @@ def main(argv=None):
         return EXIT_INPUT
     except (SizeBoundExceeded, OrderBoundExceeded) as exc:
         sys.stderr.write(f"bound exceeded: {exc}\n")
+        return EXIT_BOUND
+    except MemoryError:
+        sys.stderr.write("bound exceeded: out of memory; try a smaller --n or cap\n")
         return EXIT_BOUND
     except DowlingNestError as exc:
         sys.stderr.write(f"error: {exc}\n")

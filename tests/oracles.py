@@ -22,7 +22,6 @@ from math import factorial
 
 from dowlingnest.arrangement import (
     _compatibility,
-    building_blocks,
     closed_subgroups,
     raw_arrangement,
 )
@@ -749,7 +748,7 @@ def clique_count_by_walk(inst):
     """The cliques of the compatibility table, counted one step per clique:
     the walk `count_nested_sets` memoises per candidate mask, without the
     memo and without the cap check."""
-    compat, _ = _compatibility(inst, building_blocks(inst))
+    compat, _ = _compatibility(inst)
 
     def cliques(cand):
         total = 0

@@ -57,6 +57,7 @@ from conftest import (
     capped,
     make_abelian_instance,
     make_n3_grid,
+    make_nonabelian_instance,
     make_s3_instance,
     small_abelian_instances,
 )
@@ -681,7 +682,7 @@ def test_compatibility_rules(klein):
 
 def assert_table_matches_the_pairwise_oracles(inst):
     blocks = building_blocks(inst)
-    compat, up = _compatibility(inst, blocks)
+    compat, up = _compatibility(inst)
     for k, b in enumerate(blocks):
         for j, c in enumerate(blocks):
             assert bool(up[k] >> j & 1) == block_leq(inst, c, b), (k, j)
@@ -708,13 +709,48 @@ def test_compatibility_table_matches_the_pairwise_oracles(inst):
         lambda: load_instance(INSTANCES / "z4_plane.json", n_override=3),
         lambda: z4_plane_from_matrices(3),
         lambda: load_instance(INSTANCES / "klein4.json", n_override=3),
+        lambda: make_nonabelian_instance("D4", 2),
+        lambda: make_nonabelian_instance("Q8", 2),
+        lambda: make_nonabelian_instance("A4", 2),
+        lambda: make_nonabelian_instance("D4", 3),
+        lambda: make_nonabelian_instance("S4", 2),
     ],
-    ids=["s3-n1", "s3-n2", "s3-n3", "chains8-n2", "z4_plane-n3", "z4_plane-matrices-n3", "klein4-n3"],
+    ids=[
+        "s3-n1", "s3-n2", "s3-n3", "chains8-n2", "z4_plane-n3",
+        "z4_plane-matrices-n3", "klein4-n3", "d4-n2", "q8-n2", "a4-n2", "d4-n3",
+        "s4-n2",
+    ],
 )
 def test_compatibility_table_matches_the_pairwise_oracles_on_fixed_cases(make):
-    """The tie masks are memoised per (index, coset, label, a_0): z4_plane
-    has a label with two cosets, and klein4 has three labels of index 2."""
+    """The containment masks come from a recurrence on the block with its
+    first index dropped, relabelled by a conjugate of its label, and the
+    coset test is memoised per (index, label, coset): z4_plane has a label
+    with two cosets, klein4 has three labels of index 2, and the nonabelian
+    groups have labels that conjugation moves."""
     assert_table_matches_the_pairwise_oracles(make())
+
+
+def test_blocks_come_out_in_sort_key_order():
+    """`building_blocks` is made in `Block.sort_key` order and sorts
+    nothing, so the order is checked here, with the number of blocks."""
+    nonabelian = [make_nonabelian_instance(name, 3) for name in ("D4", "Q8", "A4", "S4")]
+    for inst in make_n3_grid() + nonabelian:
+        blocks = building_blocks(inst)
+        keys = [b.sort_key for b in blocks]
+        assert keys == sorted(keys)
+        assert len(blocks) == block_count(inst)
+
+
+def test_the_clique_count_builds_no_block(monkeypatch):
+    """`count_nested_sets` reads the integer codes alone; S3 at n = 3 has
+    labels that conjugation moves."""
+    from dowlingnest import arrangement
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Block was built")
+
+    monkeypatch.setattr(arrangement, "Block", refuse)
+    assert count_nested_sets(make_s3_instance(3)) == 10159
 
 
 def z4_plane_from_matrices(n):

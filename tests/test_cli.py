@@ -973,6 +973,20 @@ def test_caps_refuse_before_any_block_is_built(argv):
     assert "Traceback" not in done.stderr
 
 
+def test_out_of_memory_is_exit_3_without_a_traceback(capsys, monkeypatch):
+    """A `MemoryError` is a bound exceeded, not a disagreement (exit 1)."""
+
+    def exhaust(inst, args, out):
+        raise MemoryError
+
+    monkeypatch.setitem(cli.HANDLERS, "count", exhaust)
+    code, out, err = run_cli(capsys, "count", "--input", str(INSTANCES / "z2.json"))
+    assert code == 3
+    assert out == ""
+    assert err.startswith("bound exceeded: out of memory")
+    assert "Traceback" not in err
+
+
 def test_egf_count_is_refused_past_its_estimate(capsys):
     """The estimate of the count at n is (n + 1)^2 * n: 1210 at n = 10."""
     z2 = str(INSTANCES / "z2.json")

@@ -61,8 +61,8 @@ from .groups import (
     subgroup_conj_classes,
 )
 from .instancefile import load_instance, parse_instance
-from .linalg import RMatrix, Subspace, kernel
-from .reps import Representation, fix_subspace
+from .linalg import Subspace, kernel
+from .reps import Representation
 from .series import (
     MultiSeries,
     big_g,
@@ -94,7 +94,6 @@ __all__ = [
     "NotRealizable",
     "OrderBoundExceeded",
     "ProblemInstance",
-    "RMatrix",
     "Representation",
     "SizeBoundExceeded",
     "Subgroup",
@@ -114,7 +113,6 @@ __all__ = [
     "enumerate_forests",
     "enumerate_nested_sets",
     "enumerate_subgroups",
-    "fix_subspace",
     "flat_counts",
     "forest_to_nested",
     "gamma_bar",

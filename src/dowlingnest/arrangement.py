@@ -97,9 +97,6 @@ class ProblemInstance:
             self._conj = subgroup_conj_classes(self.group, self.subgroups())
         return self._conj
 
-    def fix(self, H):
-        return self.rep.fix(H)
-
     def subgroup_label(self, H):
         return self.names.get(H.elements, H.label())
 
@@ -186,9 +183,8 @@ class ClosedSubgroupSet(Frozen):
 
     @property
     def proper(self):
-        """Closed subgroups other than the full group."""
-        full = max(len(K) for K in self.members)
-        return tuple(K for K in self.members if len(K) != full)
+        """Closed subgroups other than the full group, which sorts last."""
+        return self.members[:-1]
 
 
 def closed_subgroups(inst):
@@ -599,11 +595,12 @@ def _reconstruct_block(inst, W):
     carries = []
     for f in constrained[1:]:
         found = None
-        for g in inst.group.elements():
-            mat = inst.rep.matrix(g)
+        for g, (rows, den) in enumerate(inst.rep.forms):
+            # rho(g) x = y with rho(g) = rows / den, row by row
             if all(
-                tuple(mat.apply(v[j1 * b : (j1 + 1) * b])) == tuple(v[f * b : (f + 1) * b])
+                sum(map(mul, row, v[j1 * b : (j1 + 1) * b])) == den * y
                 for v in tied.basis
+                for row, y in zip(rows, v[f * b : (f + 1) * b])
             ):
                 found = g
                 break

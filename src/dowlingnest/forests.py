@@ -384,10 +384,9 @@ def count_forests(inst):
         )
     G = inst.group
     members = closed_subgroups(inst).members
-    whole = Subgroup(tuple(range(G.order)))
     trivial = Subgroup((G.identity,))
-    full = next((k for k, K in enumerate(members) if K == whole), None)
-    others = [l for l in range(len(members)) if l != full]
+    full = len(members) - 1  # G is closed and sorts last
+    others = range(full)
 
     first, weights, smaller = [], [], []
     for K in members:
@@ -426,16 +425,14 @@ def count_forests(inst):
                 G.order // len(K) * leaf + sum(w * T[l][m] for l, w in weights[k])
             )
             _extend_exp(E[k], B[k])
-        if full is not None:
-            a, e = A[full], E[full]
-            D.append(sum(comb(m - 1, i) * a[i + 1] * e[m - 1 - i] for i in range(m)))
+        a, e = A[full], E[full]
+        D.append(sum(comb(m - 1, i) * a[i + 1] * e[m - 1 - i] for i in range(m)))
     roots = [0] + [(m == 1) + sum(T[l][m] for l in others) for m in range(1, n + 1)]
     exp_roots = [1]
     for _ in range(n):
         _extend_exp(exp_roots, roots)
-    with_g = T[full] if full is not None else [0] * (n + 1)
     total = exp_roots[n] - 1
-    total += sum(comb(n, i) * exp_roots[i] * with_g[n - i] for i in range(n))
+    total += sum(comb(n, i) * exp_roots[i] * T[full][n - i] for i in range(n))
     if total > cap:
         raise SizeBoundExceeded(
             f"{total} nested sets at n={n} exceed the cap of {cap}; "
@@ -491,11 +488,10 @@ def enumerate_forests(inst):
     count_forests(inst)
     G = inst.group
     members = closed_subgroups(inst).members
-    whole = Subgroup(tuple(range(G.order)))
     trivial = Subgroup((G.identity,))
     # labels are indices into members; index LEAF stands for a leaf child
     LEAF = len(members)
-    full = next((k for k, K in enumerate(members) if K == whole), None)
+    full = LEAF - 1  # G is closed and sorts last
     edge_reps, below = [], []
     for K in members:
         reps = tuple(c.rep for c in left_cosets(G, K))

@@ -22,11 +22,11 @@ class FiniteGroup:
 
     __slots__ = ("order", "identity", "abelian_spec", "_mul", "_inv", "_abelian")
 
-    def __init__(self, table, abelian_spec=None):
+    def __init__(self, table):
         self.order = len(table)
         self.identity = 0
         self._mul = tuple(tuple(row) for row in table)
-        self.abelian_spec = tuple(abelian_spec) if abelian_spec is not None else None
+        self.abelian_spec = None
         self._validate()
         self._inv = tuple(self._find_inverse(a) for a in range(self.order))
         self._abelian = all(
@@ -60,20 +60,6 @@ class FiniteGroup:
                             raise InstanceError(
                                 f"Cayley table not associative at ({a},{b},{c})"
                             )
-        if self.abelian_spec is not None:
-            self._validate_abelian_spec()
-
-    def _validate_abelian_spec(self):
-        spec = self.abelian_spec
-        if any(d <= 0 for d in spec):
-            raise InstanceError("invariant factors must be positive")
-        size = 1
-        for d in spec:
-            size *= d
-        if size != self.order:
-            raise InstanceError("invariant factors do not match table size")
-        if self._mul != _abelian_table(spec):
-            raise InstanceError("Cayley table disagrees with componentwise addition")
 
     def _find_inverse(self, a):
         for b in range(self.order):
@@ -125,16 +111,12 @@ class FiniteGroup:
     # -- constructors --------------------------------------------------------
 
     @classmethod
-    def from_cayley(cls, table):
-        return cls(table)
-
-    @classmethod
     def from_abelian(cls, factors):
         factors = tuple(int(d) for d in factors)
         if any(d <= 0 for d in factors):
             raise InstanceError("invariant factors must be positive")
         # the table is the spec's addition by construction, so the spec is
-        # attached after validation instead of compared with a second table
+        # attached after validation
         G = cls(_abelian_table(factors))
         G.abelian_spec = factors
         return G
@@ -325,7 +307,6 @@ class ConjClassPoset:
         n = len(classes)
         leq = [[False] * n for _ in range(n)]
         for i, ci in enumerate(classes):
-            qi = set(classes[i].representative.elements)
             for j, cj in enumerate(classes):
                 qj = set(cj.representative.elements)
                 leq[i][j] = any(set(m.elements) <= qj for m in ci.members)
@@ -337,9 +318,6 @@ class ConjClassPoset:
     def leq(self, P, Q):
         """[P] <= [Q] for subgroups P, Q."""
         return self._leq[self.class_index(P)][self.class_index(Q)]
-
-    def leq_index(self, i, j):
-        return self._leq[i][j]
 
 
 def subgroup_conj_classes(G, subgroups=None):

@@ -56,7 +56,7 @@ def parse_group(data):
         if not isinstance(table, list) or not all(isinstance(r, list) for r in table):
             raise InstanceError("group.cayley: expected a list of rows")
         check_order_bound(len(table))
-        return FiniteGroup.from_cayley(table)
+        return FiniteGroup(table)
     raise InstanceError("group: needs either 'abelian' or 'cayley'")
 
 
@@ -139,6 +139,6 @@ def load_instance(path, **kwargs):
             data = json.load(fh)
     except OSError as exc:
         raise InstanceError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InstanceError(f"{path}: invalid JSON at line {exc.lineno}") from exc
+    except (ValueError, RecursionError) as exc:  # bad syntax, bytes or depth
+        raise InstanceError(f"{path}: invalid JSON: {exc}") from exc
     return parse_instance(data, **kwargs)

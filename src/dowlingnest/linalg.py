@@ -1,14 +1,15 @@
 """Exact rational matrices and subspaces in reduced row echelon form.
 
 Everything here is over Fraction or int; no floating point is used anywhere,
-so containment and equality of subspaces are genuine decisions.  A Subspace
-is canonically represented by the RREF basis of its row space, which makes
-set-equality of subspaces the same as equality of its compared fields.
-There is one elimination, the fraction-free `integer_echelon`: `rref` and
-`kernel` scale their rows to integers, eliminate there, and divide each row
-by its pivot only at the end, and `RMatrix.mul` and `form_product` take
-integer products over one denominator, skipping zero entries.  Fractions
-are built only for what is returned.
+so containment and equality of subspaces are genuine decisions.  A matrix
+is held as its integer form (rows, den), integer rows over one
+denominator, and `form_product` multiplies two of them, skipping zero
+entries.  A Subspace is canonically represented by the RREF basis of its
+row space, which makes set-equality of subspaces the same as equality of
+its compared fields.  There is one elimination, the fraction-free
+`integer_echelon`: `rref` and `kernel` scale their rows to integers,
+eliminate there, and divide each row by its pivot only at the end.
+Fractions are built only for what is returned.
 """
 
 from __future__ import annotations
@@ -17,74 +18,11 @@ from fractions import Fraction
 from itertools import compress, count
 from math import gcd, lcm
 
-from .errors import AmbientMismatch, InstanceError
+from .errors import AmbientMismatch
 from .frozen import Frozen, _set
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-
-
-class RMatrix(Frozen):
-    """Immutable rational matrix."""
-
-    __slots__ = ("entries",)
-
-    def __init__(self, entries):
-        entries = tuple(
-            tuple(x if type(x) is Fraction else Fraction(x) for x in row)
-            for row in entries
-        )
-        _set(self, "entries", entries)
-        if entries and any(len(r) != len(entries[0]) for r in entries):
-            raise InstanceError("ragged matrix")
-
-    @property
-    def rows(self):
-        return len(self.entries)
-
-    @property
-    def cols(self):
-        return len(self.entries[0]) if self.entries else 0
-
-    @classmethod
-    def identity(cls, n):
-        return cls(tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n)))
-
-    @classmethod
-    def zero(cls, rows, cols):
-        return cls(tuple(tuple(ZERO for _ in range(cols)) for _ in range(rows)))
-
-    def mul(self, other):
-        """The product, as an integer product over one denominator."""
-        if self.cols != other.rows:
-            raise AmbientMismatch("matrix product shape mismatch")
-        a, da = _over_one_denominator(self.entries)
-        b, db = _over_one_denominator(other.entries)
-        den = da * db
-        return RMatrix(
-            tuple(
-                tuple(Fraction(x, den) for x in row) for row in _integer_product(a, b)
-            )
-        )
-
-    def integer_form(self):
-        """The `integer_form` of the entries."""
-        return integer_form(self.entries)
-
-    def sub(self, other):
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise AmbientMismatch("matrix difference shape mismatch")
-        return RMatrix(
-            tuple(
-                tuple(a - b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.entries, other.entries)
-            )
-        )
-
-    def apply(self, vector):
-        if len(vector) != self.cols:
-            raise AmbientMismatch("matrix-vector shape mismatch")
-        return tuple(sum(a * x for a, x in zip(row, vector)) for row in self.entries)
 
 
 def _over_one_denominator(rows):
@@ -189,10 +127,11 @@ class Subspace(Frozen):
 
     @classmethod
     def full(cls, ambient_dim):
-        return cls(
-            ambient_dim=ambient_dim,
-            basis=RMatrix.identity(ambient_dim).entries,
+        basis = tuple(
+            tuple(ONE if i == j else ZERO for j in range(ambient_dim))
+            for i in range(ambient_dim)
         )
+        return cls(ambient_dim=ambient_dim, basis=basis)
 
     @property
     def echelon(self):
@@ -259,9 +198,10 @@ class Subspace(Frozen):
         return f"Subspace(dim={self.dim}/{self.ambient_dim})"
 
 
-def kernel(M):
-    """Canonical Subspace of all v with M v = 0."""
-    return Subspace.from_echelon(M.cols, kernel_echelon(M.entries, M.cols))
+def kernel(rows, ncols):
+    """Canonical Subspace of all v in Q^ncols with row . v = 0 for each of
+    the int or Fraction `rows`."""
+    return Subspace.from_echelon(ncols, kernel_echelon(rows, ncols))
 
 
 def kernel_echelon(rows, ncols):

@@ -17,22 +17,22 @@ Two input styles are supported:
   character exponent there).
 
 Each matrix is held once, as its integer form (rows, den), and each fixed
-space once, as its `integer_echelon`; the Fraction `RMatrix`es and
-`Subspace`s are built from those only when asked for.  Character input is
-checked on its exponents, and its forms are built only when first read.
-The Fraction routes (fixed spaces meet by meet, stabilizers by
-rho(g) v = v, companion powers as `RMatrix`es, character input checked on
-its matrices) are the oracles in `tests/oracles.py`.
+space once, as its `integer_echelon`; a fixed `Subspace` is built from its
+echelon only when asked for.  Character input is checked on its exponents,
+and its forms are built only when first read.  The Fraction routes (fixed
+spaces meet by meet, stabilizers by rho(g) v = v, companion powers as
+Fraction matrices, character input checked on its matrices) are the
+oracles in `tests/oracles.py`.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from numbers import Rational
 from operator import mul
 
 from .errors import InstanceError
 from .groups import Subgroup, generating_set
-from .linalg import RMatrix, Subspace, form_product, kernel_echelon
+from .linalg import Subspace, form_product, integer_form, kernel_echelon
 
 
 def cyclotomic_polynomial(n):
@@ -79,10 +79,9 @@ class Representation:
 
     dim_v is the dimension of V over the complex numbers; matrix_dim is
     the dimension of the rational realization (dim_v * scalar_degree).
-    `forms[g]` is the `integer_form` (rows, den) of rho(g); everything
-    reads the forms, and `matrices` are built from them on first use.
-    Given character exponents and neither forms nor matrices, the forms
-    too are built on first use, from the exponents.  Fixed spaces are
+    `forms[g]` is the `integer_form` (rows, den) of rho(g), and everything
+    reads the forms.  Given character exponents and no forms, the forms
+    are built on first use, from the exponents.  Fixed spaces are
     cached per subgroup as integer echelons (`fix_echelon`), and as
     `Subspace`s (`fix`) only once asked for.
     """
@@ -94,29 +93,16 @@ class Representation:
         "characters",
         "char_exponents",
         "_forms",
-        "_matrices",
         "_echelons",
         "_fix_cache",
     )
 
     def __init__(
-        self,
-        group,
-        dim_v,
-        scalar_degree,
-        matrices=None,
-        characters=None,
-        char_exponents=None,
-        *,
-        forms=None,
+        self, group, dim_v, scalar_degree, *, characters=None, char_exponents=None, forms=None
     ):
         self.group = group
         self.dim_v = dim_v
         self.scalar_degree = scalar_degree
-        self._matrices = None
-        if forms is None and matrices is not None:
-            self._matrices = tuple(matrices)
-            forms = (m.integer_form() for m in self._matrices)
         self._forms = None if forms is None else tuple(forms)
         self.characters = characters
         self.char_exponents = char_exponents
@@ -145,19 +131,6 @@ class Representation:
                 forms.append((tuple(rows), 1))
             self._forms = tuple(forms)
         return self._forms
-
-    @property
-    def matrices(self):
-        """One Fraction `RMatrix` per element, built from the forms once."""
-        if self._matrices is None:
-            self._matrices = tuple(
-                RMatrix(tuple(tuple(Fraction(x, den) for x in row) for row in rows))
-                for rows, den in self.forms
-            )
-        return self._matrices
-
-    def matrix(self, g):
-        return self.matrices[g]
 
     # -- constructors -------------------------------------------------------
 
@@ -203,20 +176,23 @@ class Representation:
 
     @classmethod
     def from_matrices(cls, group, generator_matrices):
-        """Extend matrices given on a generating set to all of G; the
+        """Extend matrices given on a generating set to all of G.  Each
+        matrix is a sequence of rows of int or Fraction entries; the
         identity acts as the identity matrix unless a matrix is given for it
         (which `_validate` then checks)."""
         known = {}
         dim = None
         for g, m in generator_matrices.items():
-            m = RMatrix(m.entries if isinstance(m, RMatrix) else m)
-            if m.rows != m.cols:
+            m = tuple(map(tuple, m))
+            if any(len(row) != len(m) for row in m):
                 raise InstanceError(f"matrix for element {g} is not square")
             if dim is None:
-                dim = m.rows
-            elif m.rows != dim:
+                dim = len(m)
+            elif len(m) != dim:
                 raise InstanceError("generator matrices have mixed sizes")
-            known[g] = m.integer_form()
+            if not all(isinstance(x, Rational) for row in m for x in row):
+                raise InstanceError(f"matrix for element {g} has an entry not int or Fraction")
+            known[g] = integer_form(m)
         if dim is None:
             raise InstanceError("no generator matrices given")
         known.setdefault(group.identity, _identity_form(dim))
@@ -250,8 +226,8 @@ class Representation:
                           = rho(ab') rho(s)          (induction)
                           = rho(ab's) = rho(ab)      (check at the pair ab', s).
 
-        Given forms or matrices, every rule is decided on the integer forms,
-        with no Fraction matrix: as the form of a matrix is unique, two
+        Given forms, every rule is decided on the integer forms, with no
+        Fraction matrix: as the form of a matrix is unique, two
         matrices are equal exactly when their forms are, and products are
         taken by `form_product`.
 
@@ -340,11 +316,6 @@ def _identity_form(dim):
 
 def _unit(i, dim):
     return (0,) * i + (1,) + (0,) * (dim - 1 - i)
-
-
-def fix_subspace(rep, elems):
-    """Subspace of vectors fixed by every listed element."""
-    return Subspace.from_echelon(rep.matrix_dim, _fix_echelon(rep, elems))
 
 
 def _fix_echelon(rep, elems):

@@ -80,7 +80,7 @@ def deleted_permutation_matrix(p):
 
 def make_s3_instance(n):
     perms, table = s3_cayley_table()
-    G = FiniteGroup.from_cayley(table)
+    G = FiniteGroup(table)
     mats = {i: deleted_permutation_matrix(p) for i, p in enumerate(perms)}
     rep = Representation.from_matrices(G, mats)
     return ProblemInstance(n, G, rep)
@@ -110,7 +110,7 @@ def matrix_group_instance(generators, n):
                 index[P] = len(elements)
                 elements.append(P)
     table = [[index[product(A, B)] for B in elements] for A in elements]
-    G = FiniteGroup.from_cayley(table)
+    G = FiniteGroup(table)
     rep = Representation.from_matrices(G, dict(enumerate(elements)))
     return ProblemInstance(n, G, rep)
 

@@ -4,9 +4,10 @@ These stay deliberately naive: exhaustive recursion straight from the
 defining combinatorics, no reuse of library internals beyond basic linear
 algebra for the lattices, the raw arrangement the lattice oracle closes,
 the forest node types, closed subgroups and cosets for the forest oracle,
-the series arithmetic for the series oracles, the Fraction matrices
-of a representation for the fixed-space and stabilizer oracles, the
-representation constructor's matrix route for character input, and the
+the series arithmetic for the series oracles, the integer forms of a
+representation, read as Fraction matrices (`FractionMatrix`, built by
+`matrices_of`), for the fixed-space and stabilizer oracles, the
+representation constructor's form route for character input, and the
 block compatibility table for the clique walk (the table has its own
 pairwise oracle tests).  The small checks on posets, subgroups and
 matrices that only tests use live here too, and so does `series_to_json`,
@@ -28,7 +29,7 @@ from dowlingnest.arrangement import (
 from dowlingnest.errors import SizeBoundExceeded
 from dowlingnest.forests import LabelledForest, Leaf, Vertex
 from dowlingnest.groups import Subgroup, left_cosets
-from dowlingnest.linalg import RMatrix, Subspace, kernel
+from dowlingnest.linalg import Subspace, integer_form, kernel
 from dowlingnest.poset import Poset
 from dowlingnest.reps import Representation, cyclotomic_polynomial
 from dowlingnest.series import (
@@ -344,6 +345,49 @@ def gauss_jordan_rref(rows):
     return tuple(tuple(row) for row in m[:r]), tuple(pivots)
 
 
+class FractionMatrix:
+    """A rational matrix in Fraction arithmetic: `entries` is a tuple of
+    rows, and the product is `dense_product`."""
+
+    __slots__ = ("entries",)
+
+    def __init__(self, entries):
+        self.entries = tuple(tuple(Fraction(x) for x in row) for row in entries)
+
+    def __eq__(self, other):
+        return isinstance(other, FractionMatrix) and self.entries == other.entries
+
+    def __repr__(self):
+        return f"FractionMatrix({self.entries!r})"
+
+    @property
+    def rows(self):
+        return len(self.entries)
+
+    @classmethod
+    def identity(cls, n):
+        return cls([[int(i == j) for j in range(n)] for i in range(n)])
+
+    def sub(self, other):
+        return FractionMatrix(
+            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.entries, other.entries)]
+        )
+
+    def apply(self, vector):
+        return tuple(sum(a * x for a, x in zip(row, vector)) for row in self.entries)
+
+    def integer_form(self):
+        return integer_form(self.entries)
+
+
+def matrices_of(rep):
+    """rho(g) for each element g, as a `FractionMatrix` built from the form."""
+    return tuple(
+        FractionMatrix([[Fraction(x, den) for x in row] for row in rows])
+        for rows, den in rep.forms
+    )
+
+
 def companion_matrix(poly):
     """Companion matrix of a monic polynomial given by ascending coefficients."""
     deg = len(poly) - 1
@@ -352,7 +396,7 @@ def companion_matrix(poly):
         entries[i][i - 1] = Fraction(1)
     for i in range(deg):
         entries[i][deg - 1] = Fraction(-poly[i])
-    return RMatrix(tuple(tuple(r) for r in entries))
+    return FractionMatrix(entries)
 
 
 def _block_diag(blocks):
@@ -361,10 +405,10 @@ def _block_diag(blocks):
     off = 0
     for b in blocks:
         for i in range(b.rows):
-            for j in range(b.cols):
+            for j in range(b.rows):
                 entries[off + i][off + j] = b.entries[i][j]
         off += b.rows
-    return RMatrix(tuple(tuple(r) for r in entries))
+    return FractionMatrix(entries)
 
 
 def character_exponents(group, characters):
@@ -387,9 +431,9 @@ def exponent_matrices(group, exponents):
     polynomial, k the row's entry j (N the exponent of the group)."""
     N = group.exponent()
     comp = companion_matrix(cyclotomic_polynomial(N))
-    powers = [RMatrix.identity(comp.rows)]
+    powers = [FractionMatrix.identity(comp.rows)]
     for _ in range(1, N):
-        powers.append(powers[-1].mul(comp))
+        powers.append(dense_product(powers[-1], comp))
     return tuple(_block_diag([powers[k % N] for k in row]) for row in exponents)
 
 
@@ -400,25 +444,27 @@ def character_matrices(group, characters):
 
 
 def representation_by_matrices(group, exponents):
-    """The representation with the given character exponents, given by its
-    Fraction matrices: the constructor then decides the homomorphism,
-    identity and faithfulness rules on one integer form per element, with
-    `form_product`, where character input is decided on the exponents."""
+    """The representation with the given character exponents, given by the
+    integer forms of its Fraction matrices: the constructor then decides
+    the homomorphism, identity and faithfulness rules on one form per
+    element, with `form_product`, where character input is decided on the
+    exponents."""
     dim_v = len(exponents[0])
     degree = len(cyclotomic_polynomial(group.exponent())) - 1
-    return Representation(group, dim_v, degree, exponent_matrices(group, exponents))
+    forms = [m.integer_form() for m in exponent_matrices(group, exponents)]
+    return Representation(group, dim_v, degree, forms=forms)
 
 
 def dense_product(A, B):
-    """The product of two `RMatrix`es, one Fraction dot product per entry."""
+    """The product of two `FractionMatrix`es, one Fraction dot product per entry."""
     cols = tuple(zip(*B.entries))
-    return RMatrix(
+    return FractionMatrix(
         tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in cols) for row in A.entries)
     )
 
 
 def is_identity(M):
-    return M == RMatrix.identity(M.rows)
+    return M == FractionMatrix.identity(M.rows)
 
 
 def zero_space(ambient_dim):
@@ -496,11 +542,12 @@ def fix_subspace_via_kernels(rep, elems):
     the Fraction matrices and ignoring any character shortcut."""
     dim = rep.matrix_dim
     space = Subspace.full(dim)
-    ident = RMatrix.identity(dim)
+    ident = FractionMatrix.identity(dim)
+    matrices = matrices_of(rep)
     for g in elems:
         if g == rep.group.identity:
             continue
-        space = space.intersect(kernel(rep.matrix(g).sub(ident)))
+        space = space.intersect(kernel(matrices[g].sub(ident).entries, dim))
     return space
 
 
@@ -510,8 +557,8 @@ def pointwise_stabilizer_by_definition(rep, subspace):
     return Subgroup(
         tuple(
             g
-            for g in range(rep.group.order)
-            if all(rep.matrix(g).apply(v) == v for v in subspace.basis)
+            for g, M in enumerate(matrices_of(rep))
+            if all(M.apply(v) == v for v in subspace.basis)
         )
     )
 
@@ -530,9 +577,9 @@ def dowling_hyperplane_lattice(r, n):
     companion matrix of the r-th cyclotomic polynomial."""
     comp = companion_matrix(cyclotomic_polynomial(r))
     deg = comp.rows
-    powers = [RMatrix.identity(deg)]
+    powers = [FractionMatrix.identity(deg)]
     for _ in range(1, r):
-        powers.append(powers[-1].mul(comp))
+        powers.append(dense_product(powers[-1], comp))
     ambient = n * deg
     hyperplanes = []
     for i in range(n):
@@ -545,13 +592,13 @@ def dowling_hyperplane_lattice(r, n):
                     for cc in range(deg):
                         row[i * deg + cc] -= powers[k].entries[c][cc]
                     rows.append(tuple(row))
-                hyperplanes.append(kernel(RMatrix(tuple(rows))))
+                hyperplanes.append(kernel(rows, ambient))
         rows = []
         for c in range(deg):
             row = [Fraction(0)] * ambient
             row[i * deg + c] = Fraction(1)
             rows.append(tuple(row))
-        hyperplanes.append(kernel(RMatrix(tuple(rows))))
+        hyperplanes.append(kernel(rows, ambient))
     full = Subspace.full(ambient)
     elems = {full.basis: full}
     for h in hyperplanes:

@@ -50,7 +50,6 @@ from dowlingnest.arrangement import (
 )
 from dowlingnest.export import nested_covers
 from dowlingnest.instancefile import load_instance
-from dowlingnest.linalg import RMatrix
 from dowlingnest.selftest import CHECKS, run_selftest
 
 from conftest import (
@@ -65,6 +64,7 @@ from oracles import (
     check_partial_order,
     clique_count_by_walk,
     lattice_oracle,
+    matrices_of,
     set_partitions,
 )
 
@@ -128,7 +128,7 @@ def test_phi_is_a_closure_operator(klein, s3, z4_plane):
             P = closure_phi(inst, H)
             assert set(H.elements) <= set(P.elements)
             assert closure_phi(inst, P) == P
-            assert inst.fix(P) == inst.fix(H)
+            assert inst.rep.fix(P) == inst.rep.fix(H)
         for H in subs:
             for K in subs:
                 if H.is_subset(K):
@@ -186,7 +186,7 @@ def test_character_closure_agrees_with_stabilizer_route():
     for inst in abelian:
         for H in inst.subgroups():
             assert closure_phi(inst, H) == pointwise_stabilizer(
-                inst.rep, inst.fix(H)
+                inst.rep, inst.rep.fix(H)
             )
 
 
@@ -248,7 +248,7 @@ def brute_force_hyperplane_lattice(normal_sets, ambient):
     for size in range(1, len(normal_sets) + 1):
         for subset in combinations(normal_sets, size):
             rows = tuple(row for rows in subset for row in rows)
-            spaces.add(kernel(RMatrix(rows)).basis)
+            spaces.add(kernel(rows, ambient).basis)
     return spaces
 
 
@@ -561,7 +561,7 @@ def test_block_subspace_dimension_identity():
         for b in building_blocks(inst):
             dim = block_subspace(inst, b).dim
             free = (inst.n - len(b.indices)) * inst.block_width
-            assert dim == inst.fix(b.subgroup).dim + free
+            assert dim == inst.rep.fix(b.subgroup).dim + free
 
 
 def test_block_subspace_injective_on_output(z2, z3, z4, klein, s3):
@@ -606,15 +606,26 @@ def test_conjugation_identification_of_blocks(s3):
     for K in closed_subgroups(s3).members:
         for g in G.elements():
             for g2 in G.elements():
-                lhs = free_factor_subspace(s3, s3.fix(K).echelon, (0, 1), (g, g2))
+                lhs = free_factor_subspace(s3, s3.rep.fix(K).echelon, (0, 1), (g, g2))
                 Kg = conjugate_subgroup(G, K, g)
                 rhs = free_factor_subspace(
-                    s3, s3.fix(Kg).echelon, (0, 1), (0, G.mul(g2, G.inv(g)))
+                    s3, s3.rep.fix(Kg).echelon, (0, 1), (0, G.mul(g2, G.inv(g)))
                 )
                 assert lhs == rhs
                 recon = is_block_subspace(s3, lhs)
                 assert recon is not None
                 assert block_subspace(s3, recon) == lhs
+
+
+def test_a_line_fixed_by_no_subgroup_is_no_block(s3):
+    """On S3 at n = 2, W = L + V with L a line of the first factor: the line
+    (1, 0) is the fixed space of no subgroup, so W is no block, while
+    (1, 2) is the fixed line of the transposition {0, 2}."""
+    V = ((0, 0, 1, 0), (0, 0, 0, 1))
+    W = Subspace.from_spanning(4, ((1, 0, 0, 0),) + V)
+    assert is_block_subspace(s3, W) is None
+    W = Subspace.from_spanning(4, ((1, 2, 0, 0),) + V)
+    assert is_block_subspace(s3, W).describe() == "H^{0,2}(1^0)"
 
 
 def test_diagonal_block_is_the_identity_graph(z2):
@@ -757,7 +768,7 @@ def z4_plane_from_matrices(n):
     """The z4_plane instance given by the matrix of its generator, so that
     closure runs on fixed spaces rather than on characters."""
     inst = load_instance(INSTANCES / "z4_plane.json", n_override=n)
-    rep = Representation.from_matrices(inst.group, {1: inst.rep.matrix(1)})
+    rep = Representation.from_matrices(inst.group, {1: matrices_of(inst.rep)[1].entries})
     assert rep.char_exponents is None
     return ProblemInstance(n, inst.group, rep)
 

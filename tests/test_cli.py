@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from dowlingnest import arrangement, cli, selftest
 from dowlingnest import series as series_module
 from dowlingnest.cli import build_parser, main
+from dowlingnest.errors import NotRealizable
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 
@@ -781,6 +782,83 @@ def test_bad_group_or_representation_is_exit_2(tmp_path, capsys, group, represen
     assert code == 2
     assert out == ""
     assert err.startswith("input error:") and "Traceback" not in err
+
+
+MATRICES_Z2 = '{"n": 1, "group": {"abelian": [2]}, "representation": {"matrices": %s}}'
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        (MATRICES_Z2 % "[[[-1]]]", "representation.matrices: expected an object"),
+        (MATRICES_Z2 % '{"a": [[-1]]}', "key 'a' is not an element id"),
+        (MATRICES_Z2 % '{"5": [[-1]]}', "element id 5 out of range"),
+        ("[1, 2]", "instance: expected a JSON object"),
+        ('{"n": 1,', "invalid JSON"),
+        (MATRICES_Z2 % '{"1": [[-1, 0]]}', "matrix for element 1 is not square"),
+        (MATRICES_Z2 % '{"0": [[1]], "1": [[-1, 0], [0, 1]]}', "mixed sizes"),
+        (MATRICES_Z2 % "{}", "no generator matrices given"),
+        (MATRICES_Z2 % '{"1": [[-1, 0], [0]]}', "matrix for element 1 is not square"),
+    ],
+    ids=[
+        "matrices-not-an-object",
+        "non-integer-key",
+        "out-of-range-id",
+        "top-level-list",
+        "invalid-json",
+        "non-square",
+        "mixed-sizes",
+        "no-generators",
+        "ragged-rows",
+    ],
+)
+def test_malformed_matrix_files_are_exit_2(tmp_path, capsys, body, message):
+    path = tmp_path / "inst.json"
+    path.write_text(body)
+    code, out, err = run_cli(capsys, "closed-subgroups", "--input", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("input error:") and message in err
+
+
+@pytest.mark.parametrize(
+    "data",
+    [b"\xff\xfe{}", b"[" * 100_000 + b"]" * 100_000],
+    ids=["not-utf8", "nested-too-deep"],
+)
+def test_unreadable_json_is_exit_2_without_a_traceback(tmp_path, data):
+    """Bytes that do not decode and arrays nested past the recursion limit
+    ended in a traceback with exit 1, the disagreement code."""
+    path = tmp_path / "inst.json"
+    path.write_bytes(data)
+    code, out, err = _main_in_a_new_process(["count", "--input", str(path)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("input error:") and "Traceback" not in err
+
+
+def test_routes_that_disagree_are_exit_1(capsys, monkeypatch):
+    """`count --all-methods` prints the counts of every route and, when they
+    differ, a DISAGREEMENT line in place of the count."""
+    count = cli.count_forests
+    monkeypatch.setattr(cli, "count_forests", lambda inst: count(inst) + 1)
+    code, out, _ = run_cli(
+        capsys, "count", "--all-methods", "--input", str(INSTANCES / "z2.json")
+    )
+    assert code == 1
+    assert "DISAGREEMENT egf=9 forest=10 lattice=9" in out.splitlines()
+    assert not any(line.startswith("count ") for line in out.splitlines())
+
+
+def test_a_library_error_is_exit_1(capsys, monkeypatch):
+    def refuse(inst, args, out):
+        raise NotRealizable("no such forest")
+
+    monkeypatch.setitem(cli.HANDLERS, "count", refuse)
+    code, out, err = run_cli(capsys, "count", "--input", str(INSTANCES / "z2.json"))
+    assert code == 1
+    assert out == ""
+    assert err == "error: no such forest\n"
 
 
 @pytest.mark.parametrize(

@@ -21,7 +21,7 @@ import pytest
 from dowlingnest.arrangement import Block, ClosedSubgroupSet, NestedSet
 from dowlingnest.forests import ForestDecomposition, LabelledForest, Leaf, Vertex
 from dowlingnest.groups import ConjClass, Coset, Subgroup
-from dowlingnest.linalg import RMatrix, Subspace
+from dowlingnest.linalg import Subspace
 from dowlingnest.selftest import _Run
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -46,11 +46,6 @@ CASES = [
         ConjClass,
         ("representative", "members"),
         [ConjClass(E, (E,)), ConjClass(H, (H,)), ConjClass(representative=E, members=(E,))],
-    ),
-    (
-        RMatrix,
-        ("entries",),
-        [RMatrix(((1, 2), (3, 4))), RMatrix(((HALF,),)), RMatrix([[1, 2], [3, 4]])],
     ),
     (
         Subspace,

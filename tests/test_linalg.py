@@ -18,7 +18,6 @@ from dowlingnest import (
     FiniteGroup,
     InstanceError,
     ProblemInstance,
-    RMatrix,
     Representation,
     Subgroup,
     Subspace,
@@ -31,7 +30,7 @@ from dowlingnest import arrangement
 from dowlingnest.arrangement import flat_counts
 from dowlingnest.instancefile import load_instance
 from dowlingnest.linalg import form_product, integer_echelon, integer_form, pivot_columns, rref
-from dowlingnest.reps import cyclotomic_polynomial, fix_subspace, pointwise_stabilizer
+from dowlingnest.reps import cyclotomic_polynomial, pointwise_stabilizer
 
 from conftest import (
     deleted_permutation_matrix,
@@ -41,6 +40,7 @@ from conftest import (
     small_abelian_instances,
 )
 from oracles import (
+    FractionMatrix,
     character_exponents,
     character_matrices,
     closure_by_definition,
@@ -49,6 +49,7 @@ from oracles import (
     gauss_jordan_rref,
     image_under,
     is_identity,
+    matrices_of,
     pointwise_stabilizer_by_definition,
     representation_by_matrices,
     zero_space,
@@ -58,13 +59,12 @@ INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 
 
 def test_kernel_of_zero_and_identity():
-    assert kernel(RMatrix.zero(3, 3)) == Subspace.full(3)
-    assert kernel(RMatrix.identity(3)) == zero_space(3)
+    assert kernel(((0, 0, 0),) * 3, 3) == Subspace.full(3)
+    assert kernel(FractionMatrix.identity(3).entries, 3) == zero_space(3)
 
 
 def test_kernel_of_diagonal():
-    M = RMatrix(((-2, 0), (0, 0)))
-    assert kernel(M) == Subspace.from_spanning(2, [(0, 1)])
+    assert kernel(((-2, 0), (0, 0)), 2) == Subspace.from_spanning(2, [(0, 1)])
 
 
 def test_intersect_with_full_and_self_sum():
@@ -162,7 +162,7 @@ def test_rref_and_kernel_match_gauss_jordan(rows):
     reduced, pivots = gauss_jordan_rref(rows)
     got = rref(rows)
     assert got == (reduced, pivots)
-    basis = kernel(RMatrix(rows)).basis
+    basis = kernel(rows, cols).basis
     assert all(type(x) is Fraction for part in (got[0], basis) for v in part for x in v)
     assert len(basis) == cols - len(pivots)
     for v in basis:
@@ -180,9 +180,7 @@ def test_matrix_product_matches_the_fraction_triple_loop(a, cols, data):
         tuple(sum((a[i][k] * b[k][j] for k in range(inner)), Fraction(0)) for j in range(cols))
         for i in range(len(a))
     )
-    got = RMatrix(a).mul(RMatrix(b)).entries
-    assert got == expected
-    assert all(type(x) is Fraction for row in got for x in row)
+    assert form_product(integer_form(a), integer_form(b)) == integer_form(expected)
 
 
 def test_fix_subspace_trivial_subgroup_is_everything(klein):
@@ -193,17 +191,14 @@ def test_klein_fix_examples(klein):
     # rho(1,0) = diag(-1, 1): the second axis is fixed
     h1 = Subgroup((0, 2))
     assert klein.rep.fix(h1) == Subspace.from_spanning(2, [(0, 1)])
-    assert klein.rep.matrix(2).entries == (
-        (Fraction(-1), Fraction(0)),
-        (Fraction(0), Fraction(1)),
-    )
+    assert klein.rep.forms[2] == (((-1, 0), (0, 1)), 1)
     whole = Subgroup((0, 1, 2, 3))
     assert klein.rep.fix(whole).dim == 0
 
 
 def test_fix_generator_independence(s3):
     for H in s3.subgroups():
-        assert fix_subspace(s3.rep, H.elements) == fix_subspace(
+        assert s3.rep.fix(H) == fix_subspace_via_kernels(
             s3.rep, _generators_of(s3.group, H)
         )
 
@@ -232,34 +227,31 @@ def test_character_fix_agrees_with_kernel_route():
         make_abelian_instance([2, 2], [[1, 0], [0, 1]], 1),
     ):
         for H in inst.subgroups():
-            assert fix_subspace(inst.rep, H.elements) == fix_subspace_via_kernels(
-                inst.rep, H.elements
-            )
+            assert inst.rep.fix(H) == fix_subspace_via_kernels(inst.rep, H.elements)
 
 
 def test_matrix_fix_agrees_with_kernel_route(s3, chains8):
     """The stacked-kernel fixed space equals the meet of the kernels, and on
     chains8 given by bare matrices also the coordinate route."""
     plain = Representation(
-        chains8.group, chains8.rep.dim_v, chains8.rep.scalar_degree, chains8.rep.matrices
+        chains8.group, chains8.rep.dim_v, chains8.rep.scalar_degree, forms=chains8.rep.forms
     )
     for H in chains8.subgroups():
-        assert fix_subspace(plain, H.elements) == fix_subspace(chains8.rep, H.elements)
+        assert plain.fix(H) == chains8.rep.fix(H)
     for rep, subgroups in ((s3.rep, s3.subgroups()), (plain, chains8.subgroups())):
         for H in subgroups:
-            assert fix_subspace(rep, H.elements) == fix_subspace_via_kernels(
-                rep, H.elements
-            )
+            assert rep.fix(H) == fix_subspace_via_kernels(rep, H.elements)
 
 
 def test_conjugation_covariance(s3):
+    from dowlingnest import conjugate_subgroup
+
     rep = s3.rep
+    matrices = matrices_of(rep)
     for H in s3.subgroups():
         for g in s3.group.elements():
-            from dowlingnest import conjugate_subgroup
-
             conj_fix = rep.fix(conjugate_subgroup(s3.group, H, g))
-            assert conj_fix == image_under(rep.fix(H), rep.matrix(g))
+            assert conj_fix == image_under(rep.fix(H), matrices[g])
 
 
 def test_cyclotomic_polynomials():
@@ -275,9 +267,11 @@ def test_character_realization_is_faithful_rational_homomorphism():
     rep = Representation.from_characters(G, [[1]])
     assert rep.scalar_degree == 2  # phi(4)
     assert rep.matrix_dim == 2
-    i_mat = rep.matrix(1)
-    assert i_mat.mul(i_mat).entries == rep.matrix(2).entries
-    assert is_identity(i_mat.mul(i_mat).mul(i_mat).mul(i_mat))
+    matrices = matrices_of(rep)
+    i_mat = matrices[1]
+    square = dense_product(i_mat, i_mat)
+    assert square == matrices[2]
+    assert is_identity(dense_product(square, square))
 
 
 def test_largest_cyclic_group_loads_quickly():
@@ -286,14 +280,15 @@ def test_largest_cyclic_group_loads_quickly():
     arithmetic the load took about 24 s, on integer numerators about
     0.6 s, and with the powers taken by column shifts about 0.13 s.  The
     check now runs on the exponents, and the powers are built on first
-    use, here by `matrix`."""
+    use, here by `forms`, which `matrices_of` reads."""
     start = time.perf_counter()
     inst = parse_instance(
         {"n": 1, "group": {"abelian": [63]}, "representation": {"characters": [[1]]}}
     )
     assert time.perf_counter() - start < 10
     assert inst.rep.scalar_degree == 36
-    assert is_identity(inst.rep.matrix(1).mul(inst.rep.matrix(62)))
+    matrices = matrices_of(inst.rep)
+    assert is_identity(dense_product(matrices[1], matrices[62]))
 
 
 def test_faithless_characters_rejected():
@@ -390,14 +385,14 @@ def test_matrix_extension_needs_generators():
     from conftest import deleted_permutation_matrix, s3_cayley_table
 
     perms, table = s3_cayley_table()
-    G = FiniteGroup.from_cayley(table)
+    G = FiniteGroup(table)
     # a transposition and a 3-cycle generate S3
     gens = {2: deleted_permutation_matrix(perms[2]), 3: deleted_permutation_matrix(perms[3])}
     rep = Representation.from_matrices(G, gens)
     full = Representation.from_matrices(
         G, {i: deleted_permutation_matrix(p) for i, p in enumerate(perms)}
     )
-    assert all(rep.matrix(g) == full.matrix(g) for g in G.elements())
+    assert rep.forms == full.forms
     with pytest.raises(InstanceError, match="generating"):
         Representation.from_matrices(G, {2: deleted_permutation_matrix(perms[2])})
 
@@ -407,20 +402,21 @@ def test_every_corrupted_matrix_is_rejected(request, name):
     """The homomorphism check runs only on a generating set, yet a change
     to any one element's matrix is caught, in its first or its last row."""
     rep = request.getfixturevalue(name).rep
+    base = matrices_of(rep)
     for g in range(rep.group.order):
         for corner in (0, -1):
-            matrices = list(rep.matrices)
+            matrices = list(base)
             entries = [list(r) for r in matrices[g].entries]
             entries[corner][corner] += 1
-            matrices[g] = RMatrix(entries)
+            matrices[g] = FractionMatrix(entries)
             with pytest.raises(InstanceError, match="homomorphism"):
                 Representation(
                     rep.group,
                     rep.dim_v,
                     rep.scalar_degree,
-                    matrices,
-                    rep.characters,
-                    rep.char_exponents,
+                    characters=rep.characters,
+                    char_exponents=rep.char_exponents,
+                    forms=[m.integer_form() for m in matrices],
                 )
 
 
@@ -430,16 +426,17 @@ def test_a_map_twisted_between_generators_is_rejected(a_first):
     commute: the rule holds when the second factor is multiplied on, so
     the check must use both generators of the Klein group."""
     G = FiniteGroup.from_abelian([2, 2])
-    A = RMatrix(((1, 0), (0, -1)))
-    B = RMatrix(((0, 1), (1, 0)))
-    one = RMatrix.identity(2)
+    A = FractionMatrix(((1, 0), (0, -1)))
+    B = FractionMatrix(((0, 1), (1, 0)))
+    one = FractionMatrix.identity(2)
     matrices = []
     for g in range(G.order):
         x, y = G.id_to_tuple(g)
         ax, by = (A if x else one), (B if y else one)
-        matrices.append(ax.mul(by) if a_first else by.mul(ax))
+        matrices.append(dense_product(ax, by) if a_first else dense_product(by, ax))
     with pytest.raises(InstanceError, match="homomorphism"):
-        Representation(G, dim_v=2, scalar_degree=1, matrices=matrices)
+        forms = [m.integer_form() for m in matrices]
+        Representation(G, dim_v=2, scalar_degree=1, forms=forms)
 
 
 def test_non_homomorphic_matrices_rejected():
@@ -449,19 +446,19 @@ def test_non_homomorphic_matrices_rejected():
             G,
             dim_v=1,
             scalar_degree=1,
-            matrices=(RMatrix(((1,),)), RMatrix(((2,),))),
+            forms=((((1,),), 1), (((2,),), 1)),
         )
 
 
 def _rational_klein_generators(G, twist=0):
     """diag(1, -1) and diag(-1, 1) conjugated by ((1, 1), (0, 3)), given on
     the two generators of the Klein group: entries with denominator 3."""
-    P = RMatrix(((1, 1), (0, 3)))
-    P_inv = RMatrix(((1, Fraction(-1, 3)), (0, Fraction(1, 3))))
-    a = P.mul(RMatrix(((1, 0), (0, -1)))).mul(P_inv)
-    b = P.mul(RMatrix(((-1, 0), (0, 1)))).mul(P_inv)
+    P = FractionMatrix(((1, 1), (0, 3)))
+    P_inv = FractionMatrix(((1, Fraction(-1, 3)), (0, Fraction(1, 3))))
+    a = dense_product(dense_product(P, FractionMatrix(((1, 0), (0, -1)))), P_inv).entries
+    b = dense_product(dense_product(P, FractionMatrix(((-1, 0), (0, 1)))), P_inv).entries
     if twist:
-        b = RMatrix(((b.entries[0][0] + twist, b.entries[0][1]), b.entries[1]))
+        b = ((b[0][0] + twist, b[0][1]), b[1])
     ids = {G.id_to_tuple(g): g for g in range(G.order)}
     return {ids[(1, 0)]: a, ids[(0, 1)]: b}
 
@@ -469,7 +466,7 @@ def _rational_klein_generators(G, twist=0):
 def test_rational_matrices_are_checked_over_their_denominators():
     G = FiniteGroup.from_abelian([2, 2])
     rep = Representation.from_matrices(G, _rational_klein_generators(G))
-    assert any(x.denominator == 3 for m in rep.matrices for row in m.entries for x in row)
+    assert any(den == 3 for _, den in rep.forms)
     for twist in (Fraction(1, 3), 1):
         with pytest.raises(InstanceError, match="homomorphism"):
             Representation.from_matrices(G, _rational_klein_generators(G, twist))
@@ -479,7 +476,13 @@ def test_non_homomorphic_generator_is_rejected_by_from_matrices():
     """rho(g)^2 = 1/4 for the generator of Z/2, not rho(e) = 1."""
     G = FiniteGroup.from_abelian([2])
     with pytest.raises(InstanceError, match="homomorphism"):
-        Representation.from_matrices(G, {1: RMatrix(((Fraction(1, 2),),))})
+        Representation.from_matrices(G, {1: ((Fraction(1, 2),),)})
+
+
+def test_from_matrices_refuses_an_entry_that_is_not_rational():
+    G = FiniteGroup.from_abelian([2])
+    with pytest.raises(InstanceError, match="not int or Fraction"):
+        Representation.from_matrices(G, {1: ((-1.0,),)})
 
 
 # -- integer forms against the Fraction oracles ---------------------------------
@@ -492,7 +495,7 @@ def sparse_pairs(draw, values):
     entries = st.one_of(st.just(0), st.just(0), st.just(1), values)
     r, k, c = (draw(st.integers(min_value=1, max_value=5)) for _ in range(3))
     return tuple(
-        RMatrix([[draw(entries) for _ in range(cols)] for _ in range(rows)])
+        FractionMatrix([[draw(entries) for _ in range(cols)] for _ in range(rows)])
         for rows, cols in ((r, k), (k, c))
     )
 
@@ -500,13 +503,11 @@ def sparse_pairs(draw, values):
 @settings(max_examples=200, deadline=None)
 @given(st.one_of(sparse_pairs(small_ints), sparse_pairs(small_fracs)))
 def test_sparse_products_match_the_dense_product(pair):
-    """`form_product` and `RMatrix.mul` skip zero entries, and
-    `form_product` skips the gcd scan over the denominator 1; both agree
-    with one Fraction dot product per entry, on integer and on rational
-    matrices."""
+    """`form_product` skips zero entries and the gcd scan over the
+    denominator 1; it agrees with one Fraction dot product per entry, on
+    integer and on rational matrices."""
     A, B = pair
     dense = dense_product(A, B)
-    assert A.mul(B) == dense
     assert form_product(A.integer_form(), B.integer_form()) == dense.integer_form()
 
 
@@ -562,16 +563,18 @@ def _s3_conjugated(seed):
     that some matrices have a denominator above 1."""
     rng = random.Random(seed)
     perms, table = s3_cayley_table()
-    G = FiniteGroup.from_cayley(table)
+    G = FiniteGroup(table)
     while True:
         a, b, c, d = (Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(4))
         det = a * d - b * c
         if det != 0:
             break
-    P = RMatrix(((a, b), (c, d)))
-    P_inv = RMatrix(((d / det, -b / det), (-c / det, a / det)))
+    P = FractionMatrix(((a, b), (c, d)))
+    P_inv = FractionMatrix(((d / det, -b / det), (-c / det, a / det)))
     matrices = {
-        g: P.mul(RMatrix(deleted_permutation_matrix(perms[g]))).mul(P_inv)
+        g: dense_product(
+            dense_product(P, FractionMatrix(deleted_permutation_matrix(perms[g]))), P_inv
+        ).entries
         for g in range(G.order)
     }
     inst = ProblemInstance(1, G, Representation.from_matrices(G, matrices))
@@ -582,17 +585,17 @@ def _s3_conjugated(seed):
 def _chains8_bare(chains8):
     """chains8 given by its matrices alone, with no character shortcut."""
     rep = chains8.rep
-    plain = Representation(rep.group, rep.dim_v, rep.scalar_degree, rep.matrices)
+    plain = Representation(rep.group, rep.dim_v, rep.scalar_degree, forms=rep.forms)
     return ProblemInstance(1, rep.group, plain)
 
 
 def _check_against_fraction_oracles(inst):
     rep = inst.rep
-    for g in range(rep.group.order):
-        assert rep.forms[g] == rep.matrix(g).integer_form()
+    for form, M in zip(rep.forms, matrices_of(rep)):
+        assert form == M.integer_form()
     closed = []
     for H in inst.subgroups():
-        fixed = fix_subspace(rep, H.elements)
+        fixed = rep.fix(H)
         assert fixed == fix_subspace_via_kernels(rep, H.elements)
         assert pointwise_stabilizer(rep, fixed) == pointwise_stabilizer_by_definition(
             rep, fixed
@@ -613,33 +616,16 @@ def test_integer_forms_match_the_fraction_oracles_on_random_instances(inst):
     against the Fraction companion-power build, entry for entry."""
     _check_against_fraction_oracles(inst)
     rep = inst.rep
-    assert rep.matrices == character_matrices(rep.group, rep.characters)
+    assert matrices_of(rep) == character_matrices(rep.group, rep.characters)
 
 
 def test_integer_forms_match_the_fraction_oracles_on_matrix_input(s3, chains8):
     """S3 as given and conjugated three ways so that den > 1, and chains8
-    with no character shortcut; chains8's lazily built matrices also equal
-    the Fraction companion-power build."""
+    with no character shortcut; chains8's lazily built forms, read as
+    Fraction matrices, also equal the Fraction companion-power build."""
     rep = chains8.rep
-    assert rep.matrices == character_matrices(rep.group, rep.characters)
+    assert matrices_of(rep) == character_matrices(rep.group, rep.characters)
     conjugated = [_s3_conjugated(seed) for seed in range(3)]
     for inst in (s3, *conjugated, _chains8_bare(chains8)):
         _check_against_fraction_oracles(inst)
 
-
-def test_set_up_builds_no_fraction_matrix_arithmetic(monkeypatch):
-    """Loading every bundled instance and closing its subgroups runs on the
-    integer forms: with RMatrix.sub, apply and mul made to raise, both
-    still succeed, and no Fraction matrix is built beside the forms."""
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("Fraction matrix arithmetic during set-up")
-
-    for name in ("sub", "apply", "mul"):
-        monkeypatch.setattr(RMatrix, name, refuse)
-    paths = sorted(INSTANCES.glob("*.json"))
-    assert len(paths) == 7
-    for path in paths:
-        inst = load_instance(path)
-        assert closed_subgroups(inst).members
-        assert inst.rep._matrices is None

@@ -30,9 +30,10 @@ when that intersection is itself a block subspace.
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import product
 from math import lcm
-from operator import attrgetter, itemgetter, mul
+from operator import and_, attrgetter, itemgetter, mul
 
 from . import egf
 from .errors import InstanceError, SizeBoundExceeded
@@ -47,7 +48,7 @@ from .groups import (
     subgroup_conj_classes,
 )
 from .linalg import ONE, ZERO, Subspace, integer_echelon
-from .poset import Poset
+from .poset import Poset, bits
 from .reps import pointwise_stabilizer, stabilizer
 
 DEFAULT_CAP_LATTICE = 10**6
@@ -812,9 +813,16 @@ def intersection_lattice(inst):
             mask |= up
         flats.append(((-len(rows), key), Subspace(ambient_dim=d, basis=rows), mask))
     flats.sort(key=itemgetter(0))
-    masks = [mask for *_, mask in flats]
-    matrix = [[a & ~b == 0 for b in masks] for a in masks]
-    return Poset([space for _, space, _ in flats], matrix)
+    # holding[c]: the flats whose mask holds block c.  The flats above A are
+    # those whose mask holds all of mask(A), so up(A) is the AND of
+    # holding[c] over c in mask(A), every flat when mask(A) is empty.
+    holding = [0] * len(blocks)
+    for j, (*_, mask) in enumerate(flats):
+        for c in bits(mask):
+            holding[c] |= 1 << j
+    every = (1 << len(flats)) - 1
+    up = [reduce(and_, [holding[c] for c in bits(mask)], every) for *_, mask in flats]
+    return Poset([space for _, space, _ in flats], up)
 
 
 # -- nested sets ----------------------------------------------------------------
@@ -997,5 +1005,5 @@ def count_nested_sets(inst):
 def nested_sets_poset(nested_sets):
     """Nested sets ordered by inclusion."""
     keys = [frozenset(ns.blocks) for ns in nested_sets]
-    matrix = [[a <= b for b in keys] for a in keys]
-    return Poset(tuple(nested_sets), matrix)
+    up = [sum(1 << j for j, b in enumerate(keys) if a <= b) for a in keys]
+    return Poset(tuple(nested_sets), up)

@@ -82,8 +82,8 @@ class Representation:
     `forms[g]` is the `integer_form` (rows, den) of rho(g), and everything
     reads the forms.  Given character exponents and no forms, the forms
     are built on first use, from the exponents.  Fixed spaces are
-    cached per subgroup as integer echelons (`fix_echelon`), and as
-    `Subspace`s (`fix`) only once asked for.
+    cached per subgroup as integer echelons (`fix_echelon`); `fix` builds
+    a `Subspace` from the cached echelon on each call.
     """
 
     __slots__ = (
@@ -94,7 +94,6 @@ class Representation:
         "char_exponents",
         "_forms",
         "_echelons",
-        "_fix_cache",
     )
 
     def __init__(
@@ -107,7 +106,6 @@ class Representation:
         self.characters = characters
         self.char_exponents = char_exponents
         self._echelons = {}
-        self._fix_cache = {}
         self._validate()
 
     @property
@@ -297,12 +295,8 @@ class Representation:
         return got
 
     def fix(self, H):
-        """Fixed subspace of a Subgroup, built from `fix_echelon` once."""
-        got = self._fix_cache.get(H.elements)
-        if got is None:
-            got = Subspace.from_echelon(self.matrix_dim, self.fix_echelon(H))
-            self._fix_cache[H.elements] = got
-        return got
+        """Fixed subspace of a Subgroup, built from the cached `fix_echelon`."""
+        return Subspace.from_echelon(self.matrix_dim, self.fix_echelon(H))
 
     def fix_true_dim(self, H):
         """Dimension of Fix(H) over the complex numbers."""

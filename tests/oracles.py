@@ -499,19 +499,21 @@ def tuple_to_id(G, coords):
 
 
 def check_partial_order(poset):
-    """Raise unless the order matrix is reflexive, antisymmetric and
-    transitive; True otherwise."""
-    m = poset.leq_matrix
-    n = len(m)
+    """Raise unless the up-sets hold only elements of the poset and the
+    order is reflexive, antisymmetric and transitive; True otherwise."""
+    leq = poset.leq
+    n = len(poset)
+    if len(poset.up) != n or any(mask >> n for mask in poset.up):
+        raise AssertionError("up-sets do not match the elements")
     for i in range(n):
-        if not m[i][i]:
+        if not leq(i, i):
             raise AssertionError("order not reflexive")
         for j in range(n):
-            if i != j and m[i][j] and m[j][i]:
+            if i != j and leq(i, j) and leq(j, i):
                 raise AssertionError("order not antisymmetric")
-            if m[i][j]:
+            if leq(i, j):
                 for k in range(n):
-                    if m[j][k] and not m[i][k]:
+                    if leq(j, k) and not leq(i, k):
                         raise AssertionError("order not transitive")
     return True
 
@@ -532,7 +534,7 @@ def isomorphic_by_key(p1, p2, key):
     n = len(p1.elements)
     for i in range(n):
         for j in range(n):
-            if p1.leq_matrix[i][j] != p2.leq_matrix[mapping[i]][mapping[j]]:
+            if p1.leq(i, j) != p2.leq(mapping[i], mapping[j]):
                 return None
     return tuple(mapping)
 
@@ -568,6 +570,14 @@ def closure_by_definition(inst, H):
     two Fraction oracles above."""
     fixed = fix_subspace_via_kernels(inst.rep, H.elements)
     return pointwise_stabilizer_by_definition(inst.rep, fixed)
+
+
+def _containment_poset(spaces):
+    """The spaces sorted by (-dim, basis) and ordered by reverse inclusion:
+    the up-set of a is the b with `a.contains(b)`, one pairwise test each."""
+    ordered = sorted(spaces, key=lambda s: (-s.dim, s.basis))
+    up = [sum(1 << j for j, b in enumerate(ordered) if a.contains(b)) for a in ordered]
+    return Poset(ordered, up)
 
 
 def dowling_hyperplane_lattice(r, n):
@@ -611,16 +621,14 @@ def dowling_hyperplane_lattice(r, n):
             if meet.basis not in elems:
                 elems[meet.basis] = meet
                 work.append(meet)
-    ordered = sorted(elems.values(), key=lambda s: (-s.dim, s.basis))
-    matrix = [[a.contains(b) for b in ordered] for a in ordered]
-    return Poset(ordered, matrix)
+    return _containment_poset(elems.values())
 
 
 def lattice_oracle(inst):
     """The intersection lattice closed by rational subspace meets.
 
     Each meet is perp -> sum -> perp (`Subspace.intersect`) and the order
-    matrix is N^2 `Subspace.contains` tests; same elements, order and cap
+    is N^2 `Subspace.contains` tests; same elements, order and cap
     semantics as `arrangement.intersection_lattice`.
     """
     cap = inst.cap_lattice
@@ -644,9 +652,7 @@ def lattice_oracle(inst):
             if meet.basis not in elems:
                 admit(meet)
                 worklist.append(meet)
-    ordered = sorted(elems.values(), key=lambda s: (-s.dim, s.basis))
-    matrix = [[a.contains(b) for b in ordered] for a in ordered]
-    return Poset(ordered, matrix)
+    return _containment_poset(elems.values())
 
 
 class FractionSeries:

@@ -354,7 +354,7 @@ def test_disjoint_covers_of_nothing_is_the_empty_cover():
 
 def test_lattice_matches_the_subspace_meet_oracle():
     """The block sets, ordered by the masks of the blocks containing them,
-    give the elements and order matrix of the closure by perp -> sum -> perp
+    give the elements and order of the closure by perp -> sum -> perp
     meets and `Subspace.contains`."""
     instances = make_n3_grid() + [
         make_s3_instance(2),
@@ -365,14 +365,14 @@ def test_lattice_matches_the_subspace_meet_oracle():
         mine = intersection_lattice(inst)
         oracle = lattice_oracle(inst)
         assert mine.elements == oracle.elements
-        assert mine.leq_matrix == oracle.leq_matrix
+        assert mine.up == oracle.up
 
 
 def _check_against_the_oracle(inst):
     oracle = lattice_oracle(inst)
     mine = intersection_lattice(inst)
     assert mine.elements == oracle.elements
-    assert mine.leq_matrix == oracle.leq_matrix
+    assert mine.up == oracle.up
     dims = {}
     for flat in oracle.elements:
         dims[flat.dim] = dims.get(flat.dim, 0) + 1
@@ -490,15 +490,14 @@ def test_flat_counts_build_no_block_or_subspace(monkeypatch):
 
 def _characteristic_polynomial(inst):
     """sum over flats X of mu(V, X) t^(dim X), coefficients by ascending
-    power, from the order matrix alone; dim X is over C (rational dimension
+    power, from the order alone; dim X is over C (rational dimension
     divided by the scalar degree)."""
     poset = intersection_lattice(inst)
-    leq = poset.leq_matrix
     # elements come by decreasing dimension, so index 0 is V and every
     # element comes after all elements below it
     mu = []
     for x in range(len(poset)):
-        mu.append(1 if x == 0 else -sum(mu[y] for y in range(x) if leq[y][x]))
+        mu.append(1 if x == 0 else -sum(mu[y] for y in range(x) if poset.leq(y, x)))
     coeffs = [0] * (inst.n * inst.rep.dim_v + 1)
     for m, flat in zip(mu, poset.elements):
         coeffs[flat.dim // inst.rep.scalar_degree] += m

@@ -356,6 +356,35 @@ def test_lattice_output_is_byte_stable(capsys, what, name, n):
     assert digest == LATTICE_DIGESTS[(what, name, n)]
 
 
+@pytest.mark.parametrize(
+    "fmt, digest",
+    [
+        ("json", "0ca0b91d81a7956b35c0039530102ab42f33d701026aacbc950d0b4e33e9362f"),
+        ("dot", "37f400bc8ee13bfe0f583df60379232dd1d653932728347610fe79a6bfad1028"),
+    ],
+)
+def test_s3_n4_lattice_export_is_byte_stable_within_200_mb(fmt, digest):
+    """S3 at n=4 has 5,107 flats.  Their order as one up-set bit mask per
+    flat takes about 3 MB; as an N x N table of booleans it took 450 MB, and
+    under this limit the export ran out of memory (exit 3).  The limit is
+    set on the child process only."""
+    limit = 200 << 20
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    argv = ["export", "--what", "lattice", "--input", str(INSTANCES / "s3.json")]
+    done = subprocess.run(
+        [sys.executable, "-m", "dowlingnest.cli", *argv, "--n", "4", "--format", fmt],
+        env=dict(os.environ, PYTHONPATH=str(INSTANCES.parent / "src")),
+        capture_output=True,
+        timeout=120,
+        preexec_fn=cap_memory,
+    )
+    assert done.returncode == 0, done.stderr
+    assert hashlib.sha256(done.stdout).hexdigest() == digest
+
+
 # sha256 of the `export --what forests` json and dot; a change to how forests
 # are enumerated must leave every tree, its labels and the forest order as
 # they are.

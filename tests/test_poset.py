@@ -13,21 +13,25 @@ from oracles import check_partial_order
 @st.composite
 def random_posets(draw):
     """The reflexive-transitive closure of a random relation i -> j, i < j,
-    with the elements shuffled so the order does not follow the indices."""
+    as up-sets, with the elements shuffled so the order does not follow the
+    indices."""
     n = draw(st.integers(0, 9))
     edges = draw(st.sets(st.tuples(st.integers(0, 8), st.integers(0, 8))))
     perm = draw(st.permutations(range(n)))
-    leq = [[i == j for j in range(n)] for i in range(n)]
+    up = [1 << i for i in range(n)]
     for i, j in edges:
         if i < j < n:
-            leq[i][j] = True
-    for k in range(n):
-        for i in range(n):
-            if leq[i][k]:
-                for j in range(n):
-                    leq[i][j] = leq[i][j] or leq[k][j]
-    matrix = [[leq[perm[i]][perm[j]] for j in range(n)] for i in range(n)]
-    return Poset(range(n), matrix)
+            up[i] |= 1 << j
+    # every j above i is larger, so up[j] is closed when i reads it
+    for i in reversed(range(n)):
+        for j in range(i + 1, n):
+            if up[i] >> j & 1:
+                up[i] |= up[j]
+    # element k of the poset is perm[k]
+    shuffled = [
+        sum(1 << k for k in range(n) if up[perm[i]] >> perm[k] & 1) for i in range(n)
+    ]
+    return Poset(range(n), shuffled)
 
 
 def brute_force_covers(poset):
@@ -52,7 +56,7 @@ def test_covers_match_the_definition(poset):
 
 
 def test_covers_of_a_chain_and_an_antichain():
-    chain = Poset(range(4), [[i <= j for j in range(4)] for i in range(4)])
+    chain = Poset(range(4), [sum(1 << j for j in range(i, 4)) for i in range(4)])
     assert chain.covers() == ((0, 1), (1, 2), (2, 3))
-    antichain = Poset(range(3), [[i == j for j in range(3)] for i in range(3)])
+    antichain = Poset(range(3), [1 << i for i in range(3)])
     assert antichain.covers() == ()

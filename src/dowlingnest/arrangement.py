@@ -73,6 +73,7 @@ class ProblemInstance:
         self._conj = None
         self._closed = None
         self._codes = None
+        self._clique = None
         self._blocks = None
         self._block_subspaces = {}
         self._meet_cache = {}
@@ -192,13 +193,8 @@ def closed_subgroups(inst):
     """The subgroups fixed by the closure operator, with the full phi map."""
     if inst._closed is not None:
         return inst._closed
-    pairs = []
-    closed = []
-    for H in inst.subgroups():
-        P = closure_phi(inst, H)
-        pairs.append((H, P))
-        if P.elements == H.elements:
-            closed.append(H)
+    pairs = [(H, closure_phi(inst, H)) for H in inst.subgroups()]
+    closed = [H for H, P in pairs if P.elements == H.elements]
     result = ClosedSubgroupSet(
         members=tuple(sorted(closed, key=lambda K: K.sort_key)),
         closure_map=tuple(pairs),
@@ -220,8 +216,9 @@ def _check_closed_set(inst, cs):
         if key in seen:
             raise InstanceError("two closed subgroups share a fixed subspace")
         seen.add(key)
-    # stable under conjugation by each generator, so by every word in them
-    gens = generating_set(G)
+    # stable under conjugation by each generator, so by every word in them;
+    # not checked when G is abelian, as then g K g^-1 = K for every K and g
+    gens = () if G.is_abelian else generating_set(G)
     for K in cs.members:
         for g in gens:
             if conjugate_subgroup(G, K, g) not in cs:
@@ -962,11 +959,12 @@ def _cliques(blocks, compat):
 
 def _clique_table(inst):
     """The compat masks of `_compatibility` for the clique search, after
-    the cap check."""
-    from .forests import count_forests  # forests imports this module
-
-    count_forests(inst)
-    return _compatibility(inst)[0]
+    the cap check; made once per instance."""
+    if inst._clique is None:
+        from .forests import count_forests  # forests imports this module
+        count_forests(inst)
+        inst._clique = _compatibility(inst)[0]
+    return inst._clique
 
 
 def count_nested_sets(inst):

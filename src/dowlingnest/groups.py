@@ -20,13 +20,15 @@ DEFAULT_ORDER_BOUND = 64
 class FiniteGroup:
     """Immutable finite group backed by a multiplication table."""
 
-    __slots__ = ("order", "identity", "abelian_spec", "_mul", "_inv", "_abelian")
+    __slots__ = ("order", "identity", "abelian_spec", "_mul", "_inv", "_abelian",
+                 "_exponent", "_gens")  # the last two are made on first use
 
     def __init__(self, table):
         self.order = len(table)
         self.identity = 0
         self._mul = tuple(tuple(row) for row in table)
         self.abelian_spec = None
+        self._exponent = self._gens = None
         self._validate()
         self._inv = tuple(self._find_inverse(a) for a in range(self.order))
         self._abelian = all(
@@ -95,7 +97,9 @@ class FiniteGroup:
         return k
 
     def exponent(self):
-        return lcm(*(self.element_order(a) for a in range(self.order)))
+        if self._exponent is None:
+            self._exponent = lcm(*map(self.element_order, range(self.order)))
+        return self._exponent
 
     # -- abelian coordinates ------------------------------------------------
 
@@ -192,15 +196,16 @@ def subgroup_closure(G, gens):
 
 
 def generating_set(G):
-    """A nonempty generating set of G, built greedily: each element not yet
-    in the subgroup generated so far is added (the trivial group gives {e})."""
-    gens = []
-    span = (G.identity,)
-    for a in range(G.order):
-        if a not in span:
-            gens.append(a)
-            span = subgroup_closure(G, gens).elements
-    return gens or [G.identity]
+    """A nonempty generating set of G as a tuple, made once per group: each
+    element not yet in the subgroup generated so far is added ((e,) for {e})."""
+    if G._gens is None:
+        gens, span = [], (G.identity,)
+        for a in range(G.order):
+            if a not in span:
+                gens.append(a)
+                span = subgroup_closure(G, gens).elements
+        G._gens = tuple(gens) or (G.identity,)
+    return G._gens
 
 
 def check_order_bound(order):

@@ -42,11 +42,11 @@ The counting series is written once, on the same graded integers:
 
 with Gamma_st = e^(s t) Gamma~_t and Gamma~_t the forest series with every
 t_K replaced by t.  This is s phi Gamma_st + e^(s t) (Gamma~_t - 1), as
-e^(s t) (Gamma~_t - 1) = Gamma_st - e^(s t).  The packed weight of s
-selects the use: trunc + 1 keeps s apart and gives G (`big_g`), and 0 is
-the ring map s -> 1, which gives G(1, t) with one key per degree
-(`nested_count_via_series`); the proof is in `big_g`.  `gamma_bar` is the
-egf product of e^(s t) and the forest series minus 1, on the same buckets.
+e^(s t) (Gamma~_t - 1) = Gamma_st - e^(s t).  `big_g` packs s at weight
+trunc + 1, apart from t.  The count at s = 1 needs no G: with y = phi + 1,
+G(1, t) = 2 y - 1 - e^t (`nested_count_via_series`), so it takes Gamma(1,
+t) and y alone.  `gamma_bar` is the egf product of e^(s t) and the forest
+series minus 1, on the same buckets.
 """
 
 from __future__ import annotations
@@ -395,20 +395,16 @@ def lambda_bar(r, trunc):
     return _from_graded(("t",), _graded_lambda(r, _variable(1, trunc)))
 
 
+@cache
 def partition_oracle(n, k, r):
     """Number of partitions of an n-set into k blocks of size >= 2, each
     block of size i weighted by r^(i-1)."""
-    return _weighted_partitions(n, k, r)
-
-
-@cache
-def _weighted_partitions(n, k, r):
     if n == 0 and k == 0:
         return 1
     if n <= 0 or k <= 0:
         return 0
     return sum(
-        comb(n - 1, j - 1) * r ** (j - 1) * _weighted_partitions(n - j, k - 1, r)
+        comb(n - 1, j - 1) * r ** (j - 1) * partition_oracle(n - j, k - 1, r)
         for j in range(2, n + 1)
     )
 
@@ -433,8 +429,7 @@ def lambda_for_subgroup(inst, H, trunc):
 
 def series_variables(inst):
     """Variable tuple ('s', 't', one t-variable per proper closed subgroup)."""
-    cs = closed_subgroups(inst)
-    return ("s", "t") + tuple(f"t{K.label()}" for K in cs.proper)
+    return ("s", "t") + tuple(map(subgroup_variable, closed_subgroups(inst).proper))
 
 
 def subgroup_variable(K):
@@ -568,19 +563,26 @@ def _graded_bar(vars, tilde):
     return out
 
 
-def _graded_big_g(inst, trunc, s_key):
-    """G = (s phi + 1) Gamma_st - e^(s t) (see `big_g`) as a graded series,
-    with t and every t_K packed as 1 and s packed as s_key.  Gamma_st is
-    one exponential, exp(s (t + sum over K of lam_K(T_K))): a fallen leaf is
-    one more component, a tree of one leaf."""
+def _graded_gamma(inst, trunc, s_key):
+    """(Gamma_st, y): Gamma_st = exp(s (t + sum over K of lam_K(T_K))) with t
+    and every t_K packed as 1 and s as s_key (a fallen leaf is a tree of one
+    leaf), and n! [t^n] y for y = 1/(2 - Gamma(1, t)) = 1 + (Gamma(1, t) - 1) y."""
     total = _graded_forest_sum(inst, trunc, lambda K: 1)
     if trunc:
         total[1] = egf.bucket_sum(total[1], {1: 1})
     gamma = egf.exp(_times_s(total, s_key))
     at_one = [sum(bucket.values()) for bucket in gamma]  # Gamma(1, t)
-    y = [1]  # y = 1/(2 - Gamma(1, t)) = 1 + (Gamma(1, t) - 1) y, so phi = y - 1
+    y = [1]
     for m in range(1, trunc + 1):
         y.append(sum(comb(m, k) * at_one[k] * y[m - k] for k in range(1, m + 1)))
+    return gamma, y
+
+
+def _graded_big_g(inst, trunc):
+    """G = (s phi + 1) Gamma_st - e^(s t) (see `big_g`) as a graded series,
+    with t and every t_K packed as 1 and s as trunc + 1; phi = y - 1."""
+    s_key = trunc + 1
+    gamma, y = _graded_gamma(inst, trunc, s_key)
     g = []
     for n in range(trunc + 1):
         acc = dict(gamma[n])
@@ -607,27 +609,25 @@ def big_g(inst, trunc):
     Gamma_st = e^(s t) Gamma~_t: the two forms agree because
     e^(s t) (Gamma~_t - 1) = Gamma_st - e^(s t).
 
-    `_graded_big_g` computes the second form once, on graded integers, with
-    s packed at a weight w; `nested_count_via_series` calls it with w = 0.
-    Proof that this gives G for w = trunc + 1 and G(1, t) for w = 0.
-    Packing maps s^a t^b t_K1^c1 ... to the key a w + b + c1 + ..., which
-    is the substitution s -> x^w, t -> x, t_K -> x in each t-degree bucket.
-    A substitution is a ring map and it keeps the t-degree, so it commutes
-    with every sum, product and graded recurrence the formula is made of:
-    the lam_K(T_K), the exponential, e^(s t), Gamma(1, t) and y, which sums
-    a bucket and so is s = 1 for every w.  The result is therefore the image
-    of G.  For w = trunc + 1 every t-exponent b <= trunc is below w, so the
-    key a w + b gives back (a, b) and the image is G itself.  For w = 0 the
-    substitution is s -> 1 and t -> x, so the image is G(1, t), and bucket
-    n holds the one key n.
+    `_graded_big_g` computes the second form on graded integers, with s^a
+    t^b t_K1^c1 ... packed as a w + b + c1 + ..., w = trunc + 1: the
+    substitution s -> x^w, t -> x, t_K -> x, a ring map that keeps the
+    t-degree and so commutes with every sum, product and graded recurrence
+    of the formula (y reads Gamma(1, t) as bucket sums, which is s = 1 for
+    any w).  As b <= trunc < w, the key gives back (a, b).
     """
-    return _from_graded(("s", "t"), _graded_big_g(inst, trunc, trunc + 1))
+    return _from_graded(("s", "t"), _graded_big_g(inst, trunc))
 
 
 def nested_count_via_series(inst, n):
-    """n! times the t^n coefficient of the counting series at s = 1: the
-    formula of `big_g` with s packed at weight 0, which evaluates s = 1."""
-    return _graded_big_g(inst, n, 0)[n].get(n, 0)
+    """n! times the t^n coefficient of the counting series at s = 1: 0 at
+    n = 0, else 2 y_n - 1 for y = 1/(2 - Gamma(1, t)) of `_graded_gamma`.
+
+    Proof.  At s = 1 the formula of `big_g` is G(1, t) = y Gamma(1, t) - e^t,
+    as phi + 1 = y, and y (2 - Gamma(1, t)) = 1 gives y Gamma(1, t) = 2 y - 1.
+    So G(1, t) = 2 y - 1 - e^t, whose n! [t^n] is 2 y_0 - 2 = 0 at n = 0 and
+    2 y_n - 1 above.  s is packed as 0, the ring map s -> 1."""
+    return 2 * _graded_gamma(inst, n, 0)[1][n] - 1 if n else 0
 
 
 def _printed_series(inst, degree):
@@ -636,7 +636,7 @@ def _printed_series(inst, degree):
     return {
         "gamma_tilde": (vars, tilde),
         "gamma_bar": (vars, _graded_bar(vars, tilde)),
-        "g": (("s", "t"), _graded_big_g(inst, degree, degree + 1)),
+        "g": (("s", "t"), _graded_big_g(inst, degree)),
     }
 
 

@@ -613,6 +613,25 @@ def test_nested_builds_only_the_sets_it_prints(capsys, monkeypatch):
     assert len(lines) == 5 and len(built) == 3
 
 
+@pytest.mark.parametrize("name, n", [("klein4", 3), ("s3", 3), ("z2", 4)])
+def test_nested_builds_its_clique_table_once(capsys, monkeypatch, name, n):
+    """`nested` counts the sets and then lists some: both read one clique
+    table, so `_compatibility` and the cap check each run once."""
+    calls = []
+    real = arrangement._compatibility
+
+    def counting(inst):
+        calls.append(inst)
+        return real(inst)
+
+    monkeypatch.setattr(arrangement, "_compatibility", counting)
+    code, out, _ = run_cli(
+        capsys, "nested", "--input", str(INSTANCES / f"{name}.json"), "--n", str(n)
+    )
+    assert code == 0 and out.endswith(" more\n")
+    assert len(calls) == 1
+
+
 def test_lattice_summary(capsys):
     code, out, _ = run_cli(capsys, "lattice", "--input", str(INSTANCES / "z4.json"))
     assert code == 0

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 from itertools import combinations
+from math import lcm
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,7 @@ from dowlingnest import (
     InstanceError,
     OrderBoundExceeded,
     Subgroup,
+    closed_subgroups,
     conjugate_subgroup,
     enumerate_subgroups,
     left_cosets,
@@ -20,9 +22,9 @@ from dowlingnest import (
 )
 from dowlingnest import groups
 from dowlingnest.groups import DEFAULT_ORDER_BOUND, coset_rep, subgroup_closure
-from dowlingnest.instancefile import parse_group
+from dowlingnest.instancefile import load_instance, parse_group
 
-from conftest import s3_cayley_table
+from conftest import make_nonabelian_instance, s3_cayley_table
 from oracles import check_subgroup, tuple_to_id
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
@@ -213,3 +215,43 @@ def test_abelian_spec_mixed_radix_roundtrip():
         assert tuple_to_id(G, G.id_to_tuple(a)) == a
     assert G.id_to_tuple(0) == (0, 0)
     assert G.exponent() == 4
+
+
+def _power_order(G, a):
+    """The least k >= 1 with a^k = e, by repeated multiplication."""
+    x, k = a, 1
+    while x != G.identity:
+        x, k = G.mul(x, a), k + 1
+    return k
+
+
+BUNDLED = sorted(p.stem for p in INSTANCES.glob("*.json"))
+NONABELIAN = ["D4", "Q8", "A4", "S4"]
+
+
+def _instance(name):
+    if name in NONABELIAN:
+        return make_nonabelian_instance(name, 1)
+    return load_instance(INSTANCES / f"{name}.json", n_override=1)
+
+
+@pytest.mark.parametrize("name", BUNDLED + NONABELIAN)
+def test_group_facts_are_made_once_and_hold(name):
+    """`generating_set` is cached on the group: a second call returns the
+    same object, and it generates G.  The cached exponent is the lcm of the
+    element orders."""
+    G = _instance(name).group
+    gens = groups.generating_set(G)
+    assert groups.generating_set(G) is gens
+    assert subgroup_closure(G, gens).elements == tuple(range(G.order))
+    assert G.exponent() == lcm(*(_power_order(G, a) for a in G.elements()))
+
+
+@pytest.mark.parametrize("name", [n for n in BUNDLED if _instance(n).group.is_abelian])
+def test_closed_subgroups_of_an_abelian_group_are_their_own_conjugates(name):
+    """The reason `_check_closed_set` skips the conjugation check when G
+    is abelian: g K g^-1 = K for every closed K and every g."""
+    inst = _instance(name)
+    G = inst.group
+    for K in closed_subgroups(inst).members:
+        assert all(conjugate_subgroup(G, K, g) == K for g in G.elements())

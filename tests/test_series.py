@@ -556,8 +556,8 @@ INSTANCES = Path(__file__).resolve().parent.parent / "instances"
     ],
 )
 def test_count_path_matches_the_full_series(name, top):
-    """The formula of `big_g` with s packed at weight 0 gives the
-    coefficient of the full series built from operator exponentials."""
+    """2 y_n - 1 (`nested_count_via_series`) gives the coefficient of the
+    full series built from operator exponentials."""
     inst = load_instance(INSTANCES / f"{name}.json")
     for n in range(1, top + 1):
         sub = inst.with_n(n)
@@ -570,6 +570,21 @@ def test_count_path_matches_the_full_series_on_random_instances(inst):
     assert nested_count_via_series(inst, inst.n) == count_via_full_series(
         inst, inst.n
     )
+
+
+ABELIAN = ["z2", "z3", "z4", "klein4", "z4_plane", "z2x4_chains"]
+
+
+@pytest.mark.parametrize("name", ABELIAN)
+def test_series_count_is_the_printed_series_at_s_one(name):
+    """2 y_n - 1 equals n! times the sum over a of [s^a t^n] `big_g`, the
+    series `series` prints, and n = 0 gives 0."""
+    inst = load_instance(INSTANCES / f"{name}.json")
+    assert nested_count_via_series(inst, 0) == 0
+    for n in range(1, 6):
+        g = big_g(inst.with_n(n), n)
+        at_one = sum(g.coefficient(s=a, t=n) for a in range(n + 1))
+        assert nested_count_via_series(inst.with_n(n), n) == at_one * factorial(n), n
 
 
 def test_chains8_count_at_n12(chains8):
@@ -710,7 +725,15 @@ def test_lambda_counts_compose(r):
 
 
 @pytest.mark.parametrize(
-    "name, top", [("z2x4_chains", 24), ("klein4", 20), ("z2", 40)]
+    "name, top",
+    [
+        ("z2x4_chains", 24),
+        ("klein4", 20),
+        ("z2", 40),
+        ("z3", 30),
+        ("z4", 30),
+        ("z4_plane", 30),
+    ],
 )
 def test_series_count_matches_the_forest_count(name, top):
     """Two independent routes, both fast: the series formula at s = 1 and

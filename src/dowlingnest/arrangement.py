@@ -47,7 +47,7 @@ from .groups import (
     subgroup_closure,
     subgroup_conj_classes,
 )
-from .linalg import ONE, ZERO, Subspace, integer_echelon
+from .linalg import Subspace, integer_echelon, pivot_columns, unit_rows
 from .poset import Poset, bits
 from .reps import pointwise_stabilizer, stabilizer
 
@@ -240,8 +240,7 @@ def free_factor_subspace(inst, rows, factors, elements):
     Only the span matters, so each spanning vector is scaled to integers:
     with rho(g) = rows_g / den_g and w one of the integer rows, the vector
     holds (L / den_g) rows_g w at factor f, L the lcm of the
-    den_g, which is L times the true one.  No Fraction is built before the
-    result.
+    den_g, which is L times the true one.  No Fraction is built.
     """
     b = inst.block_width
     d = inst.ambient_dim
@@ -256,11 +255,8 @@ def free_factor_subspace(inst, rows, factors, elements):
         vectors.append(v)
     for f in range(inst.n):
         if f not in factors:
-            for c in range(f * b, (f + 1) * b):
-                v = [0] * d
-                v[c] = 1
-                vectors.append(v)
-    return Subspace.from_echelon(d, integer_echelon(vectors))
+            vectors.extend(unit_rows(d, range(f * b, (f + 1) * b)))
+    return Subspace(d, integer_echelon(vectors))
 
 
 def raw_arrangement(inst):
@@ -566,28 +562,22 @@ def is_block_subspace(inst, W):
 def _reconstruct_block(inst, W):
     b = inst.block_width
     d = inst.ambient_dim
-    constrained = []
-    for f in range(inst.n):
-        units = []
-        for c in range(f * b, (f + 1) * b):
-            v = [ZERO] * d
-            v[c] = ONE
-            units.append(v)
-        if not all(W.contains_vector(v) for v in units):
-            constrained.append(f)
+    constrained = [
+        f
+        for f in range(inst.n)
+        if not all(map(W.contains_vector, unit_rows(d, range(f * b, (f + 1) * b))))
+    ]
     if not constrained:
         return None
     # W contains every free factor, so W = tied + free: the tied part, W met
     # with the constrained coordinates, is W with the free coordinates zeroed
     kept = {c for f in constrained for c in range(f * b, (f + 1) * b)}
-    tied = Subspace.from_spanning(
-        d, [[x if c in kept else ZERO for c, x in enumerate(v)] for v in W.basis]
+    tied = integer_echelon(
+        [[x if c in kept else 0 for c, x in enumerate(v)] for v in W.echelon]
     )
     j1 = constrained[0]
-    proj = Subspace.from_spanning(
-        b, tuple(v[j1 * b : (j1 + 1) * b] for v in tied.basis)
-    )
-    if proj.dim != tied.dim:
+    proj = integer_echelon([v[j1 * b : (j1 + 1) * b] for v in tied])
+    if len(proj) != len(tied):
         return None
     # find, per further factor, a group element carrying the j1 component
     carries = []
@@ -597,7 +587,7 @@ def _reconstruct_block(inst, W):
             # rho(g) x = y with rho(g) = rows / den, row by row
             if all(
                 sum(map(mul, row, v[j1 * b : (j1 + 1) * b])) == den * y
-                for v in tied.basis
+                for v in tied
                 for row, y in zip(rows, v[f * b : (f + 1) * b])
             ):
                 found = g
@@ -605,17 +595,17 @@ def _reconstruct_block(inst, W):
         if found is None:
             return None
         carries.append(found)
-    K = pointwise_stabilizer(inst.rep, proj)
+    K = pointwise_stabilizer(inst.rep, Subspace(b, proj))
     # K = stab(proj) and Fix(K) = proj give phi(K) = stab(Fix(K)) = K, so K
     # is closed
-    if inst.rep.fix_echelon(K) != proj.echelon:
+    if inst.rep.fix_echelon(K) != proj:
         return None
     if len(constrained) == 1 and len(K) == 1:
         return None
     indices = tuple(f + 1 for f in constrained)
     cosets = (0,) + tuple(coset_rep(inst.group, K, g) for g in carries)
     candidate = Block(subgroup=K, indices=indices, cosets=cosets)
-    if block_subspace(inst, candidate).basis != W.basis:
+    if block_subspace(inst, candidate) != W:
         return None
     return candidate
 
@@ -750,12 +740,12 @@ def intersection_lattice(inst):
     subset of mask(B): if it is, B is the intersection of a larger set;
     conversely a block containing A contains B.
 
-    The basis.  The flat is a direct sum on disjoint coordinates, so its
-    RREF basis is the RREF rows of each T_b, which are the rows of
-    `block_subspace`(b) supported on I_b, and the unit rows of the free
-    coordinates.  T_b projects injectively onto its smallest index, so its
-    pivots lie there; `disjoint_covers` lists the parts by smallest index,
-    so the rows come already sorted by pivot and no `rref` runs per flat.
+    The echelon.  The flat is a direct sum on disjoint coordinates, so its
+    `integer_echelon` joins the echelon rows of each T_b, the rows of
+    `block_subspace`(b) supported on I_b, and the free coordinates' unit
+    rows.  T_b projects injectively onto its smallest index, so its pivots
+    lie there; `disjoint_covers` lists the parts by smallest index, so the
+    rows come sorted by pivot and no elimination runs per flat.
 
     The flats are the disjoint covers of {1..n} whose parts are a free
     index or a block, the blocks labelled G the marked parts, as
@@ -774,30 +764,25 @@ def intersection_lattice(inst):
         tied.append(
             tuple(
                 row
-                for row in block_subspace(inst, b).basis
+                for row in block_subspace(inst, b).echelon
                 if all(c in own for c, x in enumerate(row) if x)
             )
         )
-    # The flats sort by (-dim, basis), the bases compared entry by entry.
-    # Every entry times one common denominator D is an integer in the same
-    # order, so the integer rows sort the flats as the Fraction rows would
-    # (a scale per flat would not).
-    D = lcm(*(x.denominator for rows in tied for row in rows for x in row))
+    # The flats sort by (-dim, basis), the RREF bases compared entry by
+    # entry.  An echelon row times L // pivot, L the lcm of every pivot, is
+    # its RREF row times L: integers in the same order, so these rows sort
+    # the flats as the Fraction rows would (a scale per flat would not).
+    L = lcm(*(row[p] for rows in tied for row, p in zip(rows, pivot_columns(rows))))
 
     def part(rows, up):
-        scaled = tuple(tuple(x.numerator * (D // x.denominator) for x in r) for r in rows)
-        return rows, scaled, up
+        scales = (L // row[p] for row, p in zip(rows, pivot_columns(rows)))
+        return rows, tuple(tuple(k * x for x in row) for k, row in zip(scales, rows)), up
 
-    # parts[i]: (index bits, labelled G, (RREF rows, rows times D, up mask))
-    # of each part whose smallest index is i, the free index i first
+    # parts[i]: (index bits, labelled G, (echelon rows, RREF rows times L,
+    # up mask)) of each part whose smallest index is i, the free index first
     parts = [[] for _ in range(n + 1)]
     for i in range(1, n + 1):
-        units = []
-        for c in range((i - 1) * m, i * m):
-            row = [ZERO] * d
-            row[c] = ONE
-            units.append(tuple(row))
-        parts[i].append((1 << i, False, part(tuple(units), 0)))
+        parts[i].append((1 << i, False, part(unit_rows(d, range((i - 1) * m, i * m)), 0)))
     for b, up, rows in zip(blocks, ups, tied):
         span = sum(1 << i for i in b.indices)
         parts[b.indices[0]].append((span, len(b.subgroup) == whole, part(rows, up)))
@@ -808,7 +793,7 @@ def intersection_lattice(inst):
             rows += more
             key += scaled
             mask |= up
-        flats.append(((-len(rows), key), Subspace(ambient_dim=d, basis=rows), mask))
+        flats.append(((-len(rows), key), Subspace(d, rows), mask))
     flats.sort(key=itemgetter(0))
     # holding[c]: the flats whose mask holds block c.  The flats above A are
     # those whose mask holds all of mask(A), so up(A) is the AND of

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 
 from .arrangement import enumerate_nested_sets, intersection_lattice
 from .forests import (
@@ -22,18 +23,24 @@ def _dot_string(text):
     return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def _subspace_json(space):
-    return {
-        "dim": space.dim,
-        "basis": [[str(x) for x in row] for row in space.basis],
-    }
-
-
 def lattice_json(inst):
     poset = intersection_lattice(inst)
+    # a basis row is the echelon row over its pivot, written once per
+    # distinct row, as the flats share their blocks' rows
+    written = {}
+
+    def basis_row(row):
+        got = written.get(row)
+        if got is None:
+            pivot = next(filter(None, row))
+            got = written[row] = [str(Fraction(x, pivot)) for x in row]
+        return got
+
     return {
         "ambient_dim": inst.ambient_dim,
-        "elements": [_subspace_json(s) for s in poset.elements],
+        "elements": [
+            {"dim": s.dim, "basis": list(map(basis_row, s.echelon))} for s in poset.elements
+        ],
         "covers": [list(c) for c in poset.covers()],
     }
 

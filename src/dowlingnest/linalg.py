@@ -1,33 +1,34 @@
-"""Exact rational matrices and subspaces in reduced row echelon form.
+"""Exact rational matrices, and subspaces as canonical integer echelons.
 
-Everything here is over Fraction or int; no floating point is used anywhere,
-so containment and equality of subspaces are genuine decisions.  A matrix
-is held as its integer form (rows, den), integer rows over one
-denominator, and `form_product` multiplies two of them, skipping zero
-entries.  A Subspace is canonically represented by the RREF basis of its
-row space, which makes set-equality of subspaces the same as equality of
-its compared fields.  There is one elimination, the fraction-free
-`integer_echelon`: `rref` and `kernel` scale their rows to integers,
-eliminate there, and divide each row by its pivot only at the end.
-Fractions are built only for what is returned.
+Everything here is over int or Fraction, and any other entry (a float,
+say) raises TypeError, so containment and equality of subspaces are
+genuine decisions.  A matrix is held as its integer form (rows, den),
+integer rows over one denominator, and `form_product` multiplies two of
+them, skipping zero entries.  A Subspace holds only the canonical
+`integer_echelon` of its row space and works on integer rows.  There is
+one elimination, the fraction-free `integer_echelon`: `rref` and `kernel`
+scale their rows to integers, eliminate there, and divide each row by
+its pivot only at the end.  Fractions are built only for what is returned.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import compress, count
+from itertools import chain, compress, count
 from math import gcd, lcm
+from numbers import Rational
 
 from .errors import AmbientMismatch
 from .frozen import Frozen, _set
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
-
 
 def _over_one_denominator(rows):
-    """(integer rows, den) with rows = integer rows / den, for int or Fraction."""
+    """(integer rows, den) with rows = integer rows / den; an entry not int or
+    Fraction raises TypeError, as a float is not the decimal it prints."""
     rows = tuple(rows)
+    for x in chain.from_iterable(rows):
+        if type(x) is not int and not isinstance(x, Rational):  # the ABC check is slow
+            raise TypeError(f"entry {x!r} is not an int or a Fraction")
     den = lcm(*(x.denominator for row in rows for x in row))
     return [[x.numerator * (den // x.denominator) for x in row] for row in rows], den
 
@@ -91,21 +92,18 @@ def rref(rows):
 
 
 class Subspace(Frozen):
-    """Linear subspace of Q^ambient_dim, stored as an RREF basis (rows).
-
-    `echelon` is the `integer_echelon` of the same space, the key under
-    which caches look a subspace up: it is set when the space is built from
-    one, and otherwise computed once, on first use.  It takes no part in
-    equality, hashing or repr.
+    """Linear subspace of Q^ambient_dim, held as the `integer_echelon` of
+    its row space alone: canonical, so equal spaces have equal fields, and
+    the key caches look a space up by.  The constructor trusts `echelon` to
+    be one (row tuples); `from_spanning` builds it from any vectors.
+    `basis`, the Fraction RREF, is derived on each read, for printing.
     """
 
-    __slots__ = ("ambient_dim", "basis", "_echelon")
-    _fields = ("ambient_dim", "basis")
+    __slots__ = ("ambient_dim", "echelon")
 
-    def __init__(self, ambient_dim, basis, _echelon=None):
+    def __init__(self, ambient_dim, echelon):
         _set(self, "ambient_dim", ambient_dim)
-        _set(self, "basis", basis)
-        _set(self, "_echelon", _echelon)
+        _set(self, "echelon", echelon)
 
     @classmethod
     def from_spanning(cls, ambient_dim, vectors):
@@ -113,42 +111,24 @@ class Subspace(Frozen):
         for v in vecs:
             if len(v) != ambient_dim:
                 raise AmbientMismatch("spanning vector has wrong length")
-        rows, _ = rref(vecs)
-        return cls(ambient_dim=ambient_dim, basis=rows)
-
-    @classmethod
-    def from_echelon(cls, ambient_dim, echelon):
-        """The Subspace spanned by the rows of an `integer_echelon`."""
-        return cls(
-            ambient_dim=ambient_dim,
-            basis=_unit_pivots(echelon)[0],
-            _echelon=echelon,
-        )
+        return cls(ambient_dim, integer_echelon(_over_one_denominator(vecs)[0]))
 
     @classmethod
     def full(cls, ambient_dim):
-        basis = tuple(
-            tuple(ONE if i == j else ZERO for j in range(ambient_dim))
-            for i in range(ambient_dim)
-        )
-        return cls(ambient_dim=ambient_dim, basis=basis)
+        return cls(ambient_dim, unit_rows(ambient_dim, range(ambient_dim)))
 
     @property
-    def echelon(self):
-        """The `integer_echelon` of the space: each RREF row times the lcm
-        of its denominators, which is primitive as the row's pivot is 1."""
-        if self._echelon is None:
-            rows = (_over_one_denominator((row,))[0][0] for row in self.basis)
-            _set(self, "_echelon", tuple(map(tuple, rows)))
-        return self._echelon
+    def basis(self):
+        """The RREF basis, Fraction rows: each echelon row over its pivot."""
+        return _unit_pivots(self.echelon)[0]
 
     @property
     def dim(self):
-        return len(self.basis)
+        return len(self.echelon)
 
     @property
     def codim(self):
-        return self.ambient_dim - len(self.basis)
+        return self.ambient_dim - len(self.echelon)
 
     def _check(self, other):
         if self.ambient_dim != other.ambient_dim:
@@ -157,24 +137,24 @@ class Subspace(Frozen):
             )
 
     def contains_vector(self, v):
-        v = list(Fraction(x) for x in v)
+        """Whether v, scaled to integers and cleared at every pivot, is 0."""
+        (v,), _ = _over_one_denominator((v,))
         if len(v) != self.ambient_dim:
             raise AmbientMismatch("vector has wrong length")
-        for row in self.basis:
-            lead = next((c for c, x in enumerate(row) if x != 0), None)
-            if lead is not None and v[lead] != 0:
-                f = v[lead]
-                v = [x - f * y for x, y in zip(v, row)]
-        return all(x == 0 for x in v)
+        for row, p in zip(self.echelon, pivot_columns(self.echelon)):
+            a = v[p]
+            if a:
+                v = [row[p] * x - a * y for x, y in zip(v, row)]
+        return not any(v)
 
     def contains(self, other):
         """Set containment: other is a subspace of self."""
         self._check(other)
-        return all(self.contains_vector(v) for v in other.basis)
+        return all(map(self.contains_vector, other.echelon))
 
     def sum(self, other):
         self._check(other)
-        return Subspace.from_spanning(self.ambient_dim, self.basis + other.basis)
+        return Subspace(self.ambient_dim, integer_echelon(self.echelon + other.echelon))
 
     def perp(self):
         """Orthogonal complement under the standard dot product.
@@ -182,9 +162,7 @@ class Subspace(Frozen):
         Over Q the form is positive definite, so perp is a genuine
         complement and perp(perp(S)) == S.
         """
-        return Subspace.from_echelon(
-            self.ambient_dim, kernel_echelon(self.basis, self.ambient_dim)
-        )
+        return Subspace(self.ambient_dim, kernel_echelon(self.echelon, self.ambient_dim))
 
     def intersect(self, other):
         self._check(other)
@@ -192,16 +170,22 @@ class Subspace(Frozen):
 
     @property
     def sort_key(self):
-        return (len(self.basis), self.basis)
+        return (len(self.echelon), self.basis)
 
     def __repr__(self):
         return f"Subspace(dim={self.dim}/{self.ambient_dim})"
 
 
+def unit_rows(dim, columns):
+    """The unit vectors e_c of Z^dim for c in `columns`, as tuples; for
+    increasing columns they are an `integer_echelon`."""
+    return tuple((0,) * c + (1,) + (0,) * (dim - 1 - c) for c in columns)
+
+
 def kernel(rows, ncols):
     """Canonical Subspace of all v in Q^ncols with row . v = 0 for each of
     the int or Fraction `rows`."""
-    return Subspace.from_echelon(ncols, kernel_echelon(rows, ncols))
+    return Subspace(ncols, kernel_echelon(rows, ncols))
 
 
 def kernel_echelon(rows, ncols):

@@ -17,12 +17,12 @@ Two input styles are supported:
   character exponent there).
 
 Each matrix is held once, as its integer form (rows, den), and each fixed
-space once, as its `integer_echelon`; a fixed `Subspace` is built from its
-echelon only when asked for.  Character input is checked on its exponents,
-and its forms are built only when first read.  The Fraction routes (fixed
-spaces meet by meet, stabilizers by rho(g) v = v, companion powers as
-Fraction matrices, character input checked on its matrices) are the
-oracles in `tests/oracles.py`.
+space once, as its `integer_echelon`, all that a fixed `Subspace` holds;
+one is built from its echelon only when asked for.  Character input is
+checked on its exponents, and its forms are built only when first read.
+The Fraction routes (fixed spaces meet by meet, stabilizers by
+rho(g) v = v, companion powers as Fraction matrices, character input
+checked on its matrices) are the oracles in `tests/oracles.py`.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from operator import mul
 
 from .errors import InstanceError
 from .groups import Subgroup, generating_set
-from .linalg import Subspace, form_product, integer_form, kernel_echelon
+from .linalg import Subspace, form_product, integer_form, kernel_echelon, unit_rows
 
 
 def cyclotomic_polynomial(n):
@@ -83,7 +83,7 @@ class Representation:
     reads the forms.  Given character exponents and no forms, the forms
     are built on first use, from the exponents.  Fixed spaces are
     cached per subgroup as integer echelons (`fix_echelon`); `fix` builds
-    a `Subspace` from the cached echelon on each call.
+    a `Subspace` from its cached echelon on each call, with no elimination.
     """
 
     __slots__ = (
@@ -193,7 +193,7 @@ class Representation:
             known[g] = integer_form(m)
         if dim is None:
             raise InstanceError("no generator matrices given")
-        known.setdefault(group.identity, _identity_form(dim))
+        known.setdefault(group.identity, (unit_rows(dim, range(dim)), 1))
         changed = True
         while changed and len(known) < group.order:
             changed = False
@@ -254,7 +254,8 @@ class Representation:
                 return tuple((x + y) % N for x, y in zip(u, v))
 
         else:
-            images, one, product = self._forms, _identity_form(self.matrix_dim), form_product
+            images, product = self._forms, form_product
+            one = unit_rows(self.matrix_dim, range(self.matrix_dim)), 1
         if len(images) != n:
             raise InstanceError("need one matrix per group element")
         for b in generating_set(G):
@@ -296,20 +297,11 @@ class Representation:
 
     def fix(self, H):
         """Fixed subspace of a Subgroup, built from the cached `fix_echelon`."""
-        return Subspace.from_echelon(self.matrix_dim, self.fix_echelon(H))
+        return Subspace(self.matrix_dim, self.fix_echelon(H))
 
     def fix_true_dim(self, H):
         """Dimension of Fix(H) over the complex numbers."""
         return len(self.fix_echelon(H)) // self.scalar_degree
-
-
-def _identity_form(dim):
-    """The `integer_form` of the dim x dim identity."""
-    return tuple(_unit(i, dim) for i in range(dim)), 1
-
-
-def _unit(i, dim):
-    return (0,) * i + (1,) + (0,) * (dim - 1 - i)
 
 
 def _fix_echelon(rep, elems):
@@ -325,11 +317,8 @@ def _fix_echelon(rep, elems):
     dim = rep.matrix_dim
     if rep.char_exponents is not None:
         deg = rep.scalar_degree
-        return tuple(
-            _unit(j * deg + l, dim)
-            for j in rep.fixed_coordinates(elems)
-            for l in range(deg)
-        )
+        fixed = rep.fixed_coordinates(elems)
+        return unit_rows(dim, (j * deg + l for j in fixed for l in range(deg)))
     rows = []
     for g in elems:
         if g != rep.group.identity:
@@ -339,7 +328,7 @@ def _fix_echelon(rep, elems):
                 for r, row in enumerate(rows_g)
             )
     if not rows:
-        return _identity_form(dim)[0]
+        return unit_rows(dim, range(dim))
     return kernel_echelon(rows, dim)
 
 

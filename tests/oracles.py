@@ -468,7 +468,7 @@ def is_identity(M):
 
 
 def zero_space(ambient_dim):
-    return Subspace(ambient_dim=ambient_dim, basis=())
+    return Subspace(ambient_dim=ambient_dim, echelon=())
 
 
 def image_under(space, M):

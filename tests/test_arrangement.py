@@ -627,6 +627,17 @@ def test_a_line_fixed_by_no_subgroup_is_no_block(s3):
     assert is_block_subspace(s3, W).describe() == "H^{0,2}(1^0)"
 
 
+def test_a_tied_line_is_a_block_only_over_a_fixed_line(s3):
+    """On S3 at n = 2, W = {(x, g x) : x in L}.  With L = (1, 0), the fixed
+    space of no subgroup, W is no block: its candidate H^{e}(1^0,2^0) is
+    the whole diagonal.  No element doubles a vector, so (x, 2x) is none
+    either; over the fixed line (1, 2) of {0, 2}, W is a block."""
+    assert is_block_subspace(s3, Subspace.from_spanning(4, [(1, 0, 1, 0)])) is None
+    assert is_block_subspace(s3, Subspace.from_spanning(4, [(1, 0, 2, 0)])) is None
+    W = Subspace.from_spanning(4, [(1, 2, 1, 2)])
+    assert is_block_subspace(s3, W).describe() == "H^{0,2}(1^0,2^0)"
+
+
 def test_diagonal_block_is_the_identity_graph(z2):
     diag = next(
         b

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import json
 import random
+import re
 import time
+from decimal import Decimal
 from fractions import Fraction
 from math import gcd
 from pathlib import Path
@@ -99,6 +101,56 @@ def random_subspace(draw, ambient=4, max_vecs=3):
     return Subspace.from_spanning(ambient, vecs)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_subspace_operations_match_fraction_ranks(data):
+    """`contains`, `contains_vector`, `sum`, `intersect` and `perp` against
+    ranks from Gauss-Jordan over Fraction on the spanning vectors (ints or
+    Fractions) themselves: A contains B iff rank(A u B) = rank(A); the meet
+    has dim A + dim B - dim(A + B) and lies in both; perp has the
+    complementary dimension and is orthogonal to A."""
+    entries = st.one_of(st.integers(-3, 3), small_fracs)
+    a, b = (
+        data.draw(st.lists(st.tuples(*[entries] * 4), max_size=3)) for _ in range(2)
+    )
+
+    def rank(rows):
+        return len(gauss_jordan_rref(rows)[0])
+
+    A, B = Subspace.from_spanning(4, a), Subspace.from_spanning(4, b)
+    rank_a, rank_b, rank_ab = rank(a), rank(b), rank(a + b)
+    assert (A.dim, B.dim) == (rank_a, rank_b)
+    assert A.contains(B) == (rank_ab == rank_a)
+    for v in a + b:
+        assert A.contains_vector(v) == (rank(a + [v]) == rank_a)
+    total = A.sum(B)
+    assert total.dim == rank_ab == rank(a + b + list(total.basis))
+    meet = A.intersect(B)
+    assert meet.dim == rank_a + rank_b - rank_ab
+    assert rank(a + list(meet.basis)) == rank_a and rank(b + list(meet.basis)) == rank_b
+    perp = A.perp()
+    assert perp.dim == 4 - rank_a
+    assert all(sum(x * y for x, y in zip(u, v)) == 0 for u in perp.basis for v in a)
+
+
+@pytest.mark.parametrize(
+    "call, entry",
+    [
+        (lambda: Subspace.from_spanning(2, [(0.5, 1)]), "0.5"),
+        (lambda: Subspace.from_spanning(2, [(1, 10)]).contains_vector((0.1, 1.0)), "0.1"),
+        (lambda: kernel([(1, 0.25)], 2), "0.25"),
+        (lambda: rref([(Decimal("0.5"), 1)]), "Decimal('0.5')"),
+    ],
+    ids=["from_spanning", "contains_vector", "kernel", "rref"],
+)
+def test_an_entry_that_is_not_rational_is_refused(call, entry):
+    """A float is its binary value, not the decimal it prints: (0.1, 1.0)
+    read as Fractions is not in the span of (1, 10).  Every entry is
+    refused by name before any arithmetic."""
+    with pytest.raises(TypeError, match=re.escape(f"entry {entry} is not an int or a Fraction")):
+        call()
+
+
 @settings(max_examples=60, deadline=None)
 @given(random_subspace(), random_subspace())
 def test_grassmann_identity(A, B):
@@ -131,8 +183,7 @@ def integer_rows(draw):
 @given(integer_rows())
 def test_integer_echelon_scales_the_rref(rows):
     """Each row is the Gauss-Jordan RREF row times a positive integer, and
-    the rows are primitive; `Subspace.echelon`, read off the RREF of a
-    space built by `rref`, is the same tuple."""
+    the rows are primitive; `Subspace.from_spanning` holds the same tuple."""
     echelon = integer_echelon(rows)
     reduced, pivots = gauss_jordan_rref(rows)
     if rows:
@@ -517,7 +568,7 @@ def _check_fixed_echelons(inst):
         oracle = fix_subspace_via_kernels(rep, H.elements)
         echelon = rep.fix_echelon(H)
         assert echelon == integer_echelon(integer_form(oracle.basis)[0])
-        assert Subspace.from_echelon(rep.matrix_dim, echelon) == oracle
+        assert Subspace(rep.matrix_dim, echelon) == oracle
         assert rep.fix(H) == oracle and rep.fix(H).echelon == echelon
         assert rep.fix_true_dim(H) == oracle.dim // rep.scalar_degree
         assert closure_phi(inst, H) == closure_by_definition(inst, H)

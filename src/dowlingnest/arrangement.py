@@ -596,15 +596,15 @@ def _reconstruct_block(inst, W):
             return None
         carries.append(found)
     K = pointwise_stabilizer(inst.rep, Subspace(b, proj))
-    # K = stab(proj) and Fix(K) = proj give phi(K) = stab(Fix(K)) = K, so K
-    # is closed
-    if inst.rep.fix_echelon(K) != proj:
-        return None
     if len(constrained) == 1 and len(K) == 1:
         return None
     indices = tuple(f + 1 for f in constrained)
     cosets = (0,) + tuple(coset_rep(inst.group, K, g) for g in carries)
     candidate = Block(subgroup=K, indices=indices, cosets=cosets)
+    # This check also makes K closed.  K fixes proj, so proj <= Fix(K); with
+    # f free factors the candidate's subspace has dim Fix(K) + f b and W has
+    # dim proj + f b.  Equal subspaces give Fix(K) = proj, so
+    # phi(K) = stab(Fix(K)) = stab(proj) = K.
     if block_subspace(inst, candidate) != W:
         return None
     return candidate

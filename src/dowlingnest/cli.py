@@ -98,7 +98,21 @@ def build_parser():
 
     p = sub.add_parser("selftest", help="run the invariant cross-check suite")
     _add_common(p)
+    parser.commands = sub.choices
     return parser
+
+
+def parse_argv(argv=None):
+    """build_parser().parse_args(argv), with the command's own parser called
+    directly unless the command is unknown or leaves arguments over."""
+    argv = sys.argv[1:] if argv is None else argv
+    command = argv and build_parser().commands.get(argv[0])
+    if command:
+        args, rest = command.parse_known_args(argv[1:])
+        if not rest:
+            args.command = argv[0]
+            return args
+    return build_parser().parse_args(argv)
 
 
 def cmd_closed_subgroups(inst, args, out):
@@ -264,7 +278,7 @@ HANDLERS = {
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = parse_argv(argv)
 
     def out(line):
         sys.stdout.write(str(line) + "\n")

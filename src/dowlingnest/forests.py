@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from itertools import chain
 from math import comb
-from operator import attrgetter
+from operator import add, attrgetter, mul
 
 from .arrangement import Block, NestedSet, closed_subgroups, disjoint_covers
 from .errors import MalformedForest, NotRealizable, SizeBoundExceeded
@@ -332,11 +332,25 @@ def nested_to_forest(inst, nested):
 # -- counting by part size ------------------------------------------------------------
 
 
-def _extend_exp(e, b):
-    """Append the next coefficient of E = exp(B) to e, from E' = B'E; all
-    series are n! [x^n], and b holds B up to the new degree."""
-    d = len(e) - 1
-    e.append(sum(comb(d, i) * b[i + 1] * e[d - i] for i in range(d + 1)))
+def _coset_weights(G, members):
+    """The labels P <= K of each K in `members`, and its row a_K(L) over the
+    L != G (see count_forests)."""
+    sets = [set(K.elements) for K in members]
+    label = {frozenset(L): l for l, L in enumerate(sets)}
+    conjugates = [  # the labels of the g^-1 L g
+        [label[frozenset([G.conj(G.inv(g), p) for p in L])] for g in G.elements()]
+        for L in sets[:-1]
+    ]
+    below = [{p for p, P in enumerate(sets) if P <= K} for K in sets]
+    return below, [
+        [sum(map(b.__contains__, row)) // len(K) for row in conjugates]
+        for b, K in zip(below, sets)
+    ]
+
+
+def _conv(c, a, b):
+    """sum of c[i] a[i] b[i] over the shortest of the three."""
+    return sum(map(mul, map(mul, c, a), b))
 
 
 def count_forests(inst):
@@ -361,14 +375,19 @@ def count_forests(inst):
     vertex over a smaller label: members are sorted by size, so each T_P is
     final before T_K takes it.  The forests are a set of trees, at most
     one with root G, less the forest of fallen leaves alone:
-    e^{x + sum of T_L over L != G} (1 + T_G) - e^x.
+    e^{B_G} (1 + T_G) - e^x, as every a_G(L) is 1.
+
+    As (ak)^-1 L (ak) = k^-1 (a^-1 L a) k lies in K exactly when a^-1 L a
+    does, for k in K, a_K(L) = #{g in G : g^-1 L g <= K} / |K|.  That is
+    read from one table, the labels of the g^-1 L g: `_check_closed_set`
+    has shown the closed set stable under conjugation.
 
     Every piece of a vertex with two children is smaller than the part, so
     the series are found one size at a time, on integers n! [x^n], with
-    each e^B (and A' e^B under G) extended by one degree per size.  The
-    coset counts come from `left_cosets` and no table of
-    `enumerate_forests` is shared, so a wrong labelling rule here shows up
-    as a count that differs from the nested-set enumeration.
+    each e^B (and A' e^B under G) extended by one degree per size from
+    E' = B'E.  No table of `enumerate_forests` is shared, so a wrong
+    labelling rule here shows up as a count that differs from the
+    nested-set enumeration.
 
     Raises SizeBoundExceeded when the count passes the instance's
     nested-set cap.  K = G alone gives 2^n - 1 blocks, each a nested set of
@@ -384,55 +403,31 @@ def count_forests(inst):
         )
     G = inst.group
     members = closed_subgroups(inst).members
-    trivial = Subgroup((G.identity,))
     full = len(members) - 1  # G is closed and sorts last
-    others = range(full)
-
-    first, weights, smaller = [], [], []
-    for K in members:
-        inside = set(K.elements)
-        inverse_reps = [G.inv(c.rep) for c in left_cosets(G, K)]
-        first.append([l for l in others if inside.issuperset(members[l].elements)])
-        # a_K(L): the cosets aK with a^-1 L a <= K
-        weights.append([
-            (l, sum(all(G.conj(a, p) in inside for p in members[l]) for a in inverse_reps))
-            for l in others
-        ])
-        smaller.append(
-            [p for p, P in enumerate(members) if P != K and inside.issuperset(P.elements)]
-        )
+    below, weights = _coset_weights(G, members)
+    smaller = [b - {k} for k, b in enumerate(below)]
+    first = [b - {full} for b in below]  # the L <= K, L != G
+    binomials = [[comb(m, i) for i in range(m + 1)] for m in range(n + 1)]
     # n! [x^n] of T_K, A_K, B_K and e^{B_K} per label, and of A_G' e^{B_G}
-    T = [[0] for _ in members]
-    A = [[0] for _ in members]
-    B = [[0] for _ in members]
-    E = [[1] for _ in members]
+    T, A, B, E = ([[x] for _ in members] for x in (0, 0, 0, 1))
     D = []
     for m in range(1, n + 1):
+        c, leaf = binomials[m - 1], m == 1
         for k, K in enumerate(members):
             head, extra = A[k], 0
             if k == full:  # a G child on the first piece, or on another
-                head = [x + y for x, y in zip(A[k], T[k])]
-                extra = sum(
-                    comb(m - 1, i) * D[i] * T[k][m - 1 - i] for i in range(m - 1)
-                )
-            count = sum(comb(m - 1, j - 1) * head[j] * E[k][m - j] for j in range(1, m))
-            count += extra + (m == 1 and K != trivial)
-            T[k].append(count + sum(T[p][m] for p in smaller[k]))
-        leaf = m == 1
+                head = list(map(add, A[k], T[k]))
+                extra = _conv(c, D, reversed(T[k]))
+            count = _conv(c, head[1:], reversed(E[k])) + extra
+            T[k].append(count + (leaf and len(K) > 1) + sum(T[p][m] for p in smaller[k]))
+        column = [t[m] for t in T[:full]]
         for k, K in enumerate(members):
             A[k].append(leaf + sum(T[l][m] for l in first[k]))
-            B[k].append(
-                G.order // len(K) * leaf + sum(w * T[l][m] for l, w in weights[k])
-            )
-            _extend_exp(E[k], B[k])
-        a, e = A[full], E[full]
-        D.append(sum(comb(m - 1, i) * a[i + 1] * e[m - 1 - i] for i in range(m)))
-    roots = [0] + [(m == 1) + sum(T[l][m] for l in others) for m in range(1, n + 1)]
-    exp_roots = [1]
-    for _ in range(n):
-        _extend_exp(exp_roots, roots)
-    total = exp_roots[n] - 1
-    total += sum(comb(n, i) * exp_roots[i] * T[full][n - i] for i in range(n))
+            B[k].append(G.order // len(K) * leaf + sum(map(mul, weights[k], column)))
+            E[k].append(_conv(c, B[k][1:], reversed(E[k])))
+        D.append(_conv(c, A[full][1:], reversed(E[full][:m])))
+    e = E[full]
+    total = e[n] - 1 + _conv(binomials[n], e[:n], reversed(T[full]))
     if total > cap:
         raise SizeBoundExceeded(
             f"{total} nested sets at n={n} exceed the cap of {cap}; "

@@ -38,6 +38,11 @@ class FiniteGroup:
         )
 
     def _validate(self):
+        """Associativity is Light's test: (x s) y = x (s y) for all x, y and s
+        in S = `generating_set(self)`.  The s that pass include e and are
+        closed under products: (x (s t)) y = ((x s) t) y = (x s) (t y) =
+        x (s (t y)) = x ((s t) y).  `generating_set` reaches every element as
+        a product (...((e s_1) s_2)...) s_k, so every element passes."""
         n = self.order
         if n == 0:
             raise InstanceError("group must have at least one element")
@@ -50,18 +55,14 @@ class FiniteGroup:
         for a in range(n):
             if self._mul[0][a] != a or self._mul[a][0] != a:
                 raise InstanceError("element id 0 is not a two-sided identity")
-        # exhaustive associativity check; supported orders are small
-        if n <= DEFAULT_ORDER_BOUND:
-            mul = self._mul
-            for a in range(n):
-                for b in range(n):
-                    ab = mul[a][b]
-                    row_a = mul[a]
-                    for c in range(n):
-                        if mul[ab][c] != row_a[mul[b][c]]:
-                            raise InstanceError(
-                                f"Cayley table not associative at ({a},{b},{c})"
-                            )
+        mul = self._mul
+        for s in generating_set(self):
+            row_s = mul[s]
+            for x, row_x in enumerate(mul):
+                xs_row = mul[row_x[s]]
+                if tuple(map(row_x.__getitem__, row_s)) != xs_row:
+                    y = next(y for y in range(n) if xs_row[y] != row_x[row_s[y]])
+                    raise InstanceError(f"Cayley table not associative at ({x},{s},{y})")
 
     def _find_inverse(self, a):
         for b in range(self.order):

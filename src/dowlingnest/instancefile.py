@@ -28,10 +28,12 @@ from .reps import Representation
 
 
 def parse_rational(value, where):
+    """A matrix entry: a JSON integer stays an int, and only a "p/q"
+    string becomes a Fraction, so `integer_form` reads integers directly."""
     if isinstance(value, bool):
         raise InstanceError(f"{where}: expected a rational, got a boolean")
     if isinstance(value, int):
-        return Fraction(value)
+        return value
     if isinstance(value, str):
         try:
             return Fraction(value)

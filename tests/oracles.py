@@ -10,7 +10,8 @@ representation, read as Fraction matrices (`FractionMatrix`, built by
 representation constructor's form route for character input, and the
 block compatibility table for the clique walk (the table has its own
 pairwise oracle tests).  The small checks on posets, subgroups and
-matrices that only tests use live here too, and so does `series_to_json`,
+matrices that only tests use live here too, with the exhaustive
+associativity check of a Cayley table, and so does `series_to_json`,
 the JSON form through which the printed series is checked against
 json.dumps.
 """
@@ -474,6 +475,18 @@ def zero_space(ambient_dim):
 def image_under(space, M):
     """The subspace {M v : v in space}."""
     return Subspace.from_spanning(M.rows, tuple(M.apply(v) for v in space.basis))
+
+
+def associativity_failure(table):
+    """The first (a, b, c) with (a b) c != a (b c) in a table, or None: the
+    exhaustive |G|^3 definition that `FiniteGroup`'s Light test replaces."""
+    n = len(table)
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                if table[table[a][b]][c] != table[a][table[b][c]]:
+                    return a, b, c
+    return None
 
 
 def check_subgroup(G, H):

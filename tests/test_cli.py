@@ -218,6 +218,47 @@ def test_one_parser_serves_every_call_of_main():
         assert result == untimed(_main_in_a_new_process(argv)), argv
 
 
+ARGV_CASES = [
+    [],
+    ["count"],
+    ["count", "--input"],
+    ["count", "--input", "x", "--n", "a"],
+    ["count", "--bad"],
+    ["count", "--input", "x", "stray"],
+    ["count", "--input", "x", "--method", "zzz"],
+    ["zzz", "--input", "x"],
+    ["-h"],
+    ["count", "-h"],
+    ["count", "--input", "x", "--help"],
+    ["count", "--inp", "x"],
+    ["count", "--input=x", "--n=2"],
+    ["count", "--input", "x", "--input", "y"],
+    ["count", "--input", "x", "--"],
+    ["count", "--", "--input", "x"],
+    ["--", "count", "--input", "x"],
+    ["count", "--input", "x", "--all", "--cap", "5"],
+    ["export", "--input", "x", "--what", "nested", "--format", "dot"],
+    ["lattice", "--input", "x", "--all-methods"],
+]
+
+
+@pytest.mark.parametrize("argv", ARGV_CASES, ids=lambda argv: " ".join(argv) or "empty")
+def test_one_level_parse_matches_the_full_parser(argv):
+    """`parse_argv` gives build_parser().parse_args's namespace, or its
+    exit code, stdout and stderr."""
+
+    def parse(f):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                result = vars(f(list(argv)))
+            except SystemExit as exc:
+                result = exc.code
+        return result, out.getvalue(), err.getvalue()
+
+    assert parse(cli.parse_argv) == parse(build_parser().parse_args)
+
+
 def test_series_output_and_determinism(capsys):
     args = (
         "series",

@@ -43,6 +43,7 @@ from conftest import (
     capped,
     make_abelian_instance,
     make_n3_grid,
+    make_nonabelian_instance,
     make_s3_instance,
     small_abelian_instances,
 )
@@ -721,19 +722,49 @@ def _walk_edges(node):
             yield from _walk_edges(child)
 
 
-def test_count_forests_lists_the_cosets_once_per_label(monkeypatch):
-    """The coset counts a_K(L) of every pair of labels come from one
-    `left_cosets` call per closed subgroup K."""
+def test_count_forests_conjugates_each_label_once(monkeypatch):
+    """The coset counts a_K(L) of every pair of labels come from one table
+    of conjugates, made once per proper closed label L: at most |G| |L|
+    conjugations each, and no coset is listed."""
     from dowlingnest import forests
+    from dowlingnest.groups import FiniteGroup
 
     inst = load_instance(INSTANCE_DIR / "s3.json", n_override=3)
     members = closed_subgroups(inst).members
-    seen = []
+    calls = []
+    conj = FiniteGroup.conj
 
-    def counting(G, K):
-        seen.append(K)
-        return left_cosets(G, K)
+    def counting(G, g, h):
+        calls.append((g, h))
+        return conj(G, g, h)
 
-    monkeypatch.setattr(forests, "left_cosets", counting)
+    def refuse(G, K):
+        raise AssertionError("count_forests listed the cosets")
+
+    monkeypatch.setattr(FiniteGroup, "conj", counting)
+    monkeypatch.setattr(forests, "left_cosets", refuse)
     assert count_forests(inst) == 10159
-    assert sorted(seen, key=lambda K: K.sort_key) == list(members)
+    assert 0 < len(calls) <= inst.group.order * sum(len(L) for L in members[:-1])
+
+
+@pytest.mark.parametrize("host", [p.stem for p in INSTANCE_FILES] + ["D4", "Q8", "A4", "S4"])
+def test_coset_weights_count_the_admissible_cosets(host):
+    """a_K(L) from the conjugate-label table equals its definition: the
+    number of left cosets aK with a^-1 L a <= K."""
+    from dowlingnest.forests import _coset_weights
+
+    path = INSTANCE_DIR / f"{host}.json"
+    inst = load_instance(str(path)) if path.exists() else make_nonabelian_instance(host, 2)
+    G = inst.group
+    members = closed_subgroups(inst).members
+    expected = [
+        [
+            sum(
+                all(G.conj(G.inv(c.rep), p) in K.elements for p in L)
+                for c in left_cosets(G, K)
+            )
+            for L in members[:-1]
+        ]
+        for K in members
+    ]
+    assert _coset_weights(G, members)[1] == expected

@@ -8,6 +8,8 @@ from math import lcm
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dowlingnest import (
     FiniteGroup,
@@ -25,7 +27,7 @@ from dowlingnest.groups import DEFAULT_ORDER_BOUND, coset_rep, subgroup_closure
 from dowlingnest.instancefile import load_instance, parse_group
 
 from conftest import make_nonabelian_instance, s3_cayley_table
-from oracles import check_subgroup, tuple_to_id
+from oracles import associativity_failure, check_subgroup, tuple_to_id
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 
@@ -79,6 +81,79 @@ def test_subgroup_closure_is_the_least_subgroup_holding_the_generators():
             for gens in combinations(G.elements(), size):
                 least = min((e for e in subs if set(gens) <= set(e)), key=len)
                 assert subgroup_closure(G, gens).elements == least
+
+
+def test_non_associative_loop_is_refused():
+    """An identity-bordered Latin square of order 5 with x x = e for every
+    x: a loop, not a group, as Z/5, the only group of order 5, has no
+    element of order 2."""
+    table = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
+    assert associativity_failure(table) is not None
+    with pytest.raises(InstanceError, match="not associative"):
+        FiniteGroup(table)
+
+
+def _group_tables():
+    """The bundled group tables and Z/r's, of order at most 8, each with its
+    transpose (the table of the opposite group)."""
+    tables = [FiniteGroup.cyclic(r)._mul for r in range(1, 9)]
+    for path in sorted(INSTANCES.glob("*.json")):
+        G = parse_group(json.loads(path.read_text())["group"])
+        if G.order <= 8:
+            tables.append(G._mul)
+    return tables + [tuple(zip(*t)) for t in tables]
+
+
+def _cycle_switches(table):
+    """Every table made by one row cycle switch away from row and column 0.
+    For rows i != j, c -> c' with t[i][c'] = t[j][c] permutes the columns;
+    swapping rows i and j on one of its cycles keeps each row and each
+    column a permutation, so the result is again an identity-bordered
+    Latin square."""
+    n = len(table)
+    out = []
+    for i in range(1, n):
+        for j in range(i + 1, n):
+            where = {x: c for c, x in enumerate(table[i])}
+            step = [where[x] for x in table[j]]
+            seen = set(_cycle(step, 0))
+            for c in range(1, n):
+                if c not in seen:
+                    cycle = set(_cycle(step, c))
+                    seen |= cycle
+                    rows = [list(row) for row in table]
+                    for d in cycle:
+                        rows[i][d], rows[j][d] = rows[j][d], rows[i][d]
+                    out.append(rows)
+    return out
+
+
+def _cycle(step, c):
+    d = c
+    while True:
+        yield d
+        d = step[d]
+        if d == c:
+            return
+
+
+SWITCHED_TABLES = [s for t in _group_tables() for s in _cycle_switches(t)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(SWITCHED_TABLES))
+def test_near_group_tables_are_refused_exactly_when_not_associative(table):
+    """A group table of order <= 8 off by one cycle switch: FiniteGroup's
+    Light test refuses it exactly when the exhaustive check finds a
+    failing triple, and otherwise it is a group."""
+    ids = list(range(len(table)))
+    assert all(sorted(line) == ids for line in (*table, *zip(*table)))
+    if associativity_failure(table) is None:
+        G = FiniteGroup(table)
+        assert all(G.mul(a, G.inv(a)) == 0 for a in G.elements())
+    else:
+        with pytest.raises(InstanceError, match="not associative"):
+            FiniteGroup(table)
 
 
 def test_order_bound_is_enforced():
